@@ -42,7 +42,6 @@ from kgpair.resonance import (
 from kgpair.simulator import (
     BlowUpError,
     NonlinearityCoefficients,
-    ProfileState,
     SystemState,
     band_energy,
     diagonalize,

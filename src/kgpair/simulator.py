@@ -11,6 +11,7 @@ packets at the source radii of a scan report and watch the outcome band.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,70 +82,76 @@ class NonlinearityCoefficients:
 
 @dataclass(frozen=True)
 class SystemState:
-    """Diagonalized state: one complex spectral field per (species, sign)."""
+    """Diagonalized state: ``coef[SPECIES.index(k), SIGNS.index(s)]`` holds
+    the spectral coefficients of u^k_s on ``grid``, whose own coefficients
+    are unused."""
 
     t: float
     speeds: SpeedPair
-    fields: dict
+    grid: SpectralField
+    coef: np.ndarray
+
+    def __post_init__(self):
+        expected = (len(SPECIES), len(SIGNS)) + self.grid.coef.shape
+        if self.coef.shape != expected:
+            raise ValueError(f"state shape {self.coef.shape} != {expected}")
 
     def field(self, species: str, sign: int) -> SpectralField:
-        return self.fields[(species, sign)]
-
-    @property
-    def grid(self) -> SpectralField:
-        return self.fields[("1", 1)]
+        return self.grid.with_coef(self.coef[SPECIES.index(species), SIGNS.index(sign)])
 
     def energy(self) -> float:
-        return sum(float(np.sum(np.abs(f.coef) ** 2)) for f in self.fields.values())
+        return sum(float(np.sum(np.abs(c) ** 2)) for pair in self.coef for c in pair)
 
 
-@dataclass(frozen=True)
-class ProfileState:
-    """Interaction-picture fields: the free evolution factored out."""
-
-    t: float
-    fields: dict
-
-    def field(self, species: str, sign: int) -> SpectralField:
-        return self.fields[(species, sign)]
+def _bracket_weights(grid: SpectralField, speeds: SpeedPair) -> np.ndarray:
+    """<D>_k on the grid, stacked over species: shape (species, *grid)."""
+    norms = grid.frequency_norms()
+    return np.stack([speeds.bracket_radial(species, norms) for species in SPECIES])
 
 
-def _bracket_weights(grid: SpectralField, speeds: SpeedPair, species: str) -> np.ndarray:
-    return np.asarray(speeds.bracket_radial(species, grid.frequency_norms()))
+def _flow(weights: np.ndarray, dt: float) -> np.ndarray:
+    """Linear propagator exp(s*i*dt*<D>_k), shape (species, sign, *grid)."""
+    return np.stack([np.exp(sign * 1j * dt * weights) for sign in SIGNS], axis=1)
 
 
 def diagonalize(u0: dict, u1: dict, speeds: SpeedPair) -> SystemState:
     """Form u_s = u1 + s*i*<D>_k u0 for both species and signs."""
-    fields = {}
-    for species in SPECIES:
-        pos, vel = u0[species], u1[species]
-        pos._check_same_grid(vel)
-        weights = _bracket_weights(pos, speeds, species)
-        for sign in SIGNS:
-            fields[(species, sign)] = pos.with_coef(vel.coef + sign * 1j * weights * pos.coef)
-    return SystemState(t=0.0, speeds=speeds, fields=fields)
+    first = u0[SPECIES[0]]
+    for fld in (*u0.values(), *u1.values()):
+        first._check_same_grid(fld)
+    grid = SpectralField.zeros(first.dims, first.n, first.box_length)
+    weights = _bracket_weights(grid, speeds)
+    coef = np.stack([
+        [u1[species].coef + sign * 1j * w * u0[species].coef for sign in SIGNS]
+        for species, w in zip(SPECIES, weights)
+    ])
+    return SystemState(t=0.0, speeds=speeds, grid=grid, coef=coef)
+
+
+def _positions(coef: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """u = (u_+ - u_-)/(2i<D>) per species."""
+    return (coef[:, 0] - coef[:, 1]) / (2j * weights)
 
 
 def reconstruct(state: SystemState) -> tuple[dict, dict]:
     """Invert the diagonalization: u = (u_+ - u_-)/(2i<D>), du/dt = (u_+ + u_-)/2."""
-    u0, u1 = {}, {}
-    for species in SPECIES:
-        plus = state.field(species, 1)
-        minus = state.field(species, -1)
-        weights = _bracket_weights(plus, state.speeds, species)
-        u0[species] = plus.with_coef((plus.coef - minus.coef) / (2j * weights))
-        u1[species] = plus.with_coef((plus.coef + minus.coef) / 2.0)
-    return u0, u1
+    pos = _positions(state.coef, _bracket_weights(state.grid, state.speeds))
+    vel = (state.coef[:, 0] + state.coef[:, 1]) / 2.0
+    grid = state.grid
+    return (
+        {species: grid.with_coef(p) for species, p in zip(SPECIES, pos)},
+        {species: grid.with_coef(v) for species, v in zip(SPECIES, vel)},
+    )
 
 
 def reality_error(state: SystemState) -> float:
     """Largest imaginary part of the reconstructed physical fields."""
     u0, u1 = reconstruct(state)
-    worst = 0.0
-    for species in SPECIES:
-        for fld in (u0[species], u1[species]):
-            worst = max(worst, float(np.abs(fld.to_physical().imag).max()))
-    return worst
+    return max(
+        float(np.abs(fld.to_physical().imag).max())
+        for fields in (u0, u1)
+        for fld in fields.values()
+    )
 
 
 def expand_quadratic(coeffs: NonlinearityCoefficients) -> dict:
@@ -170,12 +177,12 @@ def expand_quadratic(coeffs: NonlinearityCoefficients) -> dict:
 def reassemble_quadratic(table: dict, state: SystemState) -> dict:
     """Rebuild the physical source terms from the expansion table (oracle path)."""
     grid = state.grid
-    normalized = {}
-    for species in SPECIES:
-        weights = _bracket_weights(grid, state.speeds, species)
-        for sign in SIGNS:
-            fld = state.field(species, sign)
-            normalized[(species, sign)] = fld.with_coef(fld.coef / weights).to_physical()
+    weights = _bracket_weights(grid, state.speeds)
+    normalized = {
+        (species, sign): grid.with_coef(state.coef[i, j] / weights[i]).to_physical()
+        for i, species in enumerate(SPECIES)
+        for j, sign in enumerate(SIGNS)
+    }
     out = {}
     for k in SPECIES:
         total = np.zeros(grid.coef.shape, dtype=complex)
@@ -190,33 +197,15 @@ def reassemble_quadratic(table: dict, state: SystemState) -> dict:
     return out
 
 
-def _source_spectra(state: SystemState, coeffs: NonlinearityCoefficients) -> dict:
-    u0, _ = reconstruct(state)
-    u1 = u0["1"].to_physical()
-    uc = u0["c"].to_physical()
-    box = state.grid.box_length
-    return {
-        species: SpectralField.from_physical(coeffs.evaluate(u1, uc, species), box)
+def _sources(
+    grid: SpectralField, coef: np.ndarray, weights: np.ndarray, coeffs: NonlinearityCoefficients
+) -> np.ndarray:
+    """Sign-agnostic source spectra, shaped (species, 1, *grid) to feed both signs."""
+    u1, uc = (grid.with_coef(p).to_physical() for p in _positions(coef, weights))
+    return np.stack([
+        SpectralField.from_physical(coeffs.evaluate(u1, uc, species), grid.box_length).coef
         for species in SPECIES
-    }
-
-
-def _propagate(state_fields: dict, speeds: SpeedPair, dt: float) -> dict:
-    out = {}
-    for (species, sign), fld in state_fields.items():
-        weights = _bracket_weights(fld, speeds, species)
-        out[(species, sign)] = fld.with_coef(fld.coef * np.exp(sign * 1j * dt * weights))
-    return out
-
-
-def _add_source(fields: dict, sources: dict, factor: float) -> dict:
-    """Add factor * source to every field; sources may be keyed by species
-    (the raw sign-agnostic spectra) or by (species, sign)."""
-    out = {}
-    for (species, sign), fld in fields.items():
-        src = sources[(species, sign)] if (species, sign) in sources else sources[species]
-        out[(species, sign)] = fld.with_coef(fld.coef + factor * src.coef)
-    return out
+    ])[:, None]
 
 
 SCHEME_ORDERS = {"ifrk4": 4, "ifrk2": 2}
@@ -233,55 +222,37 @@ def step(
 
     The linear flow is exact; the source terms use the classical explicit
     stages of the requested order.  A relative jump of the quadratic energy
-    beyond ``energy_guard`` raises ``BlowUpError``.
+    beyond ``energy_guard``, or a non-finite energy, raises ``BlowUpError``.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if scheme not in SCHEME_ORDERS:
         raise ValueError(f"unknown scheme {scheme!r}")
-    speeds = state.speeds
-    fields = state.fields
+    grid, u = state.grid, state.coef
+    weights = _bracket_weights(grid, state.speeds)
+    full = _flow(weights, dt)
 
-    def source(fields_now: dict) -> dict:
-        return _source_spectra(replace(state, fields=fields_now), coeffs)
+    def source(coef: np.ndarray) -> np.ndarray:
+        return _sources(grid, coef, weights, coeffs)
 
     if coeffs.is_zero():
-        new_fields = _propagate(fields, speeds, dt)
-    elif scheme == "ifrk2":
-        n1 = source(fields)
-        mid = _propagate(_add_source(fields, n1, dt / 2.0), speeds, dt / 2.0)
-        n2 = source(mid)
-        new_fields = _add_source(
-            _propagate(fields, speeds, dt), _propagate_sources(n2, speeds, dt / 2.0), dt
-        )
+        new = u * full
     else:
-        n1 = source(fields)
-        stage_a = _propagate(_add_source(fields, n1, dt / 2.0), speeds, dt / 2.0)
-        n2 = source(stage_a)
-        stage_b = _add_source(_propagate(fields, speeds, dt / 2.0), n2, dt / 2.0)
-        n3 = source(stage_b)
-        stage_c = _add_source(
-            _propagate(fields, speeds, dt), _propagate_sources(n3, speeds, dt / 2.0), dt
-        )
-        n4 = source(stage_c)
-        n1p = _propagate_sources(n1, speeds, dt)
-        n2p = _propagate_sources(n2, speeds, dt / 2.0)
-        n3p = _propagate_sources(n3, speeds, dt / 2.0)
-        new_fields = {}
-        for key, fld in _propagate(fields, speeds, dt).items():
-            species, _ = key
-            incr = (
-                n1p[key].coef
-                + 2.0 * n2p[key].coef
-                + 2.0 * n3p[key].coef
-                + n4[species].coef
-            )
-            new_fields[key] = fld.with_coef(fld.coef + dt / 6.0 * incr)
+        half = _flow(weights, dt / 2.0)
+        n1 = source(u)
+        n2 = source((u + dt / 2.0 * n1) * half)
+        if scheme == "ifrk2":
+            new = u * full + dt * (n2 * half)
+        else:
+            n3 = source(u * half + dt / 2.0 * n2)
+            n4 = source(u * full + dt * (n3 * half))
+            incr = n1 * full + 2.0 * (n2 * half) + 2.0 * (n3 * half) + n4
+            new = u * full + dt / 6.0 * incr
 
-    new_state = SystemState(t=state.t + dt, speeds=speeds, fields=new_fields)
+    new_state = replace(state, t=state.t + dt, coef=new)
     if not coeffs.is_zero():
         before, after = state.energy(), new_state.energy()
-        if after > (1.0 + energy_guard) * max(before, 1e-300):
+        if not math.isfinite(after) or after > (1.0 + energy_guard) * max(before, 1e-300):
             raise BlowUpError(
                 f"energy jumped {after / max(before, 1e-300):.3f}x in one step at t = {state.t:.6g}",
                 state,
@@ -289,25 +260,10 @@ def step(
     return new_state
 
 
-def _propagate_sources(sources: dict, speeds: SpeedPair, dt: float) -> dict:
-    """Apply the per-(species, sign) propagator to sign-agnostic source spectra."""
-    out = {}
-    for species, fld in sources.items():
-        weights = _bracket_weights(fld, speeds, species)
-        for sign in SIGNS:
-            out[(species, sign)] = fld.with_coef(fld.coef * np.exp(sign * 1j * dt * weights))
-    return out
-
-
-def profile_of(state: SystemState) -> ProfileState:
+def profile_of(state: SystemState) -> SystemState:
     """f_s = exp(-s*i*t*<D>_k) u_s: constant in time under the linear flow."""
-    fields = {}
-    for (species, sign), fld in state.fields.items():
-        weights = _bracket_weights(fld, state.speeds, species)
-        fields[(species, sign)] = fld.with_coef(
-            fld.coef * np.exp(-sign * 1j * state.t * weights)
-        )
-    return ProfileState(t=state.t, fields=fields)
+    weights = _bracket_weights(state.grid, state.speeds)
+    return replace(state, coef=state.coef * _flow(weights, -state.t))
 
 
 def band_energy(
@@ -321,12 +277,10 @@ def band_energy(
     if radius_lo >= radius_hi:
         raise ValueError("need radius_lo < radius_hi")
     total = 0.0
-    for (sp, sg), fld in state.fields.items():
-        if species is not None and sp != species:
-            continue
-        if sign is not None and sg != sign:
-            continue
-        total += fld.band_mass(radius_lo, radius_hi)
+    for sp in SPECIES:
+        for sg in SIGNS:
+            if species in (None, sp) and sign in (None, sg):
+                total += state.field(sp, sg).band_mass(radius_lo, radius_hi)
     return total
 
 
@@ -337,18 +291,12 @@ def _packet_initial_state(grid: SpectralField, speeds: SpeedPair, packets) -> Sy
     - component with its reality partner (the reflected conjugate).
     """
     xi = grid.frequency_axis()
-    fields = {
-        (sp, sign): grid.with_coef(np.zeros_like(xi, dtype=complex))
-        for sp in SPECIES
-        for sign in SIGNS
-    }
+    coef = np.zeros((len(SPECIES), len(SIGNS)) + xi.shape, dtype=complex)
     for species, carrier, amplitude, bandwidth in packets:
-        plus = amplitude * np.exp(-((xi - carrier) ** 2) / (2.0 * bandwidth**2))
-        minus = amplitude * np.exp(-((-xi - carrier) ** 2) / (2.0 * bandwidth**2))
-        for sign, coef in ((1, plus), (-1, minus)):
-            fld = fields[(species, sign)]
-            fields[(species, sign)] = fld.with_coef(fld.coef + coef.astype(complex))
-    return SystemState(t=0.0, speeds=speeds, fields=fields)
+        for sign in SIGNS:
+            gauss = amplitude * np.exp(-((sign * xi - carrier) ** 2) / (2.0 * bandwidth**2))
+            coef[SPECIES.index(species), SIGNS.index(sign)] += gauss
+    return SystemState(t=0.0, speeds=speeds, grid=grid, coef=coef)
 
 
 def run_resonant_amplification(
@@ -376,6 +324,12 @@ def run_resonant_amplification(
     final band energies.  A probe packet of relative size ``probe_factor``
     seeds each outcome band so the linear-flow ratio is exactly one.
     """
+    for name, value in (("dt", dt), ("t_final", t_final), ("bandwidth", bandwidth)):
+        if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if not (isinstance(sample_every, numbers.Real) and float(sample_every).is_integer()
+            and sample_every >= 1):
+        raise ValueError(f"sample_every must be an integer >= 1, got {sample_every!r}")
     if not report.separated:
         raise ValueError("experiment requires a separated resonance report")
     if not report.components:
@@ -393,6 +347,12 @@ def run_resonant_amplification(
     carrier_res = cells * dxi
     carrier_det = round((comp.R + detune_factor * bandwidth) / dxi) * dxi
     half_width = band_halfwidth_factor * bandwidth
+    top, nyquist = 2.0 * max(carrier_res, carrier_det) + half_width, math.pi * n / box
+    if not top < nyquist:
+        raise ValueError(
+            f"outcome band reaches {top:.6g}, above the grid's top frequency "
+            f"pi*n/box = {nyquist:.6g}; raise n"
+        )
 
     steps = int(round(t_final / dt))
     runs = {}

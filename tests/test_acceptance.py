@@ -34,6 +34,7 @@ from kgpair.resonance import (
     verify_budget,
 )
 from kgpair.simulator import (
+    SIGNS,
     SPECIES,
     NonlinearityCoefficients,
     diagonalize,
@@ -243,6 +244,7 @@ def test_criterion_8_simulator_integrity(acceptance_record):
     mixed = NonlinearityCoefficients(
         alpha=0.3, beta=0.1, gamma=0.2, delta=0.25, eps=0.15, zeta=0.05
     )
+    keys = [(s, sg) for s in SPECIES for sg in SIGNS]
 
     state = diagonalize(
         {s: _smooth_real(grid, rng, 0.1) for s in SPECIES},
@@ -253,8 +255,8 @@ def test_criterion_8_simulator_integrity(acceptance_record):
     for dt in (0.3, 0.7, 1.3):
         advanced = step(current, dt, NonlinearityCoefficients.zero())
         drift = max(
-            np.abs(np.abs(advanced.fields[k].coef) - np.abs(current.fields[k].coef)).max()
-            for k in advanced.fields
+            np.abs(np.abs(advanced.field(*k).coef) - np.abs(current.field(*k).coef)).max()
+            for k in keys
         )
         if drift >= 1e-14:
             failing.append(f"modulus drift {drift:.2e} at dt={dt}")
@@ -272,7 +274,7 @@ def test_criterion_8_simulator_integrity(acceptance_record):
 
         def err(s):
             return sum(
-                np.abs(s.fields[k].coef - ref.fields[k].coef).max() for k in s.fields
+                np.abs(s.field(*k).coef - ref.field(*k).coef).max() for k in keys
             )
 
         observed = math.log2(err(advance(0.1, scheme)) / err(advance(0.05, scheme)))
@@ -293,7 +295,7 @@ def test_criterion_8_simulator_integrity(acceptance_record):
             s = step(s, 0.1, mixed)
         p1 = profile_of(s)
         drifts[eps] = sum(
-            np.linalg.norm(p1.fields[k].coef - p0.fields[k].coef) for k in p0.fields
+            np.linalg.norm(p1.field(*k).coef - p0.field(*k).coef) for k in keys
         )
     ratio = drifts[1e-2] / drifts[1e-3]
     if not (50.0 < ratio < 200.0):

@@ -195,6 +195,40 @@ def test_simulate_rejects_unknown_keys(tmp_path):
     assert "unknown config keys" in result.stderr
 
 
+def _simulate_error(tmp_path, text):
+    config = tmp_path / "bad.cfg"
+    config.write_text(text, encoding="utf-8")
+    prefix = tmp_path / "bad"
+    result = run_cli("simulate", "--config", str(config), "--output", str(prefix))
+    assert result.returncode == 1
+    assert len(result.stderr.strip().splitlines()) == 1, result.stderr
+    assert not prefix.with_suffix(".json").exists()
+    return result.stderr
+
+
+def test_simulate_rejects_outcome_band_above_nyquist(tmp_path):
+    # c = 0.5 puts the outcome band near 3.7, above pi * 256 / box ~ 3.15
+    stderr = _simulate_error(tmp_path, "c = 0.5\ndelta = 1\neps = 1\nn = 256\n")
+    assert "top frequency" in stderr
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "sample_every = 0",
+        "sample_every = 2.5",
+        "dt = 0",
+        "dt = nan",
+        "t_final = -10",
+        "t_final = inf",
+        "bandwidth = 0",
+    ],
+)
+def test_simulate_rejects_invalid_parameters(tmp_path, line):
+    stderr = _simulate_error(tmp_path, f"c = 5.0\ndelta = 1.0\n{line}\n")
+    assert line.split()[0] in stderr
+
+
 def test_simulate_accepts_report_path(tmp_path):
     report_path = tmp_path / "report.json"
     result = run_cli("resonances", "--c", "5", "--output", str(report_path))

@@ -7,6 +7,7 @@ from kgpair.bilinear import SpectralField
 from kgpair.dispersion import SpeedPair
 from kgpair.resonance import scan_all
 from kgpair.simulator import (
+    SIGNS,
     SPECIES,
     BlowUpError,
     NonlinearityCoefficients,
@@ -48,6 +49,7 @@ def random_state(grid, rng, scale=0.1):
 
 
 MIXED = NonlinearityCoefficients(alpha=0.3, beta=0.1, gamma=0.2, delta=0.25, eps=0.15, zeta=0.05)
+KEYS = [(sp, sg) for sp in SPECIES for sg in SIGNS]
 
 
 def test_diagonalize_round_trip(grid):
@@ -82,22 +84,17 @@ def test_linear_flow_conserves_moduli(grid):
     current = state
     for dt in (0.3, 0.177, 1.1):
         advanced = step(current, dt, NonlinearityCoefficients.zero())
-        for key, fld in advanced.fields.items():
-            drift = np.abs(np.abs(fld.coef) - np.abs(current.fields[key].coef))
+        for key in KEYS:
+            drift = np.abs(np.abs(advanced.field(*key).coef) - np.abs(current.field(*key).coef))
             assert drift.max() < 1e-14
         current = advanced
 
 
 def test_linear_phase_advance_exact(grid):
     sp = SpeedPair(5.0)
-    coef = np.zeros(N, dtype=complex)
-    coef[5] = 1.0
-    fields = {
-        (s, sg): grid.with_coef(coef.copy() if (s == "c" and sg == 1) else np.zeros(N, complex))
-        for s in SPECIES
-        for sg in (1, -1)
-    }
-    state = SystemState(t=0.0, speeds=sp, fields=fields)
+    coef = np.zeros((len(SPECIES), len(SIGNS), N), dtype=complex)
+    coef[SPECIES.index("c"), SIGNS.index(1), 5] = 1.0
+    state = SystemState(t=0.0, speeds=sp, grid=grid, coef=coef)
     t = 0.9
     advanced = step(state, t, NonlinearityCoefficients.zero())
     xi = abs(grid.frequency_axis()[5])
@@ -173,8 +170,8 @@ def test_profile_constant_under_linear_flow(grid):
     for _ in range(7):
         advanced = step(advanced, 0.37, NonlinearityCoefficients.zero())
     p1 = profile_of(advanced)
-    for key in p0.fields:
-        assert np.abs(p1.fields[key].coef - p0.fields[key].coef).max() < 1e-12
+    for key in KEYS:
+        assert np.abs(p1.field(*key).coef - p0.field(*key).coef).max() < 1e-12
 
 
 def test_profile_drift_scales_quadratically(grid):
@@ -187,7 +184,7 @@ def test_profile_drift_scales_quadratically(grid):
             s = step(s, 0.1, MIXED)
         p1 = profile_of(s)
         drifts[eps] = sum(
-            np.linalg.norm(p1.fields[key].coef - p0.fields[key].coef) for key in p0.fields
+            np.linalg.norm(p1.field(*key).coef - p0.field(*key).coef) for key in KEYS
         )
     ratio = drifts[1e-2] / drifts[1e-3]
     assert 50.0 < ratio < 200.0  # within a factor 2 of the quadratic prediction 100
@@ -197,7 +194,7 @@ def test_band_energy_additive_and_total(grid):
     state, _, _ = random_state(grid, np.random.default_rng(7))
     assert band_energy(state, 0.4, 0.4 + 1e-9) == pytest.approx(0.0, abs=1e-300)
     full = band_energy(state, 0.0, math.inf)
-    parseval = sum(f.spectral_l2() ** 2 for f in state.fields.values())
+    parseval = sum(state.field(*key).spectral_l2() ** 2 for key in KEYS)
     assert full == pytest.approx(parseval, rel=1e-12)
     split = band_energy(state, 0.0, 0.5) + band_energy(state, 0.5, math.inf)
     assert split == pytest.approx(full, rel=1e-12)
@@ -212,6 +209,15 @@ def test_blow_up_guard_trips(grid):
         s = state
         for _ in range(50):
             s = step(s, 0.5, harsh)
+
+
+def test_blow_up_guard_trips_on_non_finite_energy(grid):
+    # |coef|^2 overflows, so the energy ratio is nan and only the finiteness check fires
+    state, _, _ = random_state(grid, np.random.default_rng(8))
+    huge = SystemState(t=state.t, speeds=state.speeds, grid=state.grid, coef=state.coef * 1e200)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
+        step(huge, 0.1, MIXED)
+    assert info.value.state is huge
 
 
 @pytest.fixture(scope="module")
@@ -280,8 +286,8 @@ def test_three_d_state_round_trip_and_linear_step():
         assert np.abs(r0[s].coef - u0[s].coef).max() < 1e-12
         assert np.abs(r1[s].coef - u1[s].coef).max() < 1e-12
     advanced = step(state, 0.4, NonlinearityCoefficients.zero())
-    for key, fld in advanced.fields.items():
-        drift = np.abs(np.abs(fld.coef) - np.abs(state.fields[key].coef))
+    for key in KEYS:
+        drift = np.abs(np.abs(advanced.field(*key).coef) - np.abs(state.field(*key).coef))
         assert drift.max() < 1e-13
     assert reality_error(advanced) < 1e-12
     assert grid.dims == 3
