@@ -32,7 +32,6 @@ from kgpair.resonance import (
     dist_to_component,
     find_admissible_constants,
     find_resonant_components,
-    intersection_order,
     scan_all,
     space_resonance_lambda,
     sweep_speed,

@@ -61,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("resonances", help="scan one speed and report the resonant structure")
     scan.add_argument("--c", type=float, required=True, help="fast wave speed (not 1)")
     scan.add_argument("--r-max", type=float, default=100.0)
-    scan.add_argument("--grid-step", type=float, default=1e-3)
+    scan.add_argument("--grid-step", type=float, default=1e-3,
+                      help="no effect; recorded in the report for its schema")
     scan.add_argument("--tau-sep", type=float, default=1e-6)
     scan.add_argument("--output", type=Path, help="write the JSON report here instead of stdout")
 
@@ -70,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--to", dest="c_max", type=float, required=True)
     sweep.add_argument("--steps", type=int, required=True)
     sweep.add_argument("--r-max", type=float, default=100.0)
-    sweep.add_argument("--grid-step", type=float, default=1e-3)
+    sweep.add_argument("--grid-step", type=float, default=1e-3, help="no effect; still validated")
     sweep.add_argument("--tau-sep", type=float, default=1e-6)
     sweep.add_argument("--output", type=Path)
 
@@ -159,6 +160,11 @@ def _parse_segment(text: str):
 
 
 def cmd_cutoff_export(args) -> int:
+    for flag, value in (("--rho", args.rho), ("--radius-max", args.radius_max)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{flag} must be finite and positive, got {value!r}")
+    if args.points < 2:
+        raise ValueError(f"--points must be at least 2, got {args.points}")
     report = _load_report(args)
     family = CutoffFamily.build(report, idx=args.index)
     name = args.cutoff.replace("-", "_")
@@ -220,6 +226,8 @@ def cmd_cutoff_export(args) -> int:
 
 
 def cmd_operator_probe(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     holder = holder_bound_probe(pairs=args.trials, seed=args.seed)
     ridge = ridge_bound_probe(trials=max(4, args.trials // 8), seed=args.seed)
     bernstein = [

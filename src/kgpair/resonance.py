@@ -6,16 +6,27 @@ r*omega).  Restricting the phase to that parameterization gives a scalar
 analytic function Z(r) whose zeros are the space-time resonances: each zero R
 contributes a sphere-and-ray component {|eta| = R, xi = lambda*eta}.
 
-The scanner brackets the zeros of Z on a dense grid and refines them by
-bisection plus one Newton polish.  A report collects the components of all
-canonical phases together with the outcome and source radius sets and the
-separation verdict.
+The zeros are solved for exactly.  With w = v^2 for the common group speed
+v = c_l^2 r / <r>_l, D = (c_l^2 - w)(c_m^2 - w) and
+PD = c_l^2 (c_m^2 - w) + c_m^2 (c_l^2 - w) - D - c_k^2 w ((c_m^2 - w)/c_l^2
++ (c_l^2 - w)/c_m^2), two squarings turn Z = 0 into the quartic
+q(w) = PD^2 - 4 (c_l c_m - c_k^2 w/(c_l c_m))^2 D on (0, min(c_l, c_m)^2),
+and r = v / (c_l sqrt(c_l^2 - w)).  Solved in w, the roots crowd towards
+w = 1 as c -> 1 and towards w = 0 as c grows, and rounding loses them; so q
+is solved in y = (1/w - 1)/delta, with speeds scaled to 1 (slower species)
+and sqrt(1 + delta) (faster), where the factor delta^4 of q is divided out by
+construction.  The squarings admit the roots of the phases with other signs
+too, so each candidate is polished by Newton steps on the unsquared Z and
+kept only when Z confirms it.  The zero order is the root's multiplicity in q.
+
+A report collects the components of all canonical phases together with the
+outcome and source radius sets and the separation verdict.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,27 +34,27 @@ import numpy as np
 from kgpair.dispersion import PhaseIndex, SpeedPair, canonical_phase_indices
 
 ROOT_TOL = 1e-12
-TANGENT_TOL = 1e-9
 DEFAULT_TAU_SEP = 1e-6
 _RADIUS_MERGE_TOL = 1e-9
+# quartic roots closer than this (relative) are one multiple root; rounding
+# splits a double root into a pair about 1e-8 apart
+_MULTIPLICITY_TOL = 1e-6
+_NUMBER = (int, float)
+_MISSING = object()
 
 
-class ResonanceScanWarning(UserWarning):
-    """Raised when a scan cannot certify that its root list is complete."""
+def _require_positive(name: str, value) -> float:
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return float(value)
 
 
-def _slope(speeds: SpeedPair, tag: str, r):
-    """Monotone odd map c_a^2 r / sqrt(1 + c_a^2 r^2), range (-c_a, c_a)."""
-    ca = speeds.speed_of(tag)
-    r = np.asarray(r, dtype=float)
-    return ca * ca * r / np.sqrt(1.0 + ca * ca * r * r)
-
-
-def _slope_inverse(speeds: SpeedPair, tag: str, v):
-    """Inverse of ``_slope``; only valid for |v| < c_a."""
-    ca = speeds.speed_of(tag)
-    v = np.asarray(v, dtype=float)
-    return v / (ca * np.sqrt(ca * ca - v * v))
+def _field(doc, key: str, kinds: tuple, where: str = "report"):
+    """``doc[key]``, or a ValueError naming the key when it is missing or ill-typed."""
+    value = doc.get(key, _MISSING) if isinstance(doc, dict) else _MISSING
+    if not isinstance(value, kinds) or isinstance(value, bool) != (bool in kinds):
+        raise ValueError(f"{where} key {key!r} is missing or has the wrong type")
+    return value
 
 
 def lambda_domain_bound(speeds: SpeedPair, idx: PhaseIndex) -> float:
@@ -63,11 +74,11 @@ def space_resonance_lambda(speeds: SpeedPair, idx: PhaseIndex, r):
     exists (|right-hand side| >= c_m).
     """
     r = np.asarray(r, dtype=float)
-    cm = speeds.speed_of(idx.m)
-    v = idx.s1 * idx.s2 * _slope(speeds, idx.l, r)
+    cl, cm = speeds.speed_of(idx.l), speeds.speed_of(idx.m)
+    v = idx.s1 * idx.s2 * (cl * cl * r / np.sqrt(1.0 + cl * cl * r * r))
     valid = np.abs(v) < cm
     v = np.where(valid, v, 0.0)
-    s = _slope_inverse(speeds, idx.m, v)
+    s = v / (cm * np.sqrt(cm * cm - v * v))
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = 1.0 + s / r
     return np.where(valid, lam, np.nan)
@@ -115,12 +126,22 @@ class ResonantComponent:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ResonantComponent":
+        where = "report component"
+        index = _field(doc, "index", (str,), where)
+        R = float(_field(doc, "R", _NUMBER, where))
+        lam = float(_field(doc, "lambda", _NUMBER, where))
+        order = _field(doc, "order", (int,), where)
+        if not (math.isfinite(R) and R > 0.0 and math.isfinite(lam) and order >= 1):
+            raise ValueError(
+                f"report component {index!r} has R = {R!r}, lambda = {lam!r}, "
+                f"order = {order!r}; need finite R > 0, finite lambda and order >= 1"
+            )
         return cls(
-            idx=PhaseIndex.parse(doc["index"]),
-            R=float(doc["R"]),
-            lam=float(doc["lambda"]),
-            order=int(doc["order"]),
-            tangent=bool(doc.get("tangent", False)),
+            idx=PhaseIndex.parse(index),
+            R=R,
+            lam=lam,
+            order=order,
+            tangent=_field(doc, "tangent", (bool,), where),
         )
 
 
@@ -143,199 +164,95 @@ def dist_to_component(xi, eta, comp: ResonantComponent):
     return np.sqrt(np.maximum(d2, 0.0))
 
 
-def _bisect(f, a, b, fa, fb, width: float):
-    while b - a > width:
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+def resonance_quartic(speeds: SpeedPair, idx: PhaseIndex):
+    """Coefficients (highest power first) of q in y, and the map from y to r.
 
-
-def _newton_polish(f, x, h=None):
-    h = h if h is not None else 1e-7 * max(abs(x), 1e-3)
-    slope = (f(x + h) - f(x - h)) / (2.0 * h)
-    if slope == 0.0 or not np.isfinite(slope):
-        return x
-    x_new = x - f(x) / slope
-    return x_new if np.isfinite(x_new) and x_new > 0.0 else x
-
-
-def _refine_tangent(f, a, b, iters=200):
-    # golden-section minimization of |f| inside [a, b]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = abs(f(x1)), abs(f(x2))
-    for _ in range(iters):
-        if b - a < 1e-15 * max(1.0, abs(b)):
-            break
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = abs(f(x1))
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = abs(f(x2))
-    return 0.5 * (a + b)
-
-
-@dataclass(frozen=True)
-class OrderEstimate:
-    """Zero order from a log-log fit of |Z| against the distance to the root."""
-
-    order: int
-    slope: float
-    fit_ok: bool
-
-
-def estimate_zero_order(
-    func,
-    root: float,
-    delta_min: float = 1e-3,
-    delta_max: float = 1e-1,
-    domain: tuple = (0.0, math.inf),
-    other_roots: tuple = (),
-    slope_tol: float = 0.2,
-) -> OrderEstimate:
-    """Estimate the order of a zero by the slope of log|f| vs log|r - root|."""
-    lo, hi = domain
-    room = min(root - lo, hi - root) if math.isfinite(hi) else root - lo
-    for other in other_roots:
-        room = min(room, 0.5 * abs(other - root))
-    delta_max = min(delta_max, 0.8 * room)
-    if delta_max <= delta_min:
-        delta_min = delta_max / 100.0
-    deltas = np.logspace(math.log10(delta_min), math.log10(delta_max), 24)
-    xs, ys = [], []
-    for d in deltas:
-        for r in (root - d, root + d):
-            if not (lo < r < hi):
-                continue
-            val = abs(func(r))
-            if val > 0.0 and np.isfinite(val):
-                xs.append(math.log(d))
-                ys.append(math.log(val))
-    if len(xs) < 4:
-        return OrderEstimate(order=1, slope=math.nan, fit_ok=False)
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    order = max(1, int(round(slope)))
-    return OrderEstimate(order=order, slope=slope, fit_ok=abs(slope - order) <= slope_tol)
-
-
-def intersection_order(speeds: SpeedPair, comp: ResonantComponent, **kwargs) -> OrderEstimate:
-    """Finite intersection order of a detected component."""
-    hi = lambda_domain_bound(speeds, comp.idx)
-    return estimate_zero_order(
-        lambda r: float(time_resonance_gap(speeds, comp.idx, r)),
-        comp.R,
-        domain=(0.0, hi),
-        **kwargs,
+    The coefficients are those of a positive multiple of q on the domain.
+    e_a = 1 marks the faster tag, whose scaled squared speed is 1 + delta;
+    the comments give each polynomial in the scaled speeds.  ``radius_of`` is
+    NaN off the domain, where c_l^2 - w or c_m^2 - w is not positive.
+    """
+    c = speeds.c_fast
+    delta = (c - 1.0) * (c + 1.0) if c > 1.0 else (1.0 - c) * (1.0 + c) / (c * c)
+    ek, el, em = (float((tag == "c") == (c > 1.0)) for tag in (idx.k, idx.l, idx.m))
+    L, M, K = 1.0 + delta * el, 1.0 + delta * em, 1.0 + delta * ek
+    a = np.array([L, el])  # (c_l^2 - w) / (delta w)
+    b = np.array([M, em])  # (c_m^2 - w) / (delta w)
+    g = np.array([L * M, el + em - ek + delta * el * em])  # (c_l^2 c_m^2 - c_k^2 w) / (delta w)
+    mul = np.convolve  # product of coefficient arrays, leading zeros kept
+    h = (  # c_l^2 c_m^2 PD / (delta w)^2
+        mul(a + b, g) + L * M * mul(el * b + em * a, [delta, 1.0])
+        - K * mul(em * b + el * a, [0.0, 1.0]) - L * M * mul(a, b)
     )
+
+    def radius_of(y: float) -> float:
+        if min(np.polyval(a, y), np.polyval(b, y)) <= 0.0:
+            return math.nan
+        return 1.0 / (min(c, 1.0) * math.sqrt(L * delta * np.polyval(a, y)))
+
+    return mul(h, h) - 4.0 * L * M * mul(mul(g, g), mul(a, b)), radius_of
+
+
+def root_multiplicities(coefficients) -> list[tuple[float, int]]:
+    """Distinct real roots of a polynomial with their multiplicities, ascending.
+
+    Roots of ``np.roots`` within ``_MULTIPLICITY_TOL`` (relative) of each
+    other form one root, so a double root that rounding split into a complex
+    pair counts as one real root of multiplicity 2.
+    """
+    roots = np.roots(coefficients)
+    tol = _MULTIPLICITY_TOL
+    out: list[tuple[float, int]] = []
+    for y in np.sort(roots[np.abs(roots.imag) <= tol * np.abs(roots)].real):
+        if not out or y - out[-1][0] > tol * abs(y):
+            out.append((float(y), int(np.count_nonzero(np.abs(roots - y) <= tol * abs(y)))))
+    return out
+
+
+def _polish(speeds: SpeedPair, idx: PhaseIndex, r: float, order: int) -> tuple[float, bool]:
+    """Newton steps on the unsquared Z from r, scaled by the zero order.
+
+    Steps stop when |Z| is down to the rounding level of its three brackets or
+    stops shrinking.  Returns the radius and whether |Z| there is within
+    ROOT_TOL of the brackets' sum, which confirms the root.
+    """
+    def gap(x):
+        return float(time_resonance_gap(speeds, idx, x))
+
+    lam = abs(float(space_resonance_lambda(speeds, idx, r)))
+    scale = (speeds.bracket_radial(idx.k, lam * r) + speeds.bracket_radial(idx.l, r)
+             + speeds.bracket_radial(idx.m, abs(lam - 1.0) * r))
+    z = gap(r)
+    for _ in range(8):
+        if abs(z) <= 8.0 * np.finfo(float).eps * scale:
+            break
+        rise = gap(1.000001 * r) - gap(0.999999 * r)
+        r_new = r - order * z * 2e-6 * r / rise if rise else math.nan
+        z_new = gap(r_new) if r_new > 0.0 else math.nan
+        if not abs(z_new) < abs(z):
+            break
+        r, z = r_new, z_new
+    return r, abs(z) <= ROOT_TOL * scale
 
 
 def find_resonant_components(
-    speeds: SpeedPair,
-    idx: PhaseIndex,
-    r_max: float = 100.0,
-    grid_step: float = 1e-3,
-    warn_sink: list | None = None,
+    speeds: SpeedPair, idx: PhaseIndex, r_max: float = 100.0
 ) -> list[ResonantComponent]:
-    """All zeros of Z on (0, r_max], refined to |Z| <= 1e-12.
+    """All zeros of Z on (0, r_max]: the Z-confirmed real roots of the quartic.
 
-    Simple sign-change roots are bisected to an interval of width 1e-14 and
-    polished by one Newton step.  Local minima of |Z| below 1e-9 without a
-    sign change are reported as tangent (even order) components.  A warning is
-    emitted when Z at the end of the scan range is too close to zero to rule
-    out further roots.
+    ``order`` is the root's multiplicity and ``tangent`` marks an even order.
     """
-    if r_max <= 0.0 or grid_step <= 0.0:
-        raise ValueError("r_max and grid_step must be positive")
-    bound = lambda_domain_bound(speeds, idx)
-    r_hi = min(r_max, bound * (1.0 - 1e-9))
-    step = min(grid_step, r_hi / 200.0)
-    grid = np.arange(step, r_hi + 0.5 * step, step)
-    if grid.size < 2:
-        return []
-    z = np.asarray(time_resonance_gap(speeds, idx, grid), dtype=float)
-
-    def z_scalar(r):
-        return float(time_resonance_gap(speeds, idx, float(r)))
-
-    roots: list[tuple[float, bool]] = []
-    sign_change = (z[:-1] * z[1:]) < 0.0
-    for i in np.nonzero(sign_change)[0]:
-        a, b = grid[i], grid[i + 1]
-        root = _bisect(z_scalar, a, b, z[i], z[i + 1], width=1e-14 * max(1.0, b))
-        root = _newton_polish(z_scalar, root)
-        roots.append((root, False))
-    exact = np.nonzero(z == 0.0)[0]
-    for i in exact:
-        roots.append((float(grid[i]), False))
-
-    # tangent roots: |Z| dips below the tangent threshold with no sign change
-    absz = np.abs(z)
-    interior = np.nonzero(
-        (absz[1:-1] < TANGENT_TOL)
-        & (absz[1:-1] <= absz[:-2])
-        & (absz[1:-1] <= absz[2:])
-        & (z[:-2] * z[2:] > 0.0)
-    )[0]
-    for i in interior:
-        root = _refine_tangent(z_scalar, grid[i], grid[i + 2])
-        if abs(z_scalar(root)) <= TANGENT_TOL:
-            roots.append((root, True))
-
-    if roots:
-        roots.sort()
-        merged: list[tuple[float, bool]] = [roots[0]]
-        for r, tang in roots[1:]:
-            if abs(r - merged[-1][0]) > 10.0 * _RADIUS_MERGE_TOL:
-                merged.append((r, tang))
-        roots = merged
-
-    tail = abs(z[-1])
-    if tail <= 10.0 * ROOT_TOL and not any(abs(r - grid[-1]) < 2 * step for r, _ in roots):
-        _warn(
-            warn_sink,
-            f"phase {idx.serialize()}: |Z| = {tail:.3e} at the end of the scan "
-            "range without a sign change; a tangent root or asymptote may be missed",
-        )
-
+    _require_positive("r_max", r_max)
+    quartic, radius_of = resonance_quartic(speeds, idx)
     components = []
-    other = [r for r, _ in roots]
-    for root, tangent in roots:
-        lam = float(space_resonance_lambda(speeds, idx, root))
-        if not np.isfinite(lam):
-            continue
-        est = estimate_zero_order(
-            z_scalar,
-            root,
-            domain=(0.0, bound),
-            other_roots=tuple(r for r in other if r != root),
-        )
-        if not est.fit_ok:
-            _warn(
-                warn_sink,
-                f"phase {idx.serialize()}: zero-order fit at R = {root:.12g} gave "
-                f"slope {est.slope:.3f}, not within 0.2 of an integer",
-            )
-        components.append(
-            ResonantComponent(idx=idx, R=root, lam=lam, order=est.order, tangent=tangent)
-        )
-    return components
-
-
-def _warn(sink: list | None, message: str):
-    if sink is not None:
-        sink.append(message)
-    else:
-        warnings.warn(message, ResonanceScanWarning, stacklevel=2)
+    for y, order in root_multiplicities(quartic):
+        r = radius_of(y)
+        if not math.isnan(r):
+            r, confirmed = _polish(speeds, idx, r, order)
+            if confirmed and r <= r_max:
+                lam = float(space_resonance_lambda(speeds, idx, r))
+                components.append(ResonantComponent(idx, r, lam, order, tangent=order % 2 == 0))
+    return sorted(components, key=lambda comp: comp.R)
 
 
 def _merge_radii(values, tol: float = _RADIUS_MERGE_TOL) -> list[float]:
@@ -348,7 +265,11 @@ def _merge_radii(values, tol: float = _RADIUS_MERGE_TOL) -> list[float]:
 
 @dataclass(frozen=True)
 class ResonanceReport:
-    """Full scan result for one speed value."""
+    """Full scan result for one speed value.
+
+    ``grid_step`` is recorded for the ``resonance-report/1`` schema only; the
+    exact solver has no grid.  ``warnings`` is kept for the same schema.
+    """
 
     c: float
     components: tuple
@@ -361,6 +282,31 @@ class ResonanceReport:
     r_max: float
     grid_step: float
     warnings: tuple = ()
+
+    @classmethod
+    def from_components(
+        cls, c: float, components, tau_sep: float, r_max: float, grid_step: float, warnings=()
+    ) -> "ResonanceReport":
+        """Report whose radius sets and separation verdict follow from ``components``."""
+        for name, value in (("tau_sep", tau_sep), ("r_max", r_max), ("grid_step", grid_step)):
+            _require_positive(name, value)
+        components = tuple(components)
+        outcomes = _merge_radii(comp.outcome_radius for comp in components)
+        sources = _merge_radii(r for comp in components for r in comp.source_radii)
+        separated, min_gap, delta0 = _separation(outcomes, sources, tau_sep)
+        return cls(
+            c=c,
+            components=components,
+            outcome_radii=tuple(outcomes),
+            source_radii=tuple(sources),
+            separated=separated,
+            min_gap=min_gap,
+            delta0=delta0,
+            tau_sep=tau_sep,
+            r_max=r_max,
+            grid_step=grid_step,
+            warnings=tuple(warnings),
+        )
 
     @property
     def resonant_indices(self) -> list[str]:
@@ -378,29 +324,34 @@ class ResonanceReport:
             "outcome_radii": list(self.outcome_radii),
             "source_radii": list(self.source_radii),
             "separated": self.separated,
-            "min_gap": self.min_gap,
+            "min_gap": None if math.isinf(self.min_gap) else self.min_gap,
             "delta0": self.delta0,
             "warnings": list(self.warnings),
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ResonanceReport":
-        if doc.get("schema") != "resonance-report/1":
-            raise ValueError(f"unsupported report schema {doc.get('schema')!r}")
-        min_gap = doc["min_gap"]
-        return cls(
-            c=float(doc["c"]),
-            components=tuple(ResonantComponent.from_dict(d) for d in doc["components"]),
-            outcome_radii=tuple(float(v) for v in doc["outcome_radii"]),
-            source_radii=tuple(float(v) for v in doc["source_radii"]),
-            separated=bool(doc["separated"]),
-            min_gap=math.inf if min_gap is None else float(min_gap),
-            delta0=float(doc["delta0"]),
-            tau_sep=float(doc["tau_sep"]),
-            r_max=float(doc["r_max"]),
-            grid_step=float(doc["grid_step"]),
-            warnings=tuple(doc.get("warnings", ())),
+        """Rebuild a report from its JSON form.
+
+        Every derived field (radius sets, verdict, min_gap, delta0) is
+        recomputed from the components and must equal the document's, which
+        holds exactly for a written report since floats carry 17 digits.
+        """
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        if schema != "resonance-report/1":
+            raise ValueError(f"unsupported report schema {schema!r}")
+        report = cls.from_components(
+            c=float(_field(doc, "c", _NUMBER)),
+            components=(ResonantComponent.from_dict(d) for d in _field(doc, "components", (list,))),
+            tau_sep=float(_field(doc, "tau_sep", _NUMBER)),
+            r_max=float(_field(doc, "r_max", _NUMBER)),
+            grid_step=float(_field(doc, "grid_step", _NUMBER)),
+            warnings=_field(doc, "warnings", (list,)),
         )
+        wrong = [key for key, value in report.to_dict().items() if doc.get(key, _MISSING) != value]
+        if wrong:
+            raise ValueError(f"report keys {', '.join(wrong)} disagree with its components")
+        return report
 
 
 def _separation(outcomes, sources, tau_sep: float) -> tuple[bool, float, float]:
@@ -414,8 +365,7 @@ def _separation(outcomes, sources, tau_sep: float) -> tuple[bool, float, float]:
 
 def check_separation(report: ResonanceReport, tau_sep: float) -> tuple[bool, float, float]:
     """Re-evaluate the separation verdict of a report at a given tolerance."""
-    if tau_sep <= 0.0:
-        raise ValueError("tau_sep must be positive")
+    _require_positive("tau_sep", tau_sep)
     return _separation(report.outcome_radii, report.source_radii, tau_sep)
 
 
@@ -425,35 +375,20 @@ def scan_all(
     grid_step: float = 1e-3,
     tau_sep: float = DEFAULT_TAU_SEP,
 ) -> ResonanceReport:
-    """Scan every canonical phase and assemble the resonance report.
+    """Solve every canonical phase and assemble the resonance report.
 
     Components of non-canonical indices are symmetry images of the canonical
-    ones and contribute the same outcome and source radii, so scanning the
-    canonical representatives is exhaustive.
+    ones and contribute the same outcome and source radii, so solving the
+    canonical representatives is exhaustive.  ``grid_step`` has no effect; it
+    is validated and recorded for the report schema.
     """
     speeds = SpeedPair(c)
-    warn_sink: list[str] = []
-    components: list[ResonantComponent] = []
-    for idx in canonical_phase_indices():
-        components.extend(
-            find_resonant_components(speeds, idx, r_max, grid_step, warn_sink=warn_sink)
-        )
-    outcomes = _merge_radii(comp.outcome_radius for comp in components)
-    sources = _merge_radii(r for comp in components for r in comp.source_radii)
-    separated, min_gap, delta0 = _separation(outcomes, sources, tau_sep)
-    return ResonanceReport(
-        c=c,
-        components=tuple(components),
-        outcome_radii=tuple(outcomes),
-        source_radii=tuple(sources),
-        separated=separated,
-        min_gap=min_gap,
-        delta0=delta0,
-        tau_sep=tau_sep,
-        r_max=r_max,
-        grid_step=grid_step,
-        warnings=tuple(warn_sink),
-    )
+    components = [
+        comp
+        for idx in canonical_phase_indices()
+        for comp in find_resonant_components(speeds, idx, r_max)
+    ]
+    return ResonanceReport.from_components(c, components, tau_sep, r_max, grid_step)
 
 
 @dataclass(frozen=True)

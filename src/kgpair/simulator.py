@@ -324,7 +324,10 @@ def run_resonant_amplification(
     final band energies.  A probe packet of relative size ``probe_factor``
     seeds each outcome band so the linear-flow ratio is exactly one.
     """
-    for name, value in (("dt", dt), ("t_final", t_final), ("bandwidth", bandwidth)):
+    for name, value in (
+        ("dt", dt), ("t_final", t_final), ("bandwidth", bandwidth), ("amplitude", amplitude),
+        ("probe_factor", probe_factor), ("band_halfwidth_factor", band_halfwidth_factor),
+    ):
         if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
     if not (isinstance(sample_every, numbers.Real) and float(sample_every).is_integer()

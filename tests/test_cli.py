@@ -85,6 +85,58 @@ def test_invalid_flags_exit_one():
     assert run_cli("resonances").returncode == 1
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["resonances", "--c", "5", "--tau-sep", "-1"], "tau_sep"),
+        (["resonances", "--c", "5", "--tau-sep", "nan"], "tau_sep"),
+        (["resonances", "--c", "5", "--r-max", "nan"], "r_max"),
+        (["resonances", "--c", "5", "--grid-step", "0"], "grid_step"),
+        (["sweep", "--from", "2", "--to", "3", "--steps", "2", "--r-max", "-5"], "r_max"),
+        (["cutoff-export", "--c", "5", "--cutoff", "chi-t", "--points", "0"], "--points"),
+        (["cutoff-export", "--c", "5", "--cutoff", "chi-t", "--rho", "nan"], "--rho"),
+        (["cutoff-export", "--c", "5", "--cutoff", "theta", "--radius-max", "-1"], "--radius-max"),
+        (["operator-probe", "--trials", "-3"], "--trials"),
+    ],
+)
+def test_invalid_numbers_exit_one(tmp_path, args, name):
+    result = run_cli(*args, "--output", str(tmp_path / "out"))
+    assert result.returncode == 1
+    assert len(result.stderr.strip().splitlines()) == 1, result.stderr
+    assert name in result.stderr
+
+
+def _tamper_grid_step(doc):
+    del doc["grid_step"]
+
+
+def _tamper_outcome(doc):
+    doc.update(outcome_radii=[3.0], separated=True, min_gap=2.5, delta0=0.25)
+
+
+def _tamper_radius(doc):
+    doc["components"][0]["R"] = -1
+
+
+@pytest.mark.parametrize(
+    "tamper, name",
+    [(_tamper_grid_step, "grid_step"), (_tamper_outcome, "outcome_radii"), (_tamper_radius, "R = -1")],
+)
+def test_cutoff_export_rejects_tampered_report(tmp_path, tamper, name):
+    report = tmp_path / "report.json"
+    assert run_cli("resonances", "--c", "5", "--output", str(report)).returncode == 0
+    doc = json.loads(report.read_text())
+    tamper(doc)
+    report.write_text(json.dumps(doc))
+    prefix = tmp_path / "cut"
+    result = run_cli("cutoff-export", "--report", str(report), "--cutoff", "chi-t",
+                     "--output", str(prefix))
+    assert result.returncode == 1
+    assert len(result.stderr.strip().splitlines()) == 1, result.stderr
+    assert name in result.stderr
+    assert not prefix.with_suffix(".csv").exists()
+
+
 def test_simulate_blow_up_guard_exits_three(tmp_path):
     config = tmp_path / "hot.cfg"
     config.write_text(
@@ -222,6 +274,11 @@ def test_simulate_rejects_outcome_band_above_nyquist(tmp_path):
         "t_final = -10",
         "t_final = inf",
         "bandwidth = 0",
+        "amplitude = nan",
+        "amplitude = inf",
+        "probe_factor = nan",
+        "probe_factor = inf",
+        "band_halfwidth_factor = 0",
     ],
 )
 def test_simulate_rejects_invalid_parameters(tmp_path, line):

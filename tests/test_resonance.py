@@ -1,16 +1,19 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from kgpair.dispersion import PhaseIndex, SpeedPair, all_phase_indices
+from kgpair.dispersion import PhaseIndex, SpeedPair, all_phase_indices, canonical_phase_indices
 from kgpair.resonance import (
+    _polish,
     check_separation,
     dist_to_component,
-    estimate_zero_order,
     find_resonant_components,
-    intersection_order,
     lambda_domain_bound,
+    resonance_quartic,
+    root_multiplicities,
     scan_all,
     space_resonance_lambda,
     sweep_speed,
@@ -192,8 +195,8 @@ def test_full_slice_minimization_oracle(report5):
 
 
 def test_full_slice_minimum_positive_for_resonance_free_phase():
-    # the all-slow phase only degenerates toward infinite frequency (the
-    # scanner's tail check covers that); on a bounded window the combined
+    # the all-slow phase only degenerates toward infinite frequency (its
+    # quartic has no root in the domain); on a bounded window the combined
     # residual stays uniformly positive
     sp = SpeedPair(5.0)
     idx = PhaseIndex.parse("111+--")
@@ -335,18 +338,28 @@ def test_dist_to_component_special_points(report5):
     assert at_zero == pytest.approx(comp.R * math.sqrt(comp.lam**2 + 1.0), abs=1e-12)
 
 
-def test_intersection_order_first_order_root(report5):
+def test_c5_components_are_simple_roots(report5):
+    assert [(comp.order, comp.tangent) for comp in report5.components] == [(1, False)] * 2
+
+
+def test_polish_recovers_perturbed_root(report5):
     sp = SpeedPair(5.0)
     for comp in report5.components:
-        est = intersection_order(sp, comp)
-        assert est.order == 1
-        assert est.fit_ok
+        R, confirmed = _polish(sp, comp.idx, comp.R * (1.0 + 1e-7), comp.order)
+        assert confirmed
+        assert R == pytest.approx(comp.R, rel=1e-14)
+    # 111+-- has no zero (Z -> 0 only as r -> inf): Newton steps cannot confirm one
+    _, confirmed = _polish(sp, PhaseIndex.parse("111+--"), 1.0, 1)
+    assert not confirmed
 
 
-def test_estimate_zero_order_synthetic_double_root():
-    est = estimate_zero_order(lambda r: (r - 1.0) ** 2, 1.0)
-    assert est.order == 2
-    assert est.fit_ok
+def test_root_multiplicities_of_known_double_root():
+    # (y - 1)^2 (y - 3) (y + 2): rounding splits the double root, which must
+    # still come back as one root of multiplicity 2
+    coefficients = np.convolve(np.convolve([1.0, -1.0], [1.0, -1.0]), [1.0, -1.0, -6.0])
+    roots = root_multiplicities(coefficients)
+    assert [order for _, order in roots] == [1, 2, 1]
+    assert [y for y, _ in roots] == pytest.approx([-2.0, 1.0, 3.0], rel=1e-7)
 
 
 def test_order_at_least_one(report5):
@@ -388,3 +401,69 @@ def test_report_serialization_round_trip(report5):
     assert doc["resonant_phases"] == ["c11+--", "cc1+--"]
     assert doc["separated"] is True
     assert len(doc["components"]) == 2
+
+
+# --- independent oracle: sign changes of Z on a log grid, confirmed in mpmath
+
+mpmath.mp.dps = 50
+
+
+def _gap_mp(c, idx, r):
+    """Z(r) at 50 digits, straight from the bracket definitions; None off the domain."""
+    speed = {"c": mpmath.mpf(c), "1": mpmath.mpf(1)}
+    ck, cl, cm = speed[idx.k], speed[idx.l], speed[idx.m]
+    r = mpmath.mpf(r)
+    v = idx.s1 * idx.s2 * cl**2 * r / mpmath.sqrt(1 + cl**2 * r**2)
+    if abs(v) >= cm:
+        return None
+    s = v / (cm * mpmath.sqrt(cm**2 - v**2))
+    bracket = lambda a, x: mpmath.sqrt(1 + a**2 * x**2)  # noqa: E731
+    return idx.s0 * bracket(ck, r + s) + idx.s1 * bracket(cl, r) + idx.s2 * bracket(cm, s)
+
+
+def _oracle_roots(speeds, idx, r_max=100.0, points=4000):
+    hi = min(r_max, lambda_domain_bound(speeds, idx) * (1.0 - 1e-12))
+    r = np.geomspace(1e-12, hi, points)
+    z = time_resonance_gap(speeds, idx, r)
+    roots = []
+    for i in np.nonzero(np.sign(z[:-1]) * np.sign(z[1:]) < 0.0)[0]:
+        lo, up = _gap_mp(speeds.c_fast, idx, r[i]), _gap_mp(speeds.c_fast, idx, r[i + 1])
+        if lo is None or up is None or lo * up >= 0:
+            continue  # a sign change of rounding noise only
+        roots.append(brentq(lambda x: float(time_resonance_gap(speeds, idx, x)),
+                            r[i], r[i + 1], xtol=1e-300, rtol=1e-15))
+    return roots
+
+
+ORACLE_SPEEDS = sorted(
+    {float(c) for c in np.geomspace(0.05, 0.99, 8)}
+    | {float(c) for c in np.geomspace(1.01, 2000.0, 10)}
+    | {1.0 - 1e-3, 1.0 + 1e-3, 1.0 - 1e-4, 1.0 + 1e-4, 11.0}
+)
+
+
+@pytest.mark.parametrize("c", ORACLE_SPEEDS)
+def test_solver_matches_sign_change_oracle(c):
+    speeds = SpeedPair(c)
+    for idx in canonical_phase_indices():
+        expected = _oracle_roots(speeds, idx)
+        got = find_resonant_components(speeds, idx)
+        assert [comp.R for comp in got] == pytest.approx(expected, rel=1e-12), idx.serialize()
+        lams = [float(space_resonance_lambda(speeds, idx, R)) for R in expected]
+        assert [comp.lam for comp in got] == pytest.approx(lams, rel=1e-12), idx.serialize()
+        # the quartic alone, before any Newton step, already has every root
+        quartic, radius_of = resonance_quartic(speeds, idx)
+        raw = [radius_of(y) for y, _ in root_multiplicities(quartic)]
+        raw = [r for r in raw if not math.isnan(r)]
+        for R in expected:
+            assert min(abs(r - R) for r in raw) <= 1e-12 * R, idx.serialize()
+
+
+@pytest.mark.parametrize("c", [800.0, 900.0, 2000.0])
+def test_large_speeds_find_both_families(c):
+    report = scan_all(c)
+    assert report.resonant_indices == ["c11+--", "cc1+--"]
+    assert len(report.components) == 2
+    assert report.warnings == ()
+    (c11,) = [comp for comp in report.components if comp.idx.serialize() == "c11+--"]
+    assert c11.R == pytest.approx(math.sqrt(3.0 / (4.0 * (c * c - 1.0))), rel=1e-10)
