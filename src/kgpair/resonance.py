@@ -34,6 +34,8 @@ import numpy as np
 from kgpair.dispersion import PhaseIndex, SpeedPair, canonical_phase_indices
 
 ROOT_TOL = 1e-12
+# |Z(R)| allowed in a report read back, relative to the sum of the brackets
+REPORT_Z_TOL = 1e-10
 DEFAULT_TAU_SEP = 1e-6
 _RADIUS_MERGE_TOL = 1e-9
 # quartic roots closer than this (relative) are one multiple root; rounding
@@ -209,6 +211,13 @@ def root_multiplicities(coefficients) -> list[tuple[float, int]]:
     return out
 
 
+def _bracket_sum(speeds: SpeedPair, idx: PhaseIndex, r: float) -> float:
+    """Sum of the three brackets of Z at r, the size its rounding error scales with."""
+    lam = abs(float(space_resonance_lambda(speeds, idx, r)))
+    return (speeds.bracket_radial(idx.k, lam * r) + speeds.bracket_radial(idx.l, r)
+            + speeds.bracket_radial(idx.m, abs(lam - 1.0) * r))
+
+
 def _polish(speeds: SpeedPair, idx: PhaseIndex, r: float, order: int) -> tuple[float, bool]:
     """Newton steps on the unsquared Z from r, scaled by the zero order.
 
@@ -219,9 +228,7 @@ def _polish(speeds: SpeedPair, idx: PhaseIndex, r: float, order: int) -> tuple[f
     def gap(x):
         return float(time_resonance_gap(speeds, idx, x))
 
-    lam = abs(float(space_resonance_lambda(speeds, idx, r)))
-    scale = (speeds.bracket_radial(idx.k, lam * r) + speeds.bracket_radial(idx.l, r)
-             + speeds.bracket_radial(idx.m, abs(lam - 1.0) * r))
+    scale = _bracket_sum(speeds, idx, r)
     z = gap(r)
     for _ in range(8):
         if abs(z) <= 8.0 * np.finfo(float).eps * scale:
@@ -336,6 +343,9 @@ class ResonanceReport:
         Every derived field (radius sets, verdict, min_gap, delta0) is
         recomputed from the components and must equal the document's, which
         holds exactly for a written report since floats carry 17 digits.
+        Each component must lie on the space-time resonant set at the report's
+        c: |Z(R)| and the gap between lambda and the colinearity ratio at R
+        are at most ``REPORT_Z_TOL`` relative to the brackets and to lambda.
         """
         schema = doc.get("schema") if isinstance(doc, dict) else None
         if schema != "resonance-report/1":
@@ -351,6 +361,16 @@ class ResonanceReport:
         wrong = [key for key, value in report.to_dict().items() if doc.get(key, _MISSING) != value]
         if wrong:
             raise ValueError(f"report keys {', '.join(wrong)} disagree with its components")
+        speeds = SpeedPair(report.c)
+        for comp in report.components:
+            lam = float(space_resonance_lambda(speeds, comp.idx, comp.R))
+            z = float(time_resonance_gap(speeds, comp.idx, comp.R))
+            scale = _bracket_sum(speeds, comp.idx, comp.R)
+            if not (abs(z) <= REPORT_Z_TOL * scale and abs(comp.lam - lam) <= REPORT_Z_TOL * abs(lam)):
+                raise ValueError(
+                    f"report component {comp.idx.serialize()!r} at R = {comp.R!r}, "
+                    f"lambda = {comp.lam!r} is not a zero of Z at c = {report.c!r}"
+                )
         return report
 
 

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgpair.bilinear import (
     SpectralField,
@@ -30,6 +33,37 @@ def grid():
 
 def random_field(grid, rng):
     return grid.with_coef(rng.normal(size=grid.coef.shape) + 1j * rng.normal(size=grid.coef.shape))
+
+
+def dense_pseudo_product(symbol, f, g):
+    """The n x n lattice quadrature of the module docstring: the oracle for
+    the support-based kernel of ``pseudo_product`` (1-D symbols only)."""
+    n = f.n
+    const = f.dxi / (2.0 * math.pi) ** 0.5
+    table = symbol.materialize(f)
+    diff_idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return np.sum(table * f.coef[None, :] * g.coef[diff_idx], axis=1) * const
+
+
+def ridge_symbol(rho, lam=2.0):
+    return SymbolGrid.from_callable(lambda xi, eta: bump((xi - lam * eta) / rho))
+
+
+def table_with_empty_rows(n, seed=9):
+    rng = np.random.default_rng(seed)
+    table = np.where(rng.random((n, n)) < 0.05, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 0.0)
+    table[::3] = 0.0
+    return table
+
+
+ORACLE_CASES = {
+    **{f"ridge_rho{rho}_n{n}": (ridge_symbol(rho), n, box)
+       for rho in (1.0, 0.1, 0.01) for n, box in ((1024, 1310.72), (128, 64.0))},
+    "gaussian_joint": (default_probe_symbols()["gaussian_joint"], N, L),
+    "random_trig": (default_probe_symbols()["random_trig"], N, L),
+    "table_with_empty_rows": (SymbolGrid.from_table(table_with_empty_rows(N)), N, L),
+    "zero_table": (SymbolGrid.from_table(np.zeros((N, N))), N, L),
+}
 
 
 def test_round_trip_and_parseval(grid):
@@ -243,3 +277,143 @@ def test_grid_mismatch_rejected(grid):
     other = SpectralField.zeros(1, N, L / 2)
     with pytest.raises(ValueError):
         pseudo_product(SymbolGrid.constant(1.0), grid, other)
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_sparse_kernel_matches_dense_oracle(name):
+    symbol, n, box = ORACLE_CASES[name]
+    grid = SpectralField.zeros(1, n, box)
+    rng = np.random.default_rng(10)
+    f, g = random_field(grid, rng), random_field(grid, rng)
+    oracle = dense_pseudo_product(symbol, f, g)
+    out = pseudo_product(symbol, f, g).coef
+    assert np.abs(out - oracle).max() <= 1e-13 * np.abs(oracle).max()
+    assert np.all(out[~symbol.materialize(grid).any(axis=1)] == 0.0)
+
+
+def test_support_is_built_once_per_grid(grid):
+    symbol = ridge_symbol(0.5)
+    first = symbol.support(grid)
+    assert symbol.support(SpectralField.zeros(1, N, L)) is first
+    assert symbol.support(SpectralField.zeros(1, N, 2.0 * L)) is not first
+    rows, starts, cols, diffs, vals = first
+    table = symbol.materialize(grid)
+    assert np.count_nonzero(table) == vals.size < N * N
+    entry_rows = np.repeat(rows, np.diff(np.append(starts, vals.size)))
+    assert np.array_equal(table[entry_rows, cols], vals)
+    assert np.array_equal(diffs, (entry_rows - cols) % N)
+
+
+def test_non_finite_input_reaches_only_support_rows(grid):
+    table = np.zeros((N, N), dtype=complex)
+    table[5, 2] = 1.0
+    f = grid.with_coef(np.ones(N, dtype=complex))
+    f.coef[7] = np.nan
+    g = grid.with_coef(np.ones(N, dtype=complex))
+    g.coef[40] = np.inf
+    out = pseudo_product(SymbolGrid.from_table(table), f, g).coef
+    assert np.all(np.isfinite(out))
+    assert np.count_nonzero(out) == 1 and out[5] != 0.0
+    f.coef[2] = np.nan
+    out = pseudo_product(SymbolGrid.from_table(table), f, g).coef
+    assert np.isnan(out[5]) and np.all(np.delete(out, 5) == 0.0)
+
+
+def _blob(dims, sizes, box, payload_doubles):
+    return (struct.pack("<Q", dims) + struct.pack(f"<{len(sizes)}Q", *sizes)
+            + struct.pack("<d", box) + bytes(8 * payload_doubles))
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (_blob(2, (8, 8), 1.0, 128), "dims"),
+        (_blob(2**40, (), 1.0, 0), "dims"),
+        (_blob(1, (2**40,), 1.0, 16), "payload"),
+        (_blob(1, (12,), 1.0, 24), "power of two"),
+        (_blob(3, (128, 128, 128), 1.0, 0), "limited"),
+        (_blob(3, (8, 8, 4), 1.0, 0), "agree"),
+        (_blob(1, (8,), math.nan, 16), "box_length"),
+        (_blob(1, (8,), 1.0, 16)[:-8], "payload"),
+        (_blob(1, (8,), 1.0, 0)[:20], "shorter"),
+        (b"\x01", "shorter"),
+    ],
+    ids=["dims2", "dims2e40", "n2e40", "n12", "n128_3d", "ragged", "nan_box", "truncated_payload",
+         "truncated_header", "one_byte"],
+)
+def test_from_bytes_rejects_bad_header(blob, message):
+    with pytest.raises(ValueError, match=message):
+        SpectralField.from_bytes(blob)
+
+
+# -- property tests on random fields and random sparse tables ----------------
+
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def field_pair(draw):
+    """Two random complex fields on a random 1-D grid, and a seeded generator."""
+    n = draw(st.sampled_from([8, 32, 128, 256]))
+    box = draw(st.floats(2.0, 500.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = SpectralField.zeros(1, n, box)
+    return grid, random_field(grid, rng), random_field(grid, rng), rng
+
+
+def sparse_table(rng, n, density):
+    mask = rng.random((n, n)) < density
+    return np.where(mask, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 0.0)
+
+
+def rounding_scale(table, f_abs, g_abs, dxi):
+    """max over xi of const * sum_eta |m| |f^| |g^|, the size that bounds the
+    rounding error of one output mode: a sum of n terms is off by at most
+    n * eps times it."""
+    n = f_abs.size
+    diff_idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    const = dxi / (2.0 * math.pi) ** 0.5
+    return const * float((np.abs(table) * f_abs[None, :] * g_abs[diff_idx]).sum(axis=1).max())
+
+
+@PROPERTY
+@given(field_pair())
+def test_unit_callable_symbol_is_pointwise_product_property(data):
+    grid, f, g, _ = data
+    unit = SymbolGrid.from_callable(lambda xi, eta: np.ones(np.broadcast_shapes(np.shape(xi), np.shape(eta))))
+    expected = f.to_physical() * g.to_physical()
+    got = pseudo_product(unit, f, g).to_physical()
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@PROPERTY
+@given(field_pair(), st.floats(0.0, 1.0), st.complex_numbers(max_magnitude=4.0))
+def test_bilinearity_on_sparse_tables(data, density, alpha):
+    grid, f, g, rng = data
+    table = sparse_table(rng, grid.n, density)
+    symbol = SymbolGrid.from_table(table)
+    f2, g2 = random_field(grid, rng), random_field(grid, rng)
+    tol = 8.0 * grid.n * np.finfo(float).eps
+    absf, absg = np.abs(f.coef), np.abs(g.coef)
+    lhs = pseudo_product(symbol, alpha * f + f2, g).coef
+    rhs = alpha * pseudo_product(symbol, f, g).coef + pseudo_product(symbol, f2, g).coef
+    scale = rounding_scale(table, abs(alpha) * absf + np.abs(f2.coef), absg, grid.dxi)
+    assert np.abs(lhs - rhs).max() <= tol * scale
+    lhs = pseudo_product(symbol, f, alpha * g + g2).coef
+    rhs = alpha * pseudo_product(symbol, f, g).coef + pseudo_product(symbol, f, g2).coef
+    scale = rounding_scale(table, absf, abs(alpha) * absg + np.abs(g2.coef), grid.dxi)
+    assert np.abs(lhs - rhs).max() <= tol * scale
+
+
+@PROPERTY
+@given(field_pair(), st.floats(0.0, 1.0))
+def test_sparse_tables_match_dense_oracle(data, density):
+    grid, f, g, rng = data
+    table = sparse_table(rng, grid.n, density)
+    symbol = SymbolGrid.from_table(table)
+    out = pseudo_product(symbol, f, g).coef
+    oracle = dense_pseudo_product(symbol, f, g)
+    # the two kernels sum the same products in different orders
+    scale = rounding_scale(table, np.abs(f.coef), np.abs(g.coef), grid.dxi)
+    assert np.abs(out - oracle).max() <= 2.0 * grid.n * np.finfo(float).eps * scale
+    assert np.all(out[~table.any(axis=1)] == 0.0)

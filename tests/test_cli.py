@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from kgpair.reporting import load_schema
+from kgpair.resonance import ResonanceReport, ResonantComponent
 
 GOLDEN_OUTCOMES = [0.3535533906, 0.3603654667]
 GOLDEN_SOURCES = [0.01314860997, 0.1767766953, 0.3472168567]
@@ -118,9 +119,23 @@ def _tamper_radius(doc):
     doc["components"][0]["R"] = -1
 
 
+def _forge_component(doc):
+    # move c11+-- off its resonance and rebuild every derived key to match,
+    # so only the check of Z(R) at the report's c can reject the document
+    for comp in doc["components"]:
+        if comp["index"] == "c11+--":
+            comp["R"] = 0.2
+    report = ResonanceReport.from_components(
+        doc["c"], (ResonantComponent.from_dict(comp) for comp in doc["components"]),
+        doc["tau_sep"], doc["r_max"], doc["grid_step"],
+    )
+    doc.update(report.to_dict())
+
+
 @pytest.mark.parametrize(
     "tamper, name",
-    [(_tamper_grid_step, "grid_step"), (_tamper_outcome, "outcome_radii"), (_tamper_radius, "R = -1")],
+    [(_tamper_grid_step, "grid_step"), (_tamper_outcome, "outcome_radii"), (_tamper_radius, "R = -1"),
+     (_forge_component, "not a zero of Z")],
 )
 def test_cutoff_export_rejects_tampered_report(tmp_path, tamper, name):
     report = tmp_path / "report.json"
