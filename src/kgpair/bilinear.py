@@ -60,8 +60,8 @@ class SpectralField:
 
     def __post_init__(self):
         _check_grid(self.n, self.dims)
-        if self.box_length <= 0.0:
-            raise ValueError("box_length must be positive")
+        if not (math.isfinite(self.box_length) and self.box_length > 0.0):
+            raise ValueError(f"box_length must be finite and positive, got {self.box_length!r}")
         expected = (self.n,) * self.dims
         if self.coef.shape != expected:
             raise ValueError(f"coefficient shape {self.coef.shape} != {expected}")
@@ -128,12 +128,6 @@ class SpectralField:
             math.sqrt(np.sum(np.abs(self.coef) ** 2) * self.dxi**self.dims)
         )
 
-    def band_mass(self, radius_lo: float, radius_hi: float) -> float:
-        """Sum of |coef|^2 * cell volume over modes with |xi| in the band."""
-        norms = self.frequency_norms()
-        mask = (norms >= radius_lo) & (norms < radius_hi)
-        return float(np.sum(np.abs(self.coef[mask]) ** 2) * self.dxi**self.dims)
-
     # -- algebra ----------------------------------------------------------------
 
     def with_coef(self, coef) -> "SpectralField":
@@ -186,8 +180,8 @@ class SpectralField:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "SpectralField":
-        """Inverse of ``to_bytes``.  The header is checked before anything is
-        allocated; a malformed blob raises ValueError."""
+        """Inverse of ``to_bytes``.  The grid sizes are checked before anything
+        is allocated; a malformed blob raises ValueError."""
         if len(blob) < 8:
             raise ValueError("blob is shorter than its header")
         (dims,) = struct.unpack_from("<Q", blob, 0)
@@ -202,8 +196,6 @@ class SpectralField:
             raise ValueError("per-axis sizes must agree")
         n = sizes[0]
         _check_grid(n, dims)
-        if not (math.isfinite(box_length) and box_length > 0.0):
-            raise ValueError(f"box_length must be finite and positive, got {box_length!r}")
         if len(blob) != offset + 16 * n**dims:
             raise ValueError("payload size does not match header")
         flat = np.frombuffer(blob, dtype="<f8", offset=offset)

@@ -213,27 +213,18 @@ class CutoffFamily:
         dists = [dist_to_component(xi, eta, comp) for comp in self.components]
         return np.min(np.stack(dists, axis=0), axis=0)
 
-    def dist_to_time_resonant(self, xi, eta):
-        """First-order surrogate |phi| / max(|grad phi|, floor), capped at 1."""
-        phi = np.abs(self.speeds.phase(self.idx, xi, eta))
-        gx = self.speeds.grad_xi_phase(self.idx, xi, eta)
-        ge = self.speeds.grad_eta_phase(self.idx, xi, eta)
-        grad = np.sqrt(np.sum(gx * gx, axis=-1) + np.sum(ge * ge, axis=-1))
-        return np.minimum(phi / np.maximum(grad, GRAD_FLOOR), TRUST_RADIUS)
-
-    def dist_to_space_resonant(self, xi, eta):
-        """First-order surrogate |d_eta phi| / max(curvature proxy, floor), capped."""
-        ge = np.linalg.norm(self.speeds.grad_eta_phase(self.idx, xi, eta), axis=-1)
-        eta = np.asarray(eta, dtype=float)
-        diff = np.asarray(xi, dtype=float) - eta
-        hess = _frobenius_bracket_jacobian(
-            self.speeds, self.idx.l, eta
-        ) + 2.0 * _frobenius_bracket_jacobian(self.speeds, self.idx.m, diff)
-        return np.minimum(ge / np.maximum(hess, GRAD_FLOOR), TRUST_RADIUS)
-
     def _chi_S_low(self, xi, eta):
-        d_time = self.dist_to_time_resonant(xi, eta)
-        d_space = self.dist_to_space_resonant(xi, eta)
+        """Step comparing first-order distances to the time- and space-resonant
+        sets, |phi| / |grad phi| and |d_eta phi| / (curvature proxy)."""
+        phi = np.abs(self.speeds.phase(self.idx, xi, eta))
+        # squared gradient moduli: sqrt(ge2) is |d_eta phi| bit for bit, and
+        # no (..., 3) gradient array outlives its line
+        gx2 = np.sum(self.speeds.grad_xi_phase(self.idx, xi, eta) ** 2, axis=-1)
+        ge2 = np.sum(self.speeds.grad_eta_phase(self.idx, xi, eta) ** 2, axis=-1)
+        d_time = np.minimum(phi / np.maximum(np.sqrt(gx2 + ge2), GRAD_FLOOR), TRUST_RADIUS)
+        hess = (_frobenius_bracket_jacobian(self.speeds, self.idx.l, eta)
+                + 2.0 * _frobenius_bracket_jacobian(self.speeds, self.idx.m, xi - eta))
+        d_space = np.minimum(np.sqrt(ge2) / np.maximum(hess, GRAD_FLOOR), TRUST_RADIUS)
         d_res = np.minimum(self.dist_to_resonant_set(xi, eta), TRUST_RADIUS)
         denom = np.maximum(d_res ** (self.n + 1), 1e-300)
         with np.errstate(over="ignore"):
@@ -245,18 +236,25 @@ class CutoffFamily:
         width = 0.5 * self.high_freq_offset
         return bump((gap - self.high_freq_offset) / width)
 
-    def chi_S(self, xi, eta, rho: float):
-        """Cutoff localizing away from the time-resonant set; sums with chi_R,
-        chi_T to one."""
+    def partition(self, xi, eta, rho: float):
+        """(chi_R, chi_S, chi_T) at scale rho in one pass: chi_S is (1 - chi_R)
+        times the theta blend of the low and high branches, chi_T the rest."""
         xi = np.asarray(xi, dtype=float)
         eta = np.asarray(eta, dtype=float)
+        low = self._chi_S_low(xi, eta)  # before the 6-D theta input: lower peak memory
         blend = theta(np.concatenate(np.broadcast_arrays(xi, eta), axis=-1), self.M)
-        low = self._chi_S_low(xi, eta)
-        high = self._chi_S_high(xi, eta)
-        return (1.0 - self.chi_R(xi, eta, rho)) * (blend * low + (1.0 - blend) * high)
+        away = blend * low + (1.0 - blend) * self._chi_S_high(xi, eta)
+        chi_r = self.chi_R(xi, eta, rho)
+        chi_s = (1.0 - chi_r) * away
+        return chi_r, chi_s, 1.0 - chi_r - chi_s
+
+    def chi_S(self, xi, eta, rho: float):
+        """Cutoff localizing away from the time-resonant set."""
+        return self.partition(xi, eta, rho)[1]
 
     def chi_T(self, xi, eta, rho: float):
-        return 1.0 - self.chi_R(xi, eta, rho) - self.chi_S(xi, eta, rho)
+        """Cutoff localizing away from the space-resonant set."""
+        return self.partition(xi, eta, rho)[2]
 
     def evaluate(self, name: str, xi, eta=None, rho: float = 1.0):
         """Evaluate a cutoff by name (theta, chi_o, chi_o_tilde, chi_r, chi_s, chi_t)."""
@@ -303,15 +301,12 @@ def _sample_ball(rng, count: int, radius: float, dim: int = 6):
 
 
 def _near_component_points(family: CutoffFamily, rng, count: int, spreads):
-    comps = list(family.components)
-    picks = rng.integers(0, len(comps), count)
+    picks = rng.integers(0, len(family.components), count)
     omega = rng.normal(size=(count, 3))
     omega /= np.linalg.norm(omega, axis=1)[:, None]
-    base = np.empty((count, 6))
-    for i, comp_id in enumerate(picks):
-        comp = comps[comp_id]
-        base[i, :3] = comp.lam * comp.R * omega[i]
-        base[i, 3:] = comp.R * omega[i]
+    R = np.array([comp.R for comp in family.components])[picks, None]
+    lam_R = np.array([comp.lam * comp.R for comp in family.components])[picks, None]
+    base = np.concatenate([lam_R * omega, R * omega], axis=1)
     spread = rng.choice(np.asarray(spreads, dtype=float), count)
     return base + rng.normal(size=(count, 6)) * spread[:, None]
 
@@ -362,8 +357,7 @@ def bound_probe(
         es = np.concatenate([eta, extra[:, 3:]], axis=0)
         phi = np.abs(family.speeds.phase(family.idx, xs, es))
         ge = np.linalg.norm(family.speeds.grad_eta_phase(family.idx, xs, es), axis=-1)
-        chi_s = family.chi_S(xs, es, rho)
-        chi_t = family.chi_T(xs, es, rho)
+        _, chi_s, chi_t = family.partition(xs, es, rho)
         ok_phi = phi > 1e-12
         ok_ge = ge > 1e-12
         rows.append(

@@ -346,6 +346,7 @@ class ResonanceReport:
         Each component must lie on the space-time resonant set at the report's
         c: |Z(R)| and the gap between lambda and the colinearity ratio at R
         are at most ``REPORT_Z_TOL`` relative to the brackets and to lambda.
+        Its order and tangent flag must be those of the nearest zero solved for.
         """
         schema = doc.get("schema") if isinstance(doc, dict) else None
         if schema != "resonance-report/1":
@@ -362,6 +363,8 @@ class ResonanceReport:
         if wrong:
             raise ValueError(f"report keys {', '.join(wrong)} disagree with its components")
         speeds = SpeedPair(report.c)
+        solved = {idx: find_resonant_components(speeds, idx, report.r_max)
+                  for idx in dict.fromkeys(comp.idx for comp in report.components)}
         for comp in report.components:
             lam = float(space_resonance_lambda(speeds, comp.idx, comp.R))
             z = float(time_resonance_gap(speeds, comp.idx, comp.R))
@@ -370,6 +373,13 @@ class ResonanceReport:
                 raise ValueError(
                     f"report component {comp.idx.serialize()!r} at R = {comp.R!r}, "
                     f"lambda = {comp.lam!r} is not a zero of Z at c = {report.c!r}"
+                )
+            root = min(solved[comp.idx], key=lambda r: abs(r.R - comp.R), default=None)
+            if root is None or (root.order, root.tangent) != (comp.order, comp.tangent):
+                found = "no zero" if root is None else f"order {root.order}, tangent {root.tangent}"
+                raise ValueError(
+                    f"report component {comp.idx.serialize()!r} at R = {comp.R!r} has "
+                    f"order {comp.order}, tangent {comp.tangent}; the solver finds {found}"
                 )
         return report
 

@@ -276,11 +276,14 @@ def band_energy(
     """Quadratic spectral mass in the band radius_lo <= |xi| < radius_hi."""
     if radius_lo >= radius_hi:
         raise ValueError("need radius_lo < radius_hi")
+    norms = state.grid.frequency_norms()
+    mask = (norms >= radius_lo) & (norms < radius_hi)
+    cell = state.grid.dxi**state.grid.dims
     total = 0.0
-    for sp in SPECIES:
-        for sg in SIGNS:
+    for sp, by_sign in zip(SPECIES, state.coef):
+        for sg, coef in zip(SIGNS, by_sign):
             if species in (None, sp) and sign in (None, sg):
-                total += state.field(sp, sg).band_mass(radius_lo, radius_hi)
+                total += float(np.sum(np.abs(coef[mask]) ** 2) * cell)
     return total
 
 

@@ -1,4 +1,10 @@
 import pytest
+from hypothesis import settings
+
+# one profile for every property test: 40 examples and no per-example deadline,
+# since the first example of a run also pays numpy and scan warm-up
+settings.register_profile("kgpair", max_examples=40, deadline=None)
+settings.load_profile("kgpair")
 
 ACCEPTANCE_LINES = []
 

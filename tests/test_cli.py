@@ -132,10 +132,16 @@ def _forge_component(doc):
     doc.update(report.to_dict())
 
 
+def _forge_order(doc):
+    # the zeros stay where they are; only their multiplicity is overstated
+    for comp in doc["components"]:
+        comp.update(order=40, tangent=True)
+
+
 @pytest.mark.parametrize(
     "tamper, name",
     [(_tamper_grid_step, "grid_step"), (_tamper_outcome, "outcome_radii"), (_tamper_radius, "R = -1"),
-     (_forge_component, "not a zero of Z")],
+     (_forge_component, "not a zero of Z"), (_forge_order, "order 40, tangent True")],
 )
 def test_cutoff_export_rejects_tampered_report(tmp_path, tamper, name):
     report = tmp_path / "report.json"

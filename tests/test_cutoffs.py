@@ -1,10 +1,15 @@
+import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kgpair.cutoffs import (
     CutoffFamily,
+    _near_component_points,
     bound_probe,
     bump,
     chi_R_rho,
@@ -233,3 +238,87 @@ def test_family_for_resonance_free_phase(report5):
     assert np.all(cr == 0.0)
     total = cr + fam.chi_S(xi, eta, 0.1) + fam.chi_T(xi, eta, 0.1)
     assert np.abs(total - 1.0).max() < 1e-12
+
+
+def test_partition_evaluates_chi_r_once(family, monkeypatch):
+    calls = []
+    chi_R = CutoffFamily.chi_R
+
+    def counted(self, xi, eta, rho):
+        calls.append(rho)
+        return chi_R(self, xi, eta, rho)
+
+    monkeypatch.setattr(CutoffFamily, "chi_R", counted)
+    rng = np.random.default_rng(37)
+    xi, eta = sample_interaction_points(family, rng, 1_000)
+    family.chi_T(xi, eta, 0.1)
+    assert calls == [0.1]
+    calls.clear()
+    rho_list = (1.0, 0.1, 0.01)
+    probe = bound_probe(family, rho_list=rho_list, sample_count=1_000, seed=4)
+    # once per rho on the low-frequency points, once per high-frequency shell
+    assert calls == list(rho_list) + [rho_list[0]] * len(probe["high_frequency"])
+
+
+def test_near_component_points_match_per_point_loop(report5):
+    # reference: the per-point loop over picked components, same draws
+    family = SimpleNamespace(components=report5.components)
+    spreads = [1e-2, 0.0]
+    got = _near_component_points(family, np.random.default_rng(41), 500, spreads)
+    rng = np.random.default_rng(41)
+    picks = rng.integers(0, len(family.components), 500)
+    omega = rng.normal(size=(500, 3))
+    omega /= np.linalg.norm(omega, axis=1)[:, None]
+    base = np.empty((500, 6))
+    for i, k in enumerate(picks):
+        comp = family.components[k]
+        base[i, :3] = comp.lam * comp.R * omega[i]
+        base[i, 3:] = comp.R * omega[i]
+    spread = rng.choice(np.asarray(spreads), 500)
+    assert len(set(picks)) == 2
+    assert np.array_equal(got, base + rng.normal(size=(500, 6)) * spread[:, None])
+
+
+# -- property tests on random points -------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def family_at(c):
+    return CutoffFamily.build(scan_all(c))
+
+
+@st.composite
+def partition_point(draw):
+    """(family, xi, eta, rho): a random point, centred at the origin or on a
+    random point of a resonant component, at a random spread."""
+    family = family_at(draw(st.sampled_from([5.0, 0.5, 11.0])))
+    rho = draw(st.sampled_from([1.0, 0.1, 0.01]))
+    center = np.zeros(6)
+    if draw(st.booleans()):
+        comp = draw(st.sampled_from(family.components))
+        polar, azimuth = draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, 2.0 * math.pi))
+        omega = np.array([math.sin(polar) * math.cos(azimuth),
+                          math.sin(polar) * math.sin(azimuth), math.cos(polar)])
+        center = np.concatenate([comp.lam * comp.R * omega, comp.R * omega])
+    spread = draw(st.sampled_from([family.support_radius * rho, 0.1, family.M]))
+    unit = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6)))
+    point = center + spread * unit
+    return family, point[:3], point[3:], rho
+
+
+@given(partition_point())
+def test_partition_matches_named_cutoffs(case):
+    family, xi, eta, rho = case
+    parts = family.partition(xi, eta, rho)
+    named = (family.chi_R(xi, eta, rho), family.chi_S(xi, eta, rho), family.chi_T(xi, eta, rho))
+    for part, value in zip(parts, named):
+        assert np.array_equal(part, value)
+
+
+@given(partition_point())
+def test_partition_of_unity_property(case):
+    family, xi, eta, rho = case
+    parts = family.partition(xi, eta, rho)
+    assert abs(sum(parts) - 1.0) <= 1e-12
+    for part in parts:
+        assert -1e-12 <= part <= 1.0 + 1e-12

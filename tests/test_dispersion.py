@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kgpair.dispersion import (
     PhaseIndex,
@@ -85,6 +87,19 @@ def test_swap_symmetry():
         direct = sp.phase(idx, xis, etas)
         swapped = sp.phase(idx.swap(), xis, xis - etas)
         assert np.abs(direct - swapped).max() < 1e-14
+
+
+vectors = st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3).map(np.array)
+
+
+@given(st.floats(0.1, 3.0).filter(lambda c: c != 1.0), vectors, vectors)
+def test_symmetry_reduction_property(c, xi, eta):
+    # the tolerance of test_swap_symmetry on its scale (components up to 2,
+    # c up to 3), where 1e-14 is a few ulps of the sum of the brackets
+    sp = SpeedPair(c)
+    for idx, canonical, transform in enumerate_phases():
+        reduced = transform.sigma * sp.phase(canonical, *transform.apply(xi, eta))
+        assert abs(sp.phase(idx, xi, eta) - reduced) < 1e-14
 
 
 def test_gradients_match_central_differences():

@@ -202,6 +202,21 @@ def test_band_energy_additive_and_total(grid):
         band_energy(state, 1.0, 0.5)
 
 
+def test_band_energy_matches_per_field_sums(grid):
+    # reference: one field per (species, sign), each with its own band mask
+    state, _, _ = random_state(grid, np.random.default_rng(9))
+    for species, sign in [(None, None), ("c", None), (None, -1), ("1", 1)]:
+        expected = 0.0
+        for sp, sg in KEYS:
+            if species in (None, sp) and sign in (None, sg):
+                f = state.field(sp, sg)
+                norms = f.frequency_norms()
+                mask = (norms >= 0.2) & (norms < 0.7)
+                expected += float(np.sum(np.abs(f.coef[mask]) ** 2) * f.dxi**f.dims)
+        assert expected > 0.0
+        assert band_energy(state, 0.2, 0.7, species=species, sign=sign) == expected
+
+
 def test_blow_up_guard_trips(grid):
     state, _, _ = random_state(grid, np.random.default_rng(8), scale=20.0)
     harsh = NonlinearityCoefficients(alpha=5.0, delta=5.0)

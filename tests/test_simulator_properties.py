@@ -1,7 +1,7 @@
 """Property tests of the diagonalized state on random 1-D and 3-D grids."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from kgpair.bilinear import SpectralField
@@ -14,8 +14,6 @@ from kgpair.simulator import (
     reconstruct,
     step,
 )
-
-PROPERTY = settings(max_examples=40, deadline=None)
 
 
 @st.composite
@@ -44,7 +42,6 @@ def initial_data(draw):
 times = st.floats(0.01, 2.0)
 
 
-@PROPERTY
 @given(initial_data())
 def test_diagonalize_reconstruct_round_trip(data):
     speeds, u0, u1, wmax = data
@@ -55,7 +52,6 @@ def test_diagonalize_reconstruct_round_trip(data):
         assert np.abs(r1[s].coef - u1[s].coef).max() < 1e-13 * wmax
 
 
-@PROPERTY
 @given(initial_data(), times)
 def test_linear_step_conserves_moduli(data, dt):
     speeds, u0, u1, _ = data
@@ -66,7 +62,6 @@ def test_linear_step_conserves_moduli(data, dt):
     assert drift.max() <= 1e-14 * np.abs(state.coef).max()
 
 
-@PROPERTY
 @given(initial_data(), st.lists(times, min_size=1, max_size=3))
 def test_profile_constant_under_linear_flow(data, dts):
     speeds, u0, u1, wmax = data
