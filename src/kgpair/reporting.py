@@ -85,7 +85,8 @@ def curve_csv(columns: dict) -> str:
     lines = [",".join(names)]
     for row in rows:
         lines.append(",".join(format(float(v), ".17g") for v in row))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # trailing newline without copying the joined text again
+    return "\n".join(lines)
 
 
 def experiment_csv(record: dict) -> str:

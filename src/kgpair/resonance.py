@@ -25,6 +25,7 @@ outcome and source radius sets and the separation verdict.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -520,8 +521,9 @@ class InequalityCheck:
     ok: bool
 
 
-def _inequalities(A: float, d1: float, d2: float, d3: float, N: int) -> list[InequalityCheck]:
-    entries = [
+def _slacks(A, d1, d2, d3, N) -> list[tuple[str, str, object]]:
+    """(name, formula, slack) of the twelve inequalities; slacks broadcast over arrays."""
+    return [
         ("high_reg_absorbs_tail", "d3*(N-2) + 1/2 + 3*d1 - 1 > 0",
          d3 * (N - 2) + 0.5 + 3 * d1 - 1.0),
         ("time_ibp_boundary_gain", "9*d1 - d3*(A + 3/2 - 3*d1) > 0",
@@ -529,7 +531,7 @@ def _inequalities(A: float, d1: float, d2: float, d3: float, N: int) -> list[Ine
         ("time_ibp_bulk_gain", "1/2 + 9*d1 - d3*(A + 13/6 - 2*d1) > 0",
          0.5 + 9 * d1 - d3 * (A + 13.0 / 6.0 - 2 * d1)),
         ("space_ibp_gain", "min(3*d1 - d3*(A+2), d3*(A+2)) > 0",
-         min(3 * d1 - d3 * (A + 2), d3 * (A + 2))),
+         np.minimum(3 * d1 - d3 * (A + 2), d3 * (A + 2))),
         ("shell_shrink_beats_decay", "d2/24 - 3*d1 > 0", d2 / 24.0 - 3 * d1),
         ("near_set_blowup_margin", "1 - 3*d1 - A*d2 > 0", 1.0 - 3 * d1 - A * d2),
         ("near_set_blowup_half", "1/2 - A*d2 > 0", 0.5 - A * d2),
@@ -540,8 +542,11 @@ def _inequalities(A: float, d1: float, d2: float, d3: float, N: int) -> list[Ine
         ("weighted_time_ibp_window", "3/16 - (A+2)*d3 > 0", 3.0 / 16.0 - (A + 2) * d3),
         ("weighted_space_ibp_window", "3/16 - d3*(A+1) > 0", 3.0 / 16.0 - d3 * (A + 1)),
     ]
-    return [InequalityCheck(name, formula, float(slack), slack > 0.0)
-            for name, formula, slack in entries]
+
+
+def _inequalities(A: float, d1: float, d2: float, d3: float, N: int) -> list[InequalityCheck]:
+    return [InequalityCheck(name, formula, float(slack), bool(slack > 0.0))
+            for name, formula, slack in _slacks(A, d1, d2, d3, N)]
 
 
 def verify_budget(budget: ConstantsBudget) -> list[InequalityCheck]:
@@ -554,60 +559,50 @@ def budget_holds(budget: ConstantsBudget) -> bool:
 
 
 _N_CAP = 10**9
+# descending search grids: the first feasible point has the largest constants
+_D2_GRID = np.logspace(-0.5, -6, 56)
+_D1_GRID = np.logspace(-1, -8, 71)
+_D3_GRID = np.logspace(-2, -10, 81)
 
 
-def _minimal_regularity(d1: float, d3: float) -> int | None:
+def _minimal_regularity(d1, d3):
+    """Smallest N (as float) the two regularity inequalities allow, with a 1% margin."""
     n1 = 2.0 + (0.5 - 3.0 * d1) / d3
     n2 = 1.5 + 21.0 / (16.0 * d3)
-    need = max(n1, n2, 3.0)
-    N = int(math.ceil(need * 1.01)) + 1
-    return N if N <= _N_CAP else None
+    return np.ceil(np.maximum(np.maximum(n1, n2), 3.0) * 1.01) + 1
 
 
-def find_admissible_constants(
-    A: float,
-    n: int,
-    d2_grid=None,
-    d1_grid=None,
-    d3_grid=None,
-) -> ConstantsBudget | InfeasibleBudget:
+def find_admissible_constants(A: float, n: int) -> ConstantsBudget | InfeasibleBudget:
     """Log-grid search for (d1, d2, d3, N) satisfying all twelve inequalities.
 
-    The grids are descending so the first feasible point has the largest
-    constants; N is taken minimal for the chosen (d1, d3).  When no grid point
-    works, the result names the most binding inequality of the best candidate.
+    The grids are fixed and descending (56 d2 in [1e-6, 10^-0.5], 71 d1 in
+    [1e-8, 0.1], 81 d3 in [1e-10, 0.01]); the result is the first feasible
+    point in (d2, d1, d3) order, with N minimal for its (d1, d3).  Points with
+    d1 >= d2/72, d3*(A+2) >= 3*d1 or N > 10^9 are skipped.  Otherwise the
+    result names the most binding inequality of the first point with the
+    largest minimum slack, or of the least-constrained corner when every
+    point is skipped.  ``n`` is recorded but enters no inequality;
+    ``near_set_blowup_margin_bis`` repeats ``near_set_blowup_margin`` with
+    its terms reordered and stays because the schema pins twelve rows.
     """
-    if A <= 0.0:
-        raise ValueError("A must be positive")
+    _require_positive("A", A)
     if n < 1:
         raise ValueError("n must be a positive integer")
-    d2_grid = d2_grid if d2_grid is not None else np.logspace(-0.5, -6, 56)
-    d1_grid = d1_grid if d1_grid is not None else np.logspace(-1, -8, 71)
-    d3_grid = d3_grid if d3_grid is not None else np.logspace(-2, -10, 81)
-
-    best: tuple[float, str] | None = None
-    for d2 in d2_grid:
-        for d1 in d1_grid:
-            if d1 >= d2 / 72.0:
-                continue
-            for d3 in d3_grid:
-                if d3 * (A + 2) >= 3 * d1:
-                    continue
-                N = _minimal_regularity(d1, d3)
-                if N is None:
-                    continue
-                checks = _inequalities(A, d1, d2, d3, N)
-                min_slack = min(c.slack for c in checks)
-                if min_slack > 0.0:
-                    return ConstantsBudget(A=A, n=n, d1=float(d1), d2=float(d2),
-                                           d3=float(d3), N=N)
-                if best is None or min_slack > best[0]:
-                    binding = min(checks, key=lambda c: c.slack).name
-                    best = (min_slack, binding)
-    if best is None:
-        # every grid point was pruned; evaluate the least-constrained corner
-        d1, d2, d3 = float(min(d1_grid)), float(min(d2_grid)), float(min(d3_grid))
-        checks = _inequalities(A, d1, d2, d3, _minimal_regularity(d1, d3) or _N_CAP)
-        worst = min(checks, key=lambda c: c.slack)
-        best = (worst.slack, worst.name)
-    return InfeasibleBudget(A=A, n=n, binding=best[1], best_min_slack=best[0])
+    d1, d3 = _D1_GRID[:, None], _D3_GRID[None, :]
+    N = _minimal_regularity(d1, d3)
+    skipped = (d3 * (A + 2) >= 3 * d1) | (N > _N_CAP)
+    # the least-constrained corner stands in when every point is skipped
+    best = (-np.inf, (_D1_GRID[-1], _D2_GRID[-1], _D3_GRID[-1], min(N[-1, -1], _N_CAP)))
+    for d2 in _D2_GRID:
+        min_slack = functools.reduce(np.minimum, (s for _, _, s in _slacks(A, d1, d2, d3, N)))
+        min_slack = np.where(skipped | (d1 >= d2 / 72.0), -np.inf, min_slack)
+        i, j = np.unravel_index(np.argmax(min_slack > 0.0), min_slack.shape)
+        if min_slack[i, j] > 0.0:
+            return ConstantsBudget(A=A, n=n, d1=float(_D1_GRID[i]), d2=float(d2),
+                                   d3=float(_D3_GRID[j]), N=int(N[i, j]))
+        i, j = np.unravel_index(np.argmax(min_slack), min_slack.shape)
+        if min_slack[i, j] > best[0]:
+            best = (min_slack[i, j], (_D1_GRID[i], d2, _D3_GRID[j], N[i, j]))
+    d1, d2, d3, N = best[1]
+    worst = min(_inequalities(A, float(d1), float(d2), float(d3), int(N)), key=lambda c: c.slack)
+    return InfeasibleBudget(A=A, n=n, binding=worst.name, best_min_slack=worst.slack)

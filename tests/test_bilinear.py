@@ -272,6 +272,21 @@ def test_binary_round_trip():
     assert np.array_equal(SpectralField.from_bytes(cube.to_bytes()).coef, cube.coef)
 
 
+@given(st.data(), st.sampled_from([(1, 2), (1, 16), (1, 256), (3, 2), (3, 4)]),
+       st.floats(min_value=1e-6, max_value=1e6))
+def test_binary_round_trip_on_random_fields(data, shape, box_length):
+    dims, n = shape
+    values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=2 * n**dims, max_size=2 * n**dims))
+    parts = np.array(values).reshape(2, *(n,) * dims)
+    f = SpectralField.from_coefficients(parts[0] + 1j * parts[1], box_length)
+    blob = f.to_bytes()
+    g = SpectralField.from_bytes(blob)
+    assert (g.dims, g.n, g.box_length) == (dims, n, box_length)
+    assert np.array_equal(g.coef, f.coef)
+    assert g.to_bytes() == blob
+
+
 def test_spectrum_csv_shape():
     f = SpectralField.zeros(1, 8, 4.0)
     lines = f.spectrum_csv().strip().split("\n")

@@ -98,6 +98,9 @@ def test_invalid_flags_exit_one():
         (["cutoff-export", "--c", "5", "--cutoff", "chi-t", "--rho", "nan"], "--rho"),
         (["cutoff-export", "--c", "5", "--cutoff", "theta", "--radius-max", "-1"], "--radius-max"),
         (["operator-probe", "--trials", "-3"], "--trials"),
+        (["constants", "-A", "nan", "-n", "1"], "A must be finite and positive"),
+        (["constants", "-A", "inf", "-n", "1"], "A must be finite and positive"),
+        (["constants", "-A", "0", "-n", "1"], "A must be finite and positive"),
     ],
 )
 def test_invalid_numbers_exit_one(tmp_path, args, name):

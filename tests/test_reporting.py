@@ -3,6 +3,8 @@ import math
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kgpair.reporting import curve_csv, load_schema, sweep_csv, to_canonical_json
 from kgpair.resonance import ResonanceReport, SweepEntry, scan_all
@@ -50,6 +52,37 @@ def test_sweep_csv_layout():
 def test_curve_csv_round_trip():
     text = curve_csv({"x": [0.0, 1.0], "y": [2.0, 3.5]})
     assert text == "x,y\n0,2\n1,3.5\n"
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3])
+def test_curve_csv_matches_joined_text(rows):
+    columns = {"x": [0.1 * i for i in range(rows)], "y": [math.nan, -math.inf, 1e300][:rows]}
+    lines = ["x,y"] + [f"{format(x, '.17g')},{format(y, '.17g')}"
+                       for x, y in zip(columns["x"], columns["y"])]
+    assert curve_csv(columns) == "\n".join(lines) + "\n"
+
+
+def _nonfinite_to_none(doc):
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return None
+    if isinstance(doc, list):
+        return [_nonfinite_to_none(item) for item in doc]
+    if isinstance(doc, dict):
+        return {key: _nonfinite_to_none(value) for key, value in doc.items()}
+    return doc
+
+
+_JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_JSON_DOCS)
+def test_canonical_json_round_trip(doc):
+    assert json.loads(to_canonical_json(doc)) == _nonfinite_to_none(doc)
 
 
 def test_report_json_round_trip_through_schema():
