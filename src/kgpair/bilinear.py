@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kgpair.cutoffs import bump, edge_down
+from kgpair.reporting import curve_csv
 
 MAX_GRID_3D = 64
 MAX_DENSE_SYMBOL = 4096
@@ -204,14 +205,11 @@ class SpectralField:
 
     def spectrum_csv(self) -> str:
         """CSV dump of the spectrum: frequency coordinates, re, im."""
-        vecs = self._frequency_vectors()
-        lines = ["," .join([f"xi_{i}" for i in range(self.dims)] + ["re", "im"])]
-        flat_coef = self.coef.ravel()
-        flat_vec = vecs.reshape(-1, self.dims) if self.dims > 1 else vecs.reshape(-1, 1)
-        for row, value in zip(flat_vec, flat_coef):
-            coords = ",".join(format(x, ".17g") for x in row)
-            lines.append(f"{coords},{format(value.real, '.17g')},{format(value.imag, '.17g')}")
-        return "\n".join(lines) + "\n"
+        vecs = self._frequency_vectors().reshape(-1, self.dims)
+        columns = {f"xi_{i}": vecs[:, i] for i in range(self.dims)}
+        columns["re"] = self.coef.real.ravel()
+        columns["im"] = self.coef.imag.ravel()
+        return curve_csv(columns)
 
 
 # ---------------------------------------------------------------------------

@@ -215,21 +215,23 @@ class CutoffFamily:
 
     def _chi_S_low(self, xi, eta):
         """Step comparing first-order distances to the time- and space-resonant
-        sets, |phi| / |grad phi| and |d_eta phi| / (curvature proxy)."""
+        sets, |phi| / |grad phi| and |d_eta phi| / (curvature proxy); returns
+        the step together with |phi| and |d_eta phi|."""
         phi = np.abs(self.speeds.phase(self.idx, xi, eta))
-        # squared gradient moduli: sqrt(ge2) is |d_eta phi| bit for bit, and
-        # no (..., 3) gradient array outlives its line
+        # squared gradient moduli: the square root of the eta one is |d_eta phi|
+        # bit for bit, and no (..., 3) gradient array outlives its line
         gx2 = np.sum(self.speeds.grad_xi_phase(self.idx, xi, eta) ** 2, axis=-1)
-        ge2 = np.sum(self.speeds.grad_eta_phase(self.idx, xi, eta) ** 2, axis=-1)
-        d_time = np.minimum(phi / np.maximum(np.sqrt(gx2 + ge2), GRAD_FLOOR), TRUST_RADIUS)
+        ge = np.sum(self.speeds.grad_eta_phase(self.idx, xi, eta) ** 2, axis=-1)
+        d_time = np.minimum(phi / np.maximum(np.sqrt(gx2 + ge), GRAD_FLOOR), TRUST_RADIUS)
+        ge = np.sqrt(ge)  # rebinding frees the square: one array fewer at the peak
         hess = (_frobenius_bracket_jacobian(self.speeds, self.idx.l, eta)
                 + 2.0 * _frobenius_bracket_jacobian(self.speeds, self.idx.m, xi - eta))
-        d_space = np.minimum(np.sqrt(ge2) / np.maximum(hess, GRAD_FLOOR), TRUST_RADIUS)
+        d_space = np.minimum(ge / np.maximum(hess, GRAD_FLOOR), TRUST_RADIUS)
         d_res = np.minimum(self.dist_to_resonant_set(xi, eta), TRUST_RADIUS)
         denom = np.maximum(d_res ** (self.n + 1), 1e-300)
         with np.errstate(over="ignore"):
             arg = COMPARISON_GAIN * (d_time - d_space) / denom
-        return smooth_step(arg)
+        return smooth_step(arg), phi, ge
 
     def _chi_S_high(self, xi, eta):
         gap = np.linalg.norm(np.asarray(xi) - np.asarray(eta), axis=-1)
@@ -239,14 +241,19 @@ class CutoffFamily:
     def partition(self, xi, eta, rho: float):
         """(chi_R, chi_S, chi_T) at scale rho in one pass: chi_S is (1 - chi_R)
         times the theta blend of the low and high branches, chi_T the rest."""
+        return self._partition_and_moduli(xi, eta, rho)[:3]
+
+    def _partition_and_moduli(self, xi, eta, rho: float):
+        """``partition`` followed by |phi| and |d_eta phi|, which its low
+        branch computes anyway: (chi_R, chi_S, chi_T, |phi|, |d_eta phi|)."""
         xi = np.asarray(xi, dtype=float)
         eta = np.asarray(eta, dtype=float)
-        low = self._chi_S_low(xi, eta)  # before the 6-D theta input: lower peak memory
+        low, phi, ge = self._chi_S_low(xi, eta)  # before the 6-D theta input: lower peak memory
         blend = theta(np.concatenate(np.broadcast_arrays(xi, eta), axis=-1), self.M)
         away = blend * low + (1.0 - blend) * self._chi_S_high(xi, eta)
         chi_r = self.chi_R(xi, eta, rho)
         chi_s = (1.0 - chi_r) * away
-        return chi_r, chi_s, 1.0 - chi_r - chi_s
+        return chi_r, chi_s, 1.0 - chi_r - chi_s, phi, ge
 
     def chi_S(self, xi, eta, rho: float):
         """Cutoff localizing away from the time-resonant set."""
@@ -355,9 +362,7 @@ def bound_probe(
         )
         xs = np.concatenate([xi, extra[:, :3]], axis=0)
         es = np.concatenate([eta, extra[:, 3:]], axis=0)
-        phi = np.abs(family.speeds.phase(family.idx, xs, es))
-        ge = np.linalg.norm(family.speeds.grad_eta_phase(family.idx, xs, es), axis=-1)
-        _, chi_s, chi_t = family.partition(xs, es, rho)
+        _, chi_s, chi_t, phi, ge = family._partition_and_moduli(xs, es, rho)
         ok_phi = phi > 1e-12
         ok_ge = ge > 1e-12
         rows.append(
@@ -388,8 +393,7 @@ def bound_probe(
         ridge = np.concatenate([heta + w, heta], axis=1)
         pts = np.concatenate([generic, ridge], axis=0)
         hxi, heta = pts[:, :3], pts[:, 3:]
-        hphi = np.abs(family.speeds.phase(family.idx, hxi, heta))
-        chi_s = family.chi_S(hxi, heta, rho_list[0])
+        _, chi_s, _, hphi, _ = family._partition_and_moduli(hxi, heta, rho_list[0])
         ok = hphi > 1e-12
         ratio = np.max(chi_s[ok] / hphi[ok]) if np.any(ok) else 0.0
         hf_rows.append(

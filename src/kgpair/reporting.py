@@ -3,7 +3,8 @@
 Every floating-point number is printed with 17 significant digits (lossless
 round trip) and dictionary keys are emitted in sorted order, so identical
 inputs produce byte-identical documents.  Infinities and NaN, which strict
-JSON cannot carry, serialize as null.
+JSON cannot carry, serialize as null in JSON; CSV cells print them as nan,
+inf and -inf.
 """
 
 from __future__ import annotations
@@ -11,6 +12,10 @@ from __future__ import annotations
 import json
 import math
 from importlib import resources
+
+import numpy as np
+
+_BLOCK_ROWS = 4096  # rows per formatted block of csv_blocks
 
 
 def _format_float(value: float) -> str:
@@ -78,15 +83,38 @@ def sweep_csv(entries, tau_sep: float) -> str:
     return "\n".join(lines) + "\n"
 
 
+def csv_blocks(columns: dict):
+    """CSV text of equal-length named columns, as an iterator of pieces: the
+    header line, then blocks of at most ``_BLOCK_ROWS`` rows.
+
+    Every value is converted to float and printed as ``%.17g`` (the same text
+    as ``format(value, ".17g")``); one ``%`` operation formats a whole block.
+    The columns are checked and copied into one table before the iterator is
+    returned, so a caller may stream the pieces to a file.
+    """
+    names = list(columns)
+    with np.errstate(invalid="ignore"):  # float32 signalling NaNs print as nan
+        arrays = [np.asarray(columns[name], dtype=float) for name in names]
+    if any(array.ndim != 1 for array in arrays):
+        raise ValueError("CSV columns must be one-dimensional")
+    lengths = {name: array.size for name, array in zip(names, arrays)}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"CSV columns have unequal lengths: {lengths}")
+    table = np.stack(arrays, axis=1) if arrays else np.empty((0, 0))
+    row = ",".join(["%.17g"] * len(names)) + "\n"
+
+    def blocks():
+        yield ",".join(names) + "\n"
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start:start + _BLOCK_ROWS]
+            yield row * len(block) % tuple(block.ravel().tolist())
+
+    return blocks()
+
+
 def curve_csv(columns: dict) -> str:
     """CSV from equal-length named columns of floats."""
-    names = list(columns)
-    rows = zip(*(columns[name] for name in names))
-    lines = [",".join(names)]
-    for row in rows:
-        lines.append(",".join(format(float(v), ".17g") for v in row))
-    lines.append("")  # trailing newline without copying the joined text again
-    return "\n".join(lines)
+    return "".join(csv_blocks(columns))
 
 
 def experiment_csv(record: dict) -> str:

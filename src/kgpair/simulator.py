@@ -100,7 +100,7 @@ class SystemState:
         return self.grid.with_coef(self.coef[SPECIES.index(species), SIGNS.index(sign)])
 
     def energy(self) -> float:
-        return sum(float(np.sum(np.abs(c) ** 2)) for pair in self.coef for c in pair)
+        return float(np.vdot(self.coef, self.coef).real)
 
 
 def _bracket_weights(grid: SpectralField, speeds: SpeedPair) -> np.ndarray:
@@ -112,6 +112,25 @@ def _bracket_weights(grid: SpectralField, speeds: SpeedPair) -> np.ndarray:
 def _flow(weights: np.ndarray, dt: float) -> np.ndarray:
     """Linear propagator exp(s*i*dt*<D>_k), shape (species, sign, *grid)."""
     return np.stack([np.exp(sign * 1j * dt * weights) for sign in SIGNS], axis=1)
+
+
+# (dims, n, box_length, c_fast, dt) -> (weights, dt flow, dt/2 flow) of the
+# last key a step used: a run steps on one grid with one dt. Read-only, since
+# every step with that key shares them.
+_STEP_TABLES: dict = {}
+
+
+def _step_tables(grid: SpectralField, speeds: SpeedPair, dt: float) -> tuple:
+    """Bracket weights and the dt and dt/2 flows, built once per (grid, speeds, dt)."""
+    key = (grid.dims, grid.n, grid.box_length, speeds.c_fast, dt)
+    if key not in _STEP_TABLES:
+        _STEP_TABLES.clear()  # before building: never two sets of tables at once
+        weights = _bracket_weights(grid, speeds)
+        tables = (weights, _flow(weights, dt), _flow(weights, dt / 2.0))
+        for table in tables:
+            table.flags.writeable = False
+        _STEP_TABLES[key] = tables
+    return _STEP_TABLES[key]
 
 
 def diagonalize(u0: dict, u1: dict, speeds: SpeedPair) -> SystemState:
@@ -229,8 +248,7 @@ def step(
     if scheme not in SCHEME_ORDERS:
         raise ValueError(f"unknown scheme {scheme!r}")
     grid, u = state.grid, state.coef
-    weights = _bracket_weights(grid, state.speeds)
-    full = _flow(weights, dt)
+    weights, full, half = _step_tables(grid, state.speeds, dt)
 
     def source(coef: np.ndarray) -> np.ndarray:
         return _sources(grid, coef, weights, coeffs)
@@ -238,7 +256,6 @@ def step(
     if coeffs.is_zero():
         new = u * full
     else:
-        half = _flow(weights, dt / 2.0)
         n1 = source(u)
         n2 = source((u + dt / 2.0 * n1) * half)
         if scheme == "ifrk2":

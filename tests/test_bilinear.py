@@ -294,6 +294,27 @@ def test_spectrum_csv_shape():
     assert len(lines) == 9
 
 
+def per_row_spectrum_csv(f: SpectralField) -> str:
+    """Reference: the former per-row loop of spectrum_csv."""
+    vecs = f._frequency_vectors()
+    lines = [",".join([f"xi_{i}" for i in range(f.dims)] + ["re", "im"])]
+    flat_vec = vecs.reshape(-1, f.dims) if f.dims > 1 else vecs.reshape(-1, 1)
+    for row, value in zip(flat_vec, f.coef.ravel()):
+        coords = ",".join(format(x, ".17g") for x in row)
+        lines.append(f"{coords},{format(value.real, '.17g')},{format(value.imag, '.17g')}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("dims,n", [(1, 2), (1, 64), (3, 2), (3, 8)])
+def test_spectrum_csv_matches_per_row_reference(dims, n):
+    rng = np.random.default_rng(dims * 100 + n)
+    coef = rng.normal(size=(n,) * dims) + 1j * rng.normal(size=(n,) * dims)
+    coef.flat[0] = complex(-0.0, math.nan)
+    coef.flat[-1] = complex(math.inf, 5e-324)
+    f = SpectralField.from_coefficients(coef, 7.0)
+    assert f.spectrum_csv() == per_row_spectrum_csv(f)
+
+
 def test_grid_mismatch_rejected(grid):
     other = SpectralField.zeros(1, N, L / 2)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,10 +7,12 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from kgpair.reporting import load_schema
-from kgpair.resonance import ResonanceReport, ResonantComponent
+from kgpair.cutoffs import CutoffFamily
+from kgpair.reporting import curve_csv, load_schema
+from kgpair.resonance import ResonanceReport, ResonantComponent, scan_all
 
 GOLDEN_OUTCOMES = [0.3535533906, 0.3603654667]
 GOLDEN_SOURCES = [0.01314860997, 0.1767766953, 0.3472168567]
@@ -217,6 +220,41 @@ def test_cutoff_export_radial_and_line(tmp_path):
     rows = list(csv.DictReader(prefix2.with_suffix(".csv").open()))
     vals = [float(r["value"]) for r in rows]
     assert max(vals) == 1.0 and min(vals) == 0.0
+
+
+def test_cutoff_export_chi_t_golden(tmp_path):
+    # sha256 of both outputs as written by the per-row CSV formatter
+    prefix = tmp_path / "chit"
+    result = run_cli(
+        "cutoff-export", "--c", "5", "--cutoff", "chi-t", "--points", "100000",
+        "--output", str(prefix),
+    )
+    assert result.returncode == 0, result.stderr
+    digests = {suffix: hashlib.sha256(prefix.with_suffix(suffix).read_bytes()).hexdigest()
+               for suffix in (".csv", ".json")}
+    assert digests == {
+        ".csv": "ca7fd6efb1462c94cbed7ccec2fa449cf89a9cc68751cb1d7170bc25316511f4",
+        ".json": "e0c39bf50331806c7fad30c7477c88ec815669a0337d624180bdeb5d31b52344",
+    }
+
+
+def test_cutoff_export_line_matches_one_evaluation(tmp_path):
+    # cutoff-export evaluates 4096 points at a time; the values must equal one
+    # evaluation over all points
+    line = "0.1,0,0,0.05,0.02,0:0.3,0.1,0,0.2,0,0.1"
+    prefix = tmp_path / "line"
+    result = run_cli(
+        "cutoff-export", "--c", "11", "--cutoff", "chi-s", "--line", line,
+        "--points", "10000", "--output", str(prefix),
+    )
+    assert result.returncode == 0, result.stderr
+    family = CutoffFamily.build(scan_all(11.0))
+    t = np.linspace(0.0, 1.0, 10_000)
+    start = np.array([0.1, 0, 0, 0.05, 0.02, 0])
+    stop = np.array([0.3, 0.1, 0, 0.2, 0, 0.1])
+    pts = start[None, :] + t[:, None] * (stop - start)[None, :]
+    values = family.evaluate("chi_s", pts[:, :3], pts[:, 3:], rho=0.1)
+    assert prefix.with_suffix(".csv").read_text() == curve_csv({"t": t, "value": values})
 
 
 def test_operator_probe_deterministic(tmp_path):

@@ -18,6 +18,7 @@ from kgpair.cutoffs import (
     theta,
     theta_radial,
 )
+from kgpair.dispersion import SpeedPair
 from kgpair.resonance import scan_all
 
 
@@ -258,6 +259,37 @@ def test_partition_evaluates_chi_r_once(family, monkeypatch):
     probe = bound_probe(family, rho_list=rho_list, sample_count=1_000, seed=4)
     # once per rho on the low-frequency points, once per high-frequency shell
     assert calls == list(rho_list) + [rho_list[0]] * len(probe["high_frequency"])
+
+
+def test_bound_probe_evaluates_phase_once_per_point(family, monkeypatch):
+    points = {"phase": 0, "grad_eta_phase": 0}
+
+    def counting(name):
+        method = getattr(SpeedPair, name)
+
+        def counted(self, idx, xi, eta):
+            points[name] += np.broadcast_shapes(np.shape(xi)[:-1], np.shape(eta)[:-1])[0]
+            return method(self, idx, xi, eta)
+        return counted
+
+    for name in points:
+        monkeypatch.setattr(SpeedPair, name, counting(name))
+    rho_list = (1.0, 0.1, 0.01)
+    probe = bound_probe(family, rho_list=rho_list, sample_count=1_000, seed=4)
+    # 1000 + 500 points per rho, 2000 per high-frequency shell
+    expected = len(rho_list) * 1_500 + len(probe["high_frequency"]) * 2_000
+    assert points == {"phase": expected, "grad_eta_phase": expected}
+
+
+def test_partition_moduli_are_phase_and_eta_gradient(family):
+    rng = np.random.default_rng(43)
+    xi, eta = sample_interaction_points(family, rng, 2_000)
+    *parts, phi, ge = family._partition_and_moduli(xi, eta, 0.1)
+    for got, want in zip(parts, family.partition(xi, eta, 0.1)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(phi, np.abs(family.speeds.phase(family.idx, xi, eta)))
+    grad = family.speeds.grad_eta_phase(family.idx, xi, eta)
+    assert np.array_equal(ge, np.linalg.norm(grad, axis=-1))
 
 
 def test_near_component_points_match_per_point_loop(report5):

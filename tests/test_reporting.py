@@ -2,11 +2,12 @@ import json
 import math
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kgpair.reporting import curve_csv, load_schema, sweep_csv, to_canonical_json
+from kgpair.reporting import csv_blocks, curve_csv, load_schema, sweep_csv, to_canonical_json
 from kgpair.resonance import ResonanceReport, SweepEntry, scan_all
 
 
@@ -60,6 +61,73 @@ def test_curve_csv_matches_joined_text(rows):
     lines = ["x,y"] + [f"{format(x, '.17g')},{format(y, '.17g')}"
                        for x, y in zip(columns["x"], columns["y"])]
     assert curve_csv(columns) == "\n".join(lines) + "\n"
+
+
+def per_row_csv(columns: dict) -> str:
+    """Reference: the former curve_csv, one format() call per value, one string per row."""
+    names = list(columns)
+    rows = zip(*(columns[name] for name in names))
+    lines = [",".join(names)]
+    for row in rows:
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    lines.append("")
+    return "\n".join(lines)
+
+
+NEG_NAN = np.array([0xFFF8000000000000], dtype=np.uint64).view(np.float64)[0]
+SPECIAL_FLOATS = np.array(
+    [math.nan, NEG_NAN, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300,
+     2.2250738585072014e-308, 0.1, 1.0 / 3.0, 2.0**53 + 2.0, 1e16, 123456789.0])
+
+
+def _column(kind: str, rows: int, rng):
+    """One column of the given kind: specials, random bit patterns and normals mixed."""
+    if kind.startswith("int"):
+        values = rng.integers(-2**40, 2**40, size=rows)
+        return values if kind == "int-array" else values.tolist()
+    if kind == "float32-array":
+        return rng.integers(0, 2**32, size=rows, dtype=np.uint32).view(np.float32)
+    values = np.where(rng.uniform(size=rows) < 0.5,
+                      rng.choice(SPECIAL_FLOATS, size=rows),
+                      rng.integers(0, 2**64, size=rows, dtype=np.uint64).view(np.float64))
+    values = np.where(rng.uniform(size=rows) < 0.3, rng.normal(size=rows), values)
+    return values if kind == "float-array" else values.tolist()
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097])
+@given(
+    kinds=st.lists(st.sampled_from(["float-array", "float-list", "int-array", "int-list",
+                                    "float32-array"]), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_curve_csv_matches_per_row_reference(rows, kinds, seed):
+    rng = np.random.default_rng(seed)
+    columns = {f"col{i}": _column(kind, rows, rng) for i, kind in enumerate(kinds)}
+    expected = per_row_csv(columns)
+    assert curve_csv(columns) == expected
+    assert "".join(csv_blocks(columns)) == expected
+
+
+@given(st.lists(st.tuples(st.floats(), st.floats(width=32)), max_size=30))
+def test_curve_csv_matches_per_row_reference_on_drawn_floats(pairs):
+    columns = {"x": [x for x, _ in pairs], "y": np.array([y for _, y in pairs], dtype=np.float32)}
+    assert curve_csv(columns) == per_row_csv(columns)
+
+
+def test_csv_blocks_split_rows_into_blocks_of_4096():
+    pieces = list(csv_blocks({"x": np.arange(10_000.0)}))
+    assert pieces[0] == "x\n"
+    assert [piece.count("\n") for piece in pieces[1:]] == [4096, 4096, 1808]
+
+
+def test_curve_csv_rejects_unequal_columns():
+    # zip used to truncate to the shortest column silently
+    with pytest.raises(ValueError, match="unequal lengths"):
+        curve_csv({"x": [1.0, 2.0, 3.0], "y": [1.0, 2.0]})
+    with pytest.raises(ValueError, match="unequal lengths"):
+        csv_blocks({"x": np.zeros(4097), "y": np.zeros(4096)})
+    with pytest.raises(ValueError, match="one-dimensional"):
+        curve_csv({"x": np.zeros((2, 2))})
 
 
 def _nonfinite_to_none(doc):

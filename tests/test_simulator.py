@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from kgpair import simulator
 from kgpair.bilinear import SpectralField
 from kgpair.dispersion import SpeedPair
 from kgpair.resonance import scan_all
@@ -215,6 +217,35 @@ def test_band_energy_matches_per_field_sums(grid):
                 expected += float(np.sum(np.abs(f.coef[mask]) ** 2) * f.dxi**f.dims)
         assert expected > 0.0
         assert band_energy(state, 0.2, 0.7, species=species, sign=sign) == expected
+
+
+def test_energy_matches_per_field_sums(grid):
+    # reference: one Python-level sum per (species, sign) field
+    state, _, _ = random_state(grid, np.random.default_rng(12))
+    expected = sum(float(np.sum(np.abs(state.field(sp, sg).coef) ** 2)) for sp, sg in KEYS)
+    assert state.energy() == pytest.approx(expected, rel=1e-13)
+
+
+def test_step_builds_tables_once_per_grid_speeds_and_dt(grid, monkeypatch):
+    state, _, _ = random_state(grid, np.random.default_rng(13))
+    built = []
+    bracket_weights = simulator._bracket_weights
+
+    def counted(g, speeds):
+        built.append((g.n, speeds.c_fast))
+        return bracket_weights(g, speeds)
+
+    monkeypatch.setattr(simulator, "_bracket_weights", counted)
+    monkeypatch.setattr(simulator, "_STEP_TABLES", {})
+    for _ in range(4):
+        state = step(state, 0.1, MIXED)
+    assert built == [(N, 5.0)]
+    step(state, 0.05, MIXED)
+    step(replace(state, speeds=SpeedPair(3.0)), 0.1, MIXED)
+    assert built == [(N, 5.0), (N, 5.0), (N, 3.0)]
+    weights, full, half = simulator._step_tables(grid, state.speeds, 0.1)
+    assert not any(table.flags.writeable for table in (weights, full, half))
+    assert len(simulator._STEP_TABLES) == 1
 
 
 def test_blow_up_guard_trips(grid):
