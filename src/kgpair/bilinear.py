@@ -35,6 +35,12 @@ from kgpair.reporting import curve_csv
 
 MAX_GRID_3D = 64
 MAX_DENSE_SYMBOL = 4096
+PROFILE_N = 1 << 16  # fine lattice of profile_l1_constant
+# Hoelder exponents (p, q, r) of holder_bound_probe
+HOLDER_EXPONENTS = ((2.0, 2.0, 1.0), (4.0, 4.0, 2.0), (6.0, 3.0, 2.0))
+# localized 3-D field of shell_weighted_ratio: points per axis and box length
+SHELL_N = 64
+SHELL_BOX = 128.0
 
 
 class TruncationWarning(UserWarning):
@@ -278,8 +284,7 @@ class SymbolGrid:
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "SymbolGrid":
-        return cls(factor_eta=lambda freqs: np.full(_leading_shape(freqs), value),
-                   factor_diff=None)
+        return cls(factor_eta=lambda freqs: value, factor_diff=None)
 
     @classmethod
     def from_table(cls, table) -> "SymbolGrid":
@@ -306,6 +311,13 @@ class SymbolGrid:
             out = self.table
         elif self.fn is not None:
             out = np.asarray(self.fn(xi[:, None], xi[None, :]), dtype=complex)
+            try:
+                out = np.broadcast_to(out, (n, n))
+            except ValueError:
+                raise ValueError(
+                    f"symbol callable returned shape {out.shape}, which does not "
+                    f"broadcast to ({n}, {n})"
+                ) from None
         else:
             diff_idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
             eta_part = self._eval_factor(self.factor_eta, xi)[None, :]
@@ -324,15 +336,14 @@ class SymbolGrid:
         """
         key = ("support", grid.n, grid.box_length)
         if key not in self._cache:
-            n = grid.n
-            table = np.broadcast_to(self.materialize(grid), (n, n))
+            table = self.materialize(grid)
             entries, cols = np.nonzero(table)
             starts = np.flatnonzero(np.diff(entries, prepend=-1))
             self._cache[key] = (
                 entries[starts],
                 starts,
                 cols,
-                (entries - cols) % n,
+                (entries - cols) % grid.n,
                 table[entries, cols],
             )
         return self._cache[key]
@@ -341,7 +352,7 @@ class SymbolGrid:
     def _eval_factor(factor, freqs):
         if factor is None:
             return np.ones(_leading_shape(freqs), dtype=complex)
-        return np.asarray(factor(freqs), dtype=complex)
+        return np.broadcast_to(np.asarray(factor(freqs), dtype=complex), _leading_shape(freqs))
 
 
 def pseudo_product(symbol: SymbolGrid, f: SpectralField, g: SpectralField) -> SpectralField:
@@ -370,12 +381,12 @@ def pseudo_product(symbol: SymbolGrid, f: SpectralField, g: SpectralField) -> Sp
     return f.with_coef(out * const)
 
 
-def symbol_l1_norm(symbol: SymbolGrid, grid: SpectralField, boundary_tol: float = 0.01) -> float:
+def symbol_l1_norm(symbol: SymbolGrid, grid: SpectralField) -> float:
     """Sharp discrete operator-bound constant: the l1 sum of the symbol's
     inverse-DFT coefficients on the product lattice.
 
-    Warns when more than ``boundary_tol`` of the coefficient mass sits at the
-    edge of the lattice (the truncated symbol is then unreliable).
+    Warns when more than 1 % of the coefficient mass sits at the edge of the
+    lattice (the truncated symbol is then unreliable).
     """
     table = symbol.materialize(grid)
     coeffs = np.abs(np.fft.ifft2(table))
@@ -384,7 +395,7 @@ def symbol_l1_norm(symbol: SymbolGrid, grid: SpectralField, boundary_tol: float 
     idx = np.minimum(np.arange(n), n - np.arange(n))
     outer = idx > (3 * n) // 8
     boundary = float(coeffs[outer, :].sum() + coeffs[:, outer].sum() - coeffs[np.ix_(outer, outer)].sum())
-    if total > 0.0 and boundary / total > boundary_tol:
+    if total > 0.0 and boundary / total > 0.01:
         warnings.warn(
             f"{boundary / total:.1%} of the symbol coefficient mass is at the "
             "lattice boundary; the bound constant may be truncated",
@@ -394,13 +405,14 @@ def symbol_l1_norm(symbol: SymbolGrid, grid: SpectralField, boundary_tol: float 
     return total
 
 
-def profile_l1_constant(profile, rho: float, n: int = 1 << 16, dxi: float = 1.25e-4) -> float:
+def profile_l1_constant(profile, rho: float) -> float:
     """Operator-bound constant of the one-variable ridge profile chi(./rho).
 
     For m(xi, eta) = chi((xi - lambda*eta)/rho) with lattice-commensurable
-    lambda, the 2-D coefficient sum collapses to this 1-D inverse-DFT sum.
+    lambda, the 2-D coefficient sum collapses to this 1-D inverse-DFT sum,
+    taken on the fine lattice of PROFILE_N points at spacing 1.25e-4.
     """
-    xi = dxi * np.fft.fftfreq(n, d=1.0 / n)
+    xi = 1.25e-4 * np.fft.fftfreq(PROFILE_N, d=1.0 / PROFILE_N)
     return float(np.abs(np.fft.ifft(profile(xi / rho))).sum())
 
 
@@ -417,31 +429,20 @@ def snap_lambda(lam: float) -> tuple[float, float]:
 # Probes
 # ---------------------------------------------------------------------------
 
-def bernstein_check(
-    j: int,
-    p: float,
-    q: float,
-    trials: int = 100,
-    seed: int = 0,
-    n: int = 2048,
-    box_length: float = 64.0,
-    dims: int = 1,
-) -> float:
-    """Max over random band fields of ||P_j f||_p / (2^{d j (1/q - 1/p)} ||P_j f||_q).
+def bernstein_check(j: int, p: float, q: float, trials: int = 100, seed: int = 0) -> float:
+    """Max over random band fields of ||P_j f||_p / (2^{j (1/q - 1/p)} ||P_j f||_q).
 
-    The normalizing exponent uses the grid dimension d; on 3-D grids it is
-    the classical 3j(1/q - 1/p) form.  Trial fields are random superpositions
-    of wave packets at scale 2^j, drawn self-similarly so that ratios are
-    comparable across j.
+    The fields live on the 1-D grid of 2048 points on a box of length 64.
+    Trial fields are random superpositions of wave packets at scale 2^j,
+    drawn self-similarly so that ratios are comparable across j.
     """
     if not (1 <= q <= p):
         raise ValueError("need 1 <= q <= p")
-    _check_grid(n, dims)
-    dxi = 2.0 * math.pi / box_length
-    if 2.0 * 2**j > (n / 2) * dxi:
+    base = SpectralField.zeros(1, 2048, 64.0)
+    if 2.0 * 2**j > (base.n / 2) * base.dxi:
         raise ValueError("annulus for this j is not representable on the grid")
     best = 0.0
-    base = SpectralField.zeros(dims, n, box_length)
+    axis = base.frequency_axis()
     norms = base.frequency_norms()
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
     for t in range(trials):
@@ -450,19 +451,15 @@ def bernstein_check(
         for _ in range(3):
             center = 2.0**j * rng.uniform(1.05, 1.45)
             width = 2.0**j * rng.uniform(0.05, 0.12)
-            x0 = rng.uniform(0.0, box_length)
+            x0 = rng.uniform(0.0, base.box_length)
             amp = rng.uniform(0.3, 1.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
             envelope = np.exp(-((norms - center) ** 2) / (2.0 * width**2))
-            if dims == 1:
-                axis = base.frequency_axis()
-                coef += amp * envelope * np.exp(-1j * axis * x0) * (axis > 0)
-            else:
-                coef += amp * envelope
+            coef += amp * envelope * np.exp(-1j * axis * x0) * (axis > 0)
         f = lp_project(base.with_coef(coef), j, mode="annulus")
         denom = f.lp_norm(q)
         if denom == 0.0:
             continue
-        ratio = f.lp_norm(p) / (2.0 ** (dims * j * (1.0 / q - inv_p)) * denom)
+        ratio = f.lp_norm(p) / (2.0 ** (j * (1.0 / q - inv_p)) * denom)
         best = max(best, ratio)
     return best
 
@@ -473,29 +470,22 @@ def _packet_field(grid: SpectralField, center: float, width: float, x0: float) -
     return grid.with_coef(coef.astype(complex))
 
 
-def ridge_bound_probe(
-    rho_list=(1.0, 1e-1, 1e-2),
-    lam: float = 2.0,
-    n: int = 1024,
-    box_length: float = 1310.72,
-    trials: int = 12,
-    seed: int = 0,
-    exponents=(4.0, 4.0, 2.0),
-) -> dict:
+def ridge_bound_probe(trials: int = 12, seed: int = 0) -> dict:
     """Uniformity-in-rho probe for the translation-type symbol chi((xi - lam*eta)/rho).
 
-    For each rho: the fine-lattice profile constant (the theoretical bound),
-    the same-grid constant (the sharp bound for the discrete operator), and
-    the measured operator ratio over ridge-adapted packet pairs plus random
-    fields.  The continuum bound is rho-independent; adapted measurements
-    inherit that uniformity.
+    For each rho in (1, 0.1, 0.01): the fine-lattice profile constant (the
+    theoretical bound), the same-grid constant (the sharp bound for the
+    discrete operator), and the measured L^4 x L^4 -> L^2 operator ratio over
+    ridge-adapted packet pairs plus random fields, with lam = 2 on the 1-D
+    grid of 1024 points on a box of length 1310.72.  The continuum bound is
+    rho-independent; adapted measurements inherit that uniformity.
     """
-    lam, lam_err = snap_lambda(lam)
-    p, q, r = exponents
-    grid = SpectralField.zeros(1, n, box_length)
-    dxi = grid.dxi
+    lam, lam_err = snap_lambda(2.0)
+    p, q, r = 4.0, 4.0, 2.0
+    grid = SpectralField.zeros(1, 1024, 1310.72)
+    n, dxi = grid.n, grid.dxi
     rows = []
-    for rho in rho_list:
+    for rho in (1.0, 1e-1, 1e-2):
         symbol = SymbolGrid.from_callable(lambda xi, eta, rho=rho: bump((xi - lam * eta) / rho))
         k_fine = profile_l1_constant(bump, rho)
         with warnings.catch_warnings():
@@ -520,7 +510,7 @@ def ridge_bound_probe(
             adapted = max(adapted, t1.lp_norm(r) / (f1.lp_norm(p) * g1.lp_norm(q)))
             if width >= 2.0 * dxi:
                 # rho-scaled packet pair, co-located so the packets interact
-                x0 = rng.uniform(0.0, box_length)
+                x0 = rng.uniform(0.0, grid.box_length)
                 f = _packet_field(grid, eta0, width, x0)
                 g = _packet_field(grid, (lam - 1.0) * eta0, width, x0)
                 tm = pseudo_product(symbol, f, g)
@@ -550,57 +540,45 @@ def ridge_bound_probe(
     }
 
 
-def shell_weighted_ratio(
-    R: float,
-    rho: float,
-    s: float,
-    n: int = 64,
-    box_length: float = 128.0,
-    sigma_x: float = 1.5,
-) -> float:
-    """Measured ||chi((|D|-R)/rho) f||_2 / || |x|^s f ||_2 on a localized 3-D field."""
-    grid_x = (np.arange(n) - n / 2.0) * (box_length / n)
+def shell_weighted_ratio(R: float, rho: float, s: float) -> float:
+    """Measured ||chi((|D|-R)/rho) f||_2 / || |x|^s f ||_2 on a localized 3-D
+    field: a Gaussian of width 1.5 on the SHELL_N^3 grid of the SHELL_BOX box."""
+    h = SHELL_BOX / SHELL_N
+    grid_x = (np.arange(SHELL_N) - SHELL_N / 2.0) * h
     xg, yg, zg = np.meshgrid(grid_x, grid_x, grid_x, indexing="ij")
     r2 = xg**2 + yg**2 + zg**2
-    values = np.exp(-r2 / (2.0 * sigma_x**2))
-    f = SpectralField.from_physical(values, box_length)
+    values = np.exp(-r2 / (2.0 * 1.5**2))
+    f = SpectralField.from_physical(values, SHELL_BOX)
     shell = f.apply_multiplier(lambda v: bump((np.linalg.norm(v, axis=-1) - R) / rho))
-    weighted = float(
-        math.sqrt(np.sum(r2**s * np.abs(values) ** 2) * (box_length / n) ** 3)
-    )
+    weighted = float(math.sqrt(np.sum(r2**s * np.abs(values) ** 2) * h**3))
     return shell.spectral_l2() / weighted
 
 
 def holder_bound_probe(
-    symbols: dict | None = None,
-    n: int = 128,
-    box_length: float = 64.0,
-    pairs: int = 100,
-    seed: int = 0,
-    exponent_triples=((2.0, 2.0, 1.0), (4.0, 4.0, 2.0), (6.0, 3.0, 2.0)),
+    n: int = 128, box_length: float = 64.0, pairs: int = 100, seed: int = 0
 ) -> dict:
     """Measured operator ratios against the discrete bound constant.
 
-    Returns, per symbol and exponent triple, the maximum ratio
+    Returns, per symbol of ``default_probe_symbols(seed)`` and exponent
+    triple of HOLDER_EXPONENTS, the maximum ratio
     ||T_m(f,g)||_r / (l1(m^) ||f||_p ||g||_q) over random field pairs; the
     discrete bound guarantees the ratio stays below 1 up to roundoff.
     """
     grid = SpectralField.zeros(1, n, box_length)
-    if symbols is None:
-        symbols = default_probe_symbols(seed)
+    symbols = default_probe_symbols(seed)
     rng = np.random.default_rng(seed)
     fields = []
     for _ in range(pairs):
         f = grid.with_coef(rng.normal(size=n) + 1j * rng.normal(size=n))
         g = grid.with_coef(rng.normal(size=n) + 1j * rng.normal(size=n))
         fields.append((f, g))
-    f_norms = {p: [f.lp_norm(p) for f, _ in fields] for p in {t[0] for t in exponent_triples}}
-    g_norms = {q: [g.lp_norm(q) for _, g in fields] for q in {t[1] for t in exponent_triples}}
+    f_norms = {p: [f.lp_norm(p) for f, _ in fields] for p in {t[0] for t in HOLDER_EXPONENTS}}
+    g_norms = {q: [g.lp_norm(q) for _, g in fields] for q in {t[1] for t in HOLDER_EXPONENTS}}
     results = []
     for name, symbol in symbols.items():
         constant = symbol_l1_norm(symbol, grid)
         products = [pseudo_product(symbol, f, g) for f, g in fields]
-        for p, q, r in exponent_triples:
+        for p, q, r in HOLDER_EXPONENTS:
             worst = 0.0
             for tm, f_p, g_q in zip(products, f_norms[p], g_norms[q]):
                 worst = max(worst, tm.lp_norm(r) / (constant * f_p * g_q))

@@ -108,14 +108,22 @@ def _frobenius_bracket_jacobian(speeds: SpeedPair, tag: str, w):
 
 @dataclass(frozen=True)
 class CutoffFamily:
-    """Evaluable cutoff family tied to one phase of a separated report."""
+    """Evaluable cutoff family of one phase of a separated report.
+
+    The report and the phase index determine the family. M = max(2, 2.5 *
+    largest 6-radius of a component) keeps every component inside B(0, M/2),
+    n is the largest zero order, and the bump support radius
+    delta0 / (4 (1 + max |lambda|)), the maximum over this phase's
+    components, keeps the chi_R support inside B_{2 delta0}(R) and inside the
+    region where chi_O equals 1 for every rho <= 1.
+    """
 
     report: ResonanceReport
     idx: PhaseIndex
-    M: float
-    delta0: float
-    n: int
-    support_radius: float
+    M: float = field(init=False)
+    delta0: float = field(init=False)
+    n: int = field(init=False)
+    support_radius: float = field(init=False)
     components: tuple = field(init=False)
     speeds: SpeedPair = field(init=False)
     high_freq_offset: float = field(init=False)
@@ -123,60 +131,29 @@ class CutoffFamily:
     def __post_init__(self):
         if not self.report.separated:
             raise ValueError("cutoff family requires a separated resonance report")
-        if self.delta0 <= 0.0 or self.M <= 0.0 or self.n < 1:
-            raise ValueError("delta0 and M must be positive and n >= 1")
-        comps = tuple(c for c in self.report.components if c.idx == self.idx)
+        report = self.report
+        comps = tuple(c for c in report.components if c.idx == self.idx)
+        radius6 = max(c.R * math.sqrt(1.0 + c.lam * c.lam) for c in report.components)
+        lam_max = max((abs(c.lam) for c in comps), default=0.0)
+        object.__setattr__(self, "M", max(2.0, 2.5 * radius6))
+        object.__setattr__(self, "delta0", float(report.delta0))
+        object.__setattr__(self, "n", max(c.order for c in report.components))
+        object.__setattr__(self, "support_radius", report.delta0 / (4.0 * (1.0 + lam_max)))
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "speeds", SpeedPair(self.report.c))
-        c = self.report.c
+        object.__setattr__(self, "speeds", SpeedPair(report.c))
+        c = report.c
         object.__setattr__(self, "high_freq_offset", 1.0 / math.sqrt(abs(c**4 - c**2)))
-        for comp in self.report.components:
-            radius6 = comp.R * math.sqrt(1.0 + comp.lam * comp.lam)
-            if radius6 > self.M / 2.0:
-                raise ValueError(
-                    f"component at 6-radius {radius6:.6g} falls outside B(0, M/2)"
-                )
 
     @classmethod
-    def build(
-        cls,
-        report: ResonanceReport,
-        idx: PhaseIndex | str | None = None,
-        M: float | None = None,
-        n: int | None = None,
-        support_radius: float | None = None,
-    ) -> "CutoffFamily":
-        """Construct a family with defaults derived from the report.
-
-        The bump support radius defaults to delta0 / (4 (1 + max |lambda|))
-        so that for every rho <= 1 the chi_R support stays inside
-        B_{2 delta0}(R) and inside the region where chi_O equals 1.
-        """
+    def build(cls, report: ResonanceReport, idx: PhaseIndex | str | None = None) -> "CutoffFamily":
+        """The family of phase ``idx`` (default: that of the report's first component)."""
         if not report.components:
             raise ValueError("report has no resonant components to adapt to")
         if idx is None:
             idx = report.components[0].idx
         elif isinstance(idx, str):
             idx = PhaseIndex.parse(idx)
-        if M is None:
-            radius6 = max(
-                c.R * math.sqrt(1.0 + c.lam * c.lam) for c in report.components
-            )
-            M = max(2.0, 2.5 * radius6)
-        if n is None:
-            n = max(c.order for c in report.components)
-        if support_radius is None:
-            lams = [abs(c.lam) for c in report.components if c.idx == idx]
-            lam_max = max(lams) if lams else 0.0
-            support_radius = report.delta0 / (4.0 * (1.0 + lam_max))
-        return cls(
-            report=report,
-            idx=idx,
-            M=float(M),
-            delta0=float(report.delta0),
-            n=int(n),
-            support_radius=float(support_radius),
-        )
+        return cls(report=report, idx=idx)
 
     # -- output-frequency pair ------------------------------------------------
 
@@ -318,17 +295,15 @@ def _near_component_points(family: CutoffFamily, rng, count: int, spreads):
     return base + rng.normal(size=(count, 6)) * spread[:, None]
 
 
-def sample_interaction_points(
-    family: CutoffFamily, rng, count: int, near_fraction: float = 0.4, scale: float | None = None
-):
-    """Mixture of uniform points in B(0, M) and points near the resonant set.
+def sample_interaction_points(family: CutoffFamily, rng, count: int):
+    """Mixture of uniform points in B(0, M) and, 40 % of them, points near the
+    resonant set.
 
     The near-set spreads go down to the bump support scale so the chi_R
     region is actually exercised.
     """
-    scale = family.M if scale is None else scale
-    n_near = int(count * near_fraction) if family.components else 0
-    out = [_sample_ball(rng, count - n_near, scale)]
+    n_near = int(count * 0.4) if family.components else 0
+    out = [_sample_ball(rng, count - n_near, family.M)]
     if n_near:
         s = family.support_radius
         spreads = [1e-1, 1e-2, 1e-3, 1e-4, 30 * s, 3 * s, s, 0.3 * s,
@@ -343,13 +318,13 @@ def bound_probe(
     rho_list=(1.0, 1e-1, 1e-2),
     sample_count: int = 10_000,
     seed: int = 0,
-    high_freq_radius: float = 1e3,
 ) -> dict:
     """Monte-Carlo sup estimates of the singular symbol magnitudes.
 
     Estimates sup |chi_S^rho / phi| and sup |chi_T^rho / |d_eta phi|| over
     B(0, M), fits the growth exponent in 1/rho, and samples the high-frequency
-    region where the bound should be polynomial in |(xi, eta)|.
+    region, on shells out to radius 1000, where the bound should be
+    polynomial in |(xi, eta)|.
     """
     rng = np.random.default_rng(seed)
     xi, eta = sample_interaction_points(family, rng, sample_count)
@@ -379,7 +354,7 @@ def bound_probe(
     # high-frequency shells: the ratio against (1 + |p|)^n stays bounded.
     # half the samples sit on the near-diagonal ridge where the high branch
     # of chi_S is supported, the rest are generic directions.
-    shells = np.geomspace(family.M + 1.0, high_freq_radius, 6)
+    shells = np.geomspace(family.M + 1.0, 1e3, 6)
     hf_rows = []
     for radius in shells:
         direction = rng.normal(size=(1000, 6))

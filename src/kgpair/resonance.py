@@ -348,6 +348,9 @@ class ResonanceReport:
         c: |Z(R)| and the gap between lambda and the colinearity ratio at R
         are at most ``REPORT_Z_TOL`` relative to the brackets and to lambda.
         Its order and tangent flag must be those of the nearest zero solved for.
+        Every component that ``scan_all`` finds at the report's c and r_max must
+        be the nearest zero of one of the report's components: a report that
+        leaves one out is rejected.
         """
         schema = doc.get("schema") if isinstance(doc, dict) else None
         if schema != "resonance-report/1":
@@ -364,8 +367,8 @@ class ResonanceReport:
         if wrong:
             raise ValueError(f"report keys {', '.join(wrong)} disagree with its components")
         speeds = SpeedPair(report.c)
-        solved = {idx: find_resonant_components(speeds, idx, report.r_max)
-                  for idx in dict.fromkeys(comp.idx for comp in report.components)}
+        roots = scan_all(report.c, report.r_max).components
+        matched = set()
         for comp in report.components:
             lam = float(space_resonance_lambda(speeds, comp.idx, comp.R))
             z = float(time_resonance_gap(speeds, comp.idx, comp.R))
@@ -375,12 +378,20 @@ class ResonanceReport:
                     f"report component {comp.idx.serialize()!r} at R = {comp.R!r}, "
                     f"lambda = {comp.lam!r} is not a zero of Z at c = {report.c!r}"
                 )
-            root = min(solved[comp.idx], key=lambda r: abs(r.R - comp.R), default=None)
+            root = min((r for r in roots if r.idx == comp.idx), key=lambda r: abs(r.R - comp.R),
+                       default=None)
             if root is None or (root.order, root.tangent) != (comp.order, comp.tangent):
                 found = "no zero" if root is None else f"order {root.order}, tangent {root.tangent}"
                 raise ValueError(
                     f"report component {comp.idx.serialize()!r} at R = {comp.R!r} has "
                     f"order {comp.order}, tangent {comp.tangent}; the solver finds {found}"
+                )
+            matched.add(root)
+        for root in roots:
+            if root not in matched:
+                raise ValueError(
+                    f"report omits component {root.idx.serialize()!r} at R = {root.R!r}, "
+                    f"which the solver finds at c = {report.c!r}"
                 )
         return report
 

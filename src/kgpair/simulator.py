@@ -228,6 +228,8 @@ def _sources(
 
 
 SCHEME_ORDERS = {"ifrk4": 4, "ifrk2": 2}
+# largest relative growth of the quadratic energy that one step may show
+ENERGY_GUARD = 0.1
 
 
 def step(
@@ -235,16 +237,15 @@ def step(
     dt: float,
     coeffs: NonlinearityCoefficients,
     scheme: str = "ifrk4",
-    energy_guard: float = 0.1,
 ) -> SystemState:
     """One integrating-factor Runge-Kutta step.
 
     The linear flow is exact; the source terms use the classical explicit
     stages of the requested order.  A relative jump of the quadratic energy
-    beyond ``energy_guard``, or a non-finite energy, raises ``BlowUpError``.
+    beyond ``ENERGY_GUARD``, or a non-finite energy, raises ``BlowUpError``.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     if scheme not in SCHEME_ORDERS:
         raise ValueError(f"unknown scheme {scheme!r}")
     grid, u = state.grid, state.coef
@@ -269,7 +270,7 @@ def step(
     new_state = replace(state, t=state.t + dt, coef=new)
     if not coeffs.is_zero():
         before, after = state.energy(), new_state.energy()
-        if not math.isfinite(after) or after > (1.0 + energy_guard) * max(before, 1e-300):
+        if not math.isfinite(after) or after > (1.0 + ENERGY_GUARD) * max(before, 1e-300):
             raise BlowUpError(
                 f"energy jumped {after / max(before, 1e-300):.3f}x in one step at t = {state.t:.6g}",
                 state,

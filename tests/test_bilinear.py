@@ -155,6 +155,26 @@ def test_symbol_l1_constant_and_tensor(grid):
     assert symbol_l1_norm(SymbolGrid.separable(a, b), grid) == pytest.approx(one_d, abs=1e-8)
 
 
+def test_callable_symbol_table_is_n_by_n(grid):
+    for one in (SymbolGrid.from_callable(lambda xi, eta: 1.0),
+                SymbolGrid.separable(lambda freqs: 1.0, None)):
+        assert one.materialize(grid).shape == (N, N)
+        assert symbol_l1_norm(one, grid) == symbol_l1_norm(SymbolGrid.constant(1.0), grid)
+        assert symbol_l1_norm(one, grid) == pytest.approx(1.0, abs=1e-12)
+    # depends on xi only: the callable returns an (n, 1) column
+    column = SymbolGrid.from_callable(lambda xi, eta: bump(xi / 3.0))
+    xi = grid.frequency_axis()
+    table = np.repeat(bump(xi / 3.0)[:, None], N, axis=1)
+    assert np.array_equal(column.materialize(grid), table)
+    assert symbol_l1_norm(column, grid) == symbol_l1_norm(SymbolGrid.from_table(table), grid)
+    rng = np.random.default_rng(2)
+    f, g = random_field(grid, rng), random_field(grid, rng)
+    assert np.array_equal(pseudo_product(column, f, g).coef,
+                          pseudo_product(SymbolGrid.from_table(table), f, g).coef)
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        SymbolGrid.from_callable(lambda xi, eta: np.ones(3)).materialize(grid)
+
+
 def test_truncation_warning(grid):
     rough = SymbolGrid.from_callable(
         lambda xi, eta: np.where(np.abs(xi - eta) < 0.1, 1.0, 0.0)

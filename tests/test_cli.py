@@ -144,10 +144,24 @@ def _forge_order(doc):
         comp.update(order=40, tangent=True)
 
 
+def _omit_component(doc):
+    # at c = 150 the tiny cc1+-- zero spoils the separation; dropping it and
+    # rebuilding every derived key gives a report that claims separated: true
+    full = scan_all(150.0)
+    forged = ResonanceReport.from_components(
+        full.c, (comp for comp in full.components if comp.idx.serialize() != "cc1+--"),
+        full.tau_sep, full.r_max, full.grid_step,
+    )
+    assert not full.separated and forged.separated
+    doc.clear()
+    doc.update(forged.to_dict())
+
+
 @pytest.mark.parametrize(
     "tamper, name",
     [(_tamper_grid_step, "grid_step"), (_tamper_outcome, "outcome_radii"), (_tamper_radius, "R = -1"),
-     (_forge_component, "not a zero of Z"), (_forge_order, "order 40, tangent True")],
+     (_forge_component, "not a zero of Z"), (_forge_order, "order 40, tangent True"),
+     (_omit_component, "omits component 'cc1+--'")],
 )
 def test_cutoff_export_rejects_tampered_report(tmp_path, tamper, name):
     report = tmp_path / "report.json"

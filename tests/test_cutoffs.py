@@ -338,6 +338,31 @@ def partition_point(draw):
     return family, point[:3], point[3:], rho
 
 
+@given(st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 90.0)))
+def test_family_is_derived_from_its_report(c):
+    report = scan_all(c)
+    for index in report.resonant_indices:
+        family = CutoffFamily.build(report, idx=index)
+        radii6 = [comp.R * math.sqrt(1.0 + comp.lam**2) for comp in report.components]
+        assert max(radii6) <= family.M / 2.0
+        lam_max = max(abs(comp.lam) for comp in family.components)
+        assert family.support_radius * (1.0 + lam_max) == pytest.approx(
+            report.delta0 / 4.0, rel=4 * np.finfo(float).eps)
+        # the formulas of the constructor fields that the family now derives
+        expected = {
+            "M": float(max(2.0, 2.5 * max(radii6))),
+            "delta0": float(report.delta0),
+            "n": int(max(comp.order for comp in report.components)),
+            "support_radius": float(report.delta0 / (4.0 * (1.0 + lam_max))),
+        }
+        params = family.parameters()
+        assert {key: params[key] for key in expected} == expected
+        assert params["index"] == index
+        assert params["components"] == [comp.to_dict() for comp in family.components]
+    with pytest.raises(TypeError):
+        CutoffFamily(report=report, idx=family.idx, M=family.M)
+
+
 @given(partition_point())
 def test_partition_matches_named_cutoffs(case):
     family, xi, eta, rho = case

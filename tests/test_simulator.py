@@ -266,6 +266,15 @@ def test_blow_up_guard_trips_on_non_finite_energy(grid):
     assert info.value.state is huge
 
 
+@pytest.mark.parametrize("coeffs", [NonlinearityCoefficients.zero(), MIXED], ids=["zero", "mixed"])
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_step_rejects_dt_not_finite_and_positive(grid, dt, coeffs):
+    # a nan or inf dt is an input error, not an all-NaN state or a blow-up
+    state, _, _ = random_state(grid, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        step(state, dt, coeffs)
+
+
 @pytest.fixture(scope="module")
 def report5():
     return scan_all(5.0)
