@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,8 @@ def _parse_segment(text: str):
         raise ValueError("segment must look like 'x0,..,x5:y0,..,y5'") from None
     if start.size != 6 or stop.size != 6:
         raise ValueError("segment endpoints need six coordinates each")
+    if not (np.isfinite(start).all() and np.isfinite(stop).all()):
+        raise ValueError(f"segment coordinates must be finite, got {text!r}")
     return start, stop
 
 
@@ -274,21 +277,37 @@ def cmd_operator_probe(args) -> int:
     return EXIT_OK
 
 
-def _coerce(value: str):
+# simulate config keys and their types; a key left out takes the default of
+# scan_all, NonlinearityCoefficients or run_resonant_amplification
+_CONFIG_TYPES = {
+    "c": float, "r_max": float, "grid_step": float, "tau_sep": float, "report_path": str,
+    "alpha": float, "beta": float, "gamma": float, "delta": float, "eps": float, "zeta": float,
+    "n": int, "box_length": float, "dt": float, "t_final": float, "amplitude": float,
+    "bandwidth": float, "detune_factor": float, "band_halfwidth_factor": float,
+    "sample_every": int, "scheme": str, "probe_factor": float,
+}
+
+
+def _config_value(key: str, text: str):
+    """``text`` as the type of ``key``; an int key takes integral numerals such as 256.0."""
+    kind = _CONFIG_TYPES[key]
+    if kind is str:
+        return text
     try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"config key {key} must be a number, got {text!r}") from None
+    if kind is int:
+        if not value.is_integer():
+            raise ValueError(f"config key {key} must be an integer, got {text!r}")
         return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        return value
+    return value
 
 
 def parse_config(path: Path) -> dict:
     if not path.exists():
         raise ValueError(f"config file {path} does not exist")
-    data = {}
+    lines = {}
     for lineno, raw in enumerate(path.read_text("utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -296,40 +315,27 @@ def parse_config(path: Path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        data[key.strip()] = _coerce(value.strip())
-    return data
-
-
-_SIM_KEYS = {
-    "n", "box_length", "dt", "t_final", "amplitude", "bandwidth",
-    "detune_factor", "band_halfwidth_factor", "sample_every", "scheme",
-    "probe_factor",
-}
-_COEFF_KEYS = {"alpha", "beta", "gamma", "delta", "eps", "zeta"}
-_SCAN_KEYS = {"c", "r_max", "grid_step", "tau_sep", "report_path", "seed"}
+        lines[key.strip()] = value.strip()
+    unknown = set(lines) - set(_CONFIG_TYPES)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    return {key: _config_value(key, text) for key, text in lines.items()}
 
 
 def cmd_simulate(args) -> int:
     config = parse_config(args.config)
-    unknown = set(config) - _SIM_KEYS - _COEFF_KEYS - _SCAN_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    if "report_path" in config:
-        report = ResonanceReport.from_dict(
-            json.loads(Path(config["report_path"]).read_text("utf-8"))
-        )
-    elif "c" in config:
-        report = scan_all(
-            float(config["c"]),
-            r_max=float(config.get("r_max", 100.0)),
-            grid_step=float(config.get("grid_step", 1e-3)),
-            tau_sep=float(config.get("tau_sep", 1e-6)),
-        )
+    scan = {key: config.pop(key) for key in ("r_max", "grid_step", "tau_sep") if key in config}
+    report_path, c = config.pop("report_path", None), config.pop("c", None)
+    if report_path is not None:
+        report = ResonanceReport.from_dict(json.loads(Path(report_path).read_text("utf-8")))
+    elif c is not None:
+        report = scan_all(c, **scan)
     else:
         raise ValueError("config must set either c or report_path")
-    coeffs = NonlinearityCoefficients(**{k: float(config.get(k, 0.0)) for k in _COEFF_KEYS})
-    kwargs = {k: config[k] for k in _SIM_KEYS if k in config}
-    record = run_resonant_amplification(report, coeffs, **kwargs)
+    coeffs = NonlinearityCoefficients(
+        **{f.name: config.pop(f.name) for f in fields(NonlinearityCoefficients) if f.name in config}
+    )
+    record = run_resonant_amplification(report, coeffs, **config)
     args.output.with_suffix(".json").write_text(
         to_canonical_json(record), encoding="utf-8"
     )

@@ -132,6 +132,8 @@ class CutoffFamily:
         if not self.report.separated:
             raise ValueError("cutoff family requires a separated resonance report")
         report = self.report
+        if not report.components:
+            raise ValueError("report has no resonant components to adapt to")
         comps = tuple(c for c in report.components if c.idx == self.idx)
         radius6 = max(c.R * math.sqrt(1.0 + c.lam * c.lam) for c in report.components)
         lam_max = max((abs(c.lam) for c in comps), default=0.0)
@@ -147,10 +149,8 @@ class CutoffFamily:
     @classmethod
     def build(cls, report: ResonanceReport, idx: PhaseIndex | str | None = None) -> "CutoffFamily":
         """The family of phase ``idx`` (default: that of the report's first component)."""
-        if not report.components:
-            raise ValueError("report has no resonant components to adapt to")
         if idx is None:
-            idx = report.components[0].idx
+            idx = next((comp.idx for comp in report.components), None)
         elif isinstance(idx, str):
             idx = PhaseIndex.parse(idx)
         return cls(report=report, idx=idx)
@@ -240,20 +240,9 @@ class CutoffFamily:
         """Cutoff localizing away from the space-resonant set."""
         return self.partition(xi, eta, rho)[2]
 
-    def evaluate(self, name: str, xi, eta=None, rho: float = 1.0):
-        """Evaluate a cutoff by name (theta, chi_o, chi_o_tilde, chi_r, chi_s, chi_t)."""
+    def evaluate(self, name: str, xi, eta, rho: float):
+        """Evaluate chi_r, chi_s or chi_t by name."""
         name = name.lower().replace("-", "_")
-        if name == "chi_o":
-            return self.chi_O(xi)
-        if name == "chi_o_tilde":
-            return self.chi_O_tilde(xi)
-        if name == "theta":
-            if eta is None:
-                return theta_radial(np.linalg.norm(np.asarray(xi), axis=-1), self.M)
-            stacked = np.concatenate(np.broadcast_arrays(np.asarray(xi), np.asarray(eta)), axis=-1)
-            return theta(stacked, self.M)
-        if eta is None:
-            raise ValueError(f"cutoff {name!r} needs both xi and eta")
         if name == "chi_r":
             return self.chi_R(xi, eta, rho)
         if name == "chi_s":

@@ -35,8 +35,9 @@ import numpy as np
 from kgpair.dispersion import PhaseIndex, SpeedPair, canonical_phase_indices
 
 ROOT_TOL = 1e-12
-# |Z(R)| allowed in a report read back, relative to the sum of the brackets
-REPORT_Z_TOL = 1e-10
+# relative tolerance between a report read back and the one solved at its
+# parameters: a report written on another numpy build still reads
+REPORT_TOL = 1e-10
 DEFAULT_TAU_SEP = 1e-6
 _RADIUS_MERGE_TOL = 1e-9
 # quartic roots closer than this (relative) are one multiple root; rounding
@@ -52,11 +53,24 @@ def _require_positive(name: str, value) -> float:
     return float(value)
 
 
-def _field(doc, key: str, kinds: tuple, where: str = "report"):
-    """``doc[key]``, or a ValueError naming the key when it is missing or ill-typed."""
-    value = doc.get(key, _MISSING) if isinstance(doc, dict) else _MISSING
-    if not isinstance(value, kinds) or isinstance(value, bool) != (bool in kinds):
-        raise ValueError(f"{where} key {key!r} is missing or has the wrong type")
+def _as_float(value) -> float | None:
+    """``value`` as a float, or None unless it is a JSON number in the float range."""
+    if isinstance(value, _NUMBER) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    return None
+
+
+def _number(doc: dict, key: str) -> float:
+    """``float(doc[key])``, or a ValueError naming the key when it is not a number."""
+    value = _as_float(doc.get(key))
+    if value is None:
+        raise ValueError(
+            f"report key {key}: the document has {_brief(doc.get(key, _MISSING))}, "
+            "which is not a number"
+        )
     return value
 
 
@@ -126,26 +140,6 @@ class ResonantComponent:
             "outcome_radius": self.outcome_radius,
             "source_radii": list(self.source_radii),
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ResonantComponent":
-        where = "report component"
-        index = _field(doc, "index", (str,), where)
-        R = float(_field(doc, "R", _NUMBER, where))
-        lam = float(_field(doc, "lambda", _NUMBER, where))
-        order = _field(doc, "order", (int,), where)
-        if not (math.isfinite(R) and R > 0.0 and math.isfinite(lam) and order >= 1):
-            raise ValueError(
-                f"report component {index!r} has R = {R!r}, lambda = {lam!r}, "
-                f"order = {order!r}; need finite R > 0, finite lambda and order >= 1"
-            )
-        return cls(
-            idx=PhaseIndex.parse(index),
-            R=R,
-            lam=lam,
-            order=order,
-            tangent=_field(doc, "tangent", (bool,), where),
-        )
 
 
 def dist_to_component(xi, eta, comp: ResonantComponent):
@@ -339,61 +333,50 @@ class ResonanceReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ResonanceReport":
-        """Rebuild a report from its JSON form.
+        """Solve the report a document describes, and check that it describes it.
 
-        Every derived field (radius sets, verdict, min_gap, delta0) is
-        recomputed from the components and must equal the document's, which
-        holds exactly for a written report since floats carry 17 digits.
-        Each component must lie on the space-time resonant set at the report's
-        c: |Z(R)| and the gap between lambda and the colinearity ratio at R
-        are at most ``REPORT_Z_TOL`` relative to the brackets and to lambda.
-        Its order and tangent flag must be those of the nearest zero solved for.
-        Every component that ``scan_all`` finds at the report's c and r_max must
-        be the nearest zero of one of the report's components: a report that
-        leaves one out is rejected.
+        The document's ``c``, ``r_max``, ``grid_step`` and ``tau_sep`` go to
+        ``scan_all``, and every key of the solved report must match the
+        document's: floats within ``REPORT_TOL`` (relative), other values
+        equal and of the same JSON type, lists in the same order, components
+        with the same keys.  The solved report is returned, so the document's
+        own numbers are never used.  Top-level keys the schema does not name
+        are ignored.
         """
         schema = doc.get("schema") if isinstance(doc, dict) else None
         if schema != "resonance-report/1":
             raise ValueError(f"unsupported report schema {schema!r}")
-        report = cls.from_components(
-            c=float(_field(doc, "c", _NUMBER)),
-            components=(ResonantComponent.from_dict(d) for d in _field(doc, "components", (list,))),
-            tau_sep=float(_field(doc, "tau_sep", _NUMBER)),
-            r_max=float(_field(doc, "r_max", _NUMBER)),
-            grid_step=float(_field(doc, "grid_step", _NUMBER)),
-            warnings=_field(doc, "warnings", (list,)),
+        solved = scan_all(_number(doc, "c"), r_max=_number(doc, "r_max"),
+                          grid_step=_number(doc, "grid_step"), tau_sep=_number(doc, "tau_sep"))
+        for key, value in solved.to_dict().items():
+            _compare(key, doc.get(key, _MISSING), value)
+        return solved
+
+
+def _brief(value) -> str:
+    text = "nothing" if value is _MISSING else repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _compare(path: str, doc, solved):
+    """Raise a ValueError naming ``path`` unless ``doc`` matches ``solved``."""
+    if isinstance(solved, dict) and isinstance(doc, dict):
+        for key in [*solved, *(key for key in doc if key not in solved)]:
+            _compare(f"{path}.{key}", doc.get(key, _MISSING), solved.get(key, _MISSING))
+        return
+    if isinstance(solved, list) and isinstance(doc, list) and len(doc) == len(solved):
+        for i, (item, value) in enumerate(zip(doc, solved)):
+            _compare(f"{path}[{i}]", item, value)
+        return
+    if isinstance(solved, float):
+        number = _as_float(doc)
+        matches = number is not None and math.isclose(number, solved, rel_tol=REPORT_TOL)
+    else:
+        matches = type(doc) is type(solved) and doc == solved
+    if not matches:
+        raise ValueError(
+            f"report key {path}: the document has {_brief(doc)}, the solver finds {_brief(solved)}"
         )
-        wrong = [key for key, value in report.to_dict().items() if doc.get(key, _MISSING) != value]
-        if wrong:
-            raise ValueError(f"report keys {', '.join(wrong)} disagree with its components")
-        speeds = SpeedPair(report.c)
-        roots = scan_all(report.c, report.r_max).components
-        matched = set()
-        for comp in report.components:
-            lam = float(space_resonance_lambda(speeds, comp.idx, comp.R))
-            z = float(time_resonance_gap(speeds, comp.idx, comp.R))
-            scale = _bracket_sum(speeds, comp.idx, comp.R)
-            if not (abs(z) <= REPORT_Z_TOL * scale and abs(comp.lam - lam) <= REPORT_Z_TOL * abs(lam)):
-                raise ValueError(
-                    f"report component {comp.idx.serialize()!r} at R = {comp.R!r}, "
-                    f"lambda = {comp.lam!r} is not a zero of Z at c = {report.c!r}"
-                )
-            root = min((r for r in roots if r.idx == comp.idx), key=lambda r: abs(r.R - comp.R),
-                       default=None)
-            if root is None or (root.order, root.tangent) != (comp.order, comp.tangent):
-                found = "no zero" if root is None else f"order {root.order}, tangent {root.tangent}"
-                raise ValueError(
-                    f"report component {comp.idx.serialize()!r} at R = {comp.R!r} has "
-                    f"order {comp.order}, tangent {comp.tangent}; the solver finds {found}"
-                )
-            matched.add(root)
-        for root in roots:
-            if root not in matched:
-                raise ValueError(
-                    f"report omits component {root.idx.serialize()!r} at R = {root.R!r}, "
-                    f"which the solver finds at c = {report.c!r}"
-                )
-        return report
 
 
 def _separation(outcomes, sources, tau_sep: float) -> tuple[bool, float, float]:
@@ -451,8 +434,8 @@ def sweep_speed(
     """Separation verdicts on an inclusive linear grid of speeds."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    if c_min <= 0.0 or c_max < c_min:
-        raise ValueError("need 0 < c_min <= c_max")
+    if not 0.0 < c_min <= c_max < math.inf:
+        raise ValueError(f"need finite 0 < c_min <= c_max, got {c_min!r} and {c_max!r}")
     if c_min <= 1.0 <= c_max or c_min == 1.0:
         raise ValueError("the sweep range must not contain the degenerate speed c = 1")
     values = [c_min] if steps == 1 else list(np.linspace(c_min, c_max, steps))

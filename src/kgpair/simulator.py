@@ -348,9 +348,12 @@ def run_resonant_amplification(
     for name, value in (
         ("dt", dt), ("t_final", t_final), ("bandwidth", bandwidth), ("amplitude", amplitude),
         ("probe_factor", probe_factor), ("band_halfwidth_factor", band_halfwidth_factor),
+        ("box_length", box_length),
     ):
         if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if not (isinstance(detune_factor, numbers.Real) and math.isfinite(detune_factor)):
+        raise ValueError(f"detune_factor must be finite, got {detune_factor!r}")
     if not (isinstance(sample_every, numbers.Real) and float(sample_every).is_integer()
             and sample_every >= 1):
         raise ValueError(f"sample_every must be an integer >= 1, got {sample_every!r}")

@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 
 from kgpair.cutoffs import CutoffFamily
 from kgpair.reporting import curve_csv, load_schema
-from kgpair.resonance import ResonanceReport, ResonantComponent, scan_all
+from kgpair.resonance import ResonanceReport, scan_all
 
 GOLDEN_OUTCOMES = [0.3535533906, 0.3603654667]
 GOLDEN_SOURCES = [0.01314860997, 0.1767766953, 0.3472168567]
@@ -104,6 +105,9 @@ def test_invalid_flags_exit_one():
         (["constants", "-A", "nan", "-n", "1"], "A must be finite and positive"),
         (["constants", "-A", "inf", "-n", "1"], "A must be finite and positive"),
         (["constants", "-A", "0", "-n", "1"], "A must be finite and positive"),
+        (["cutoff-export", "--c", "5", "--cutoff", "chi-t", "--line", "nan,0,0,0,0,0:1,1,1,1,1,1"],
+         "segment coordinates must be finite"),
+        (["sweep", "--from", "2", "--to", "inf", "--steps", "3"], "need finite 0 < c_min <= c_max"),
     ],
 )
 def test_invalid_numbers_exit_one(tmp_path, args, name):
@@ -127,15 +131,14 @@ def _tamper_radius(doc):
 
 def _forge_component(doc):
     # move c11+-- off its resonance and rebuild every derived key to match,
-    # so only the check of Z(R) at the report's c can reject the document
-    for comp in doc["components"]:
-        if comp["index"] == "c11+--":
-            comp["R"] = 0.2
-    report = ResonanceReport.from_components(
-        doc["c"], (ResonantComponent.from_dict(comp) for comp in doc["components"]),
-        doc["tau_sep"], doc["r_max"], doc["grid_step"],
+    # so only the comparison of R with the solver's can reject the document
+    full = scan_all(doc["c"])
+    forged = ResonanceReport.from_components(
+        full.c, (replace(comp, R=0.2) if comp.idx.serialize() == "c11+--" else comp
+                 for comp in full.components),
+        full.tau_sep, full.r_max, full.grid_step,
     )
-    doc.update(report.to_dict())
+    doc.update(forged.to_dict())
 
 
 def _forge_order(doc):
@@ -157,11 +160,29 @@ def _omit_component(doc):
     doc.update(forged.to_dict())
 
 
+def _reorder_components(doc):
+    doc["components"].reverse()
+
+
+def _extra_component_key(doc):
+    doc["components"][0]["note"] = "hand-edited"
+
+
+def _huge_integer_radius(doc):
+    doc["components"][0]["R"] = 10**400  # a JSON integer beyond the float range
+
+
+def _huge_integer_tau_sep(doc):
+    doc["tau_sep"] = 10**400
+
+
 @pytest.mark.parametrize(
     "tamper, name",
-    [(_tamper_grid_step, "grid_step"), (_tamper_outcome, "outcome_radii"), (_tamper_radius, "R = -1"),
-     (_forge_component, "not a zero of Z"), (_forge_order, "order 40, tangent True"),
-     (_omit_component, "omits component 'cc1+--'")],
+    [(_tamper_grid_step, "grid_step"), (_tamper_outcome, "outcome_radii"),
+     (_tamper_radius, "components[0].R:"), (_forge_component, "components[1].R:"),
+     (_forge_order, "components[0].order:"), (_omit_component, "resonant_phases:"),
+     (_reorder_components, "components[0].index:"), (_extra_component_key, "components[0].note:"),
+     (_huge_integer_radius, "components[0].R:"), (_huge_integer_tau_sep, "tau_sep:")],
 )
 def test_cutoff_export_rejects_tampered_report(tmp_path, tamper, name):
     report = tmp_path / "report.json"
@@ -317,10 +338,10 @@ def test_simulate_missing_config():
 
 def test_simulate_rejects_unknown_keys(tmp_path):
     config = tmp_path / "bad.cfg"
-    config.write_text("c = 5.0\nwavelength = 3\n", encoding="utf-8")
+    config.write_text("c = 5.0\nwavelength = 3\nseed = 0\n", encoding="utf-8")
     result = run_cli("simulate", "--config", str(config), "--output", str(tmp_path / "x"))
     assert result.returncode == 1
-    assert "unknown config keys" in result.stderr
+    assert "unknown config keys: seed, wavelength" in result.stderr
 
 
 def _simulate_error(tmp_path, text):
@@ -355,11 +376,29 @@ def test_simulate_rejects_outcome_band_above_nyquist(tmp_path):
         "probe_factor = nan",
         "probe_factor = inf",
         "band_halfwidth_factor = 0",
+        "n = 256.5",
+        "detune_factor = abc",
+        "detune_factor = inf",
+        "box_length = inf",
+        "box_length = -256",
     ],
 )
 def test_simulate_rejects_invalid_parameters(tmp_path, line):
     stderr = _simulate_error(tmp_path, f"c = 5.0\ndelta = 1.0\n{line}\n")
     assert line.split()[0] in stderr
+
+
+def test_simulate_int_keys_accept_integral_numerals(tmp_path):
+    outputs = []
+    for n, every in (("128", "10"), ("128.0", "10.0")):
+        config = tmp_path / f"n{n}.cfg"
+        config.write_text(f"c = 5.0\ndelta = 1.0\nn = {n}\nt_final = 10.0\n"
+                          f"sample_every = {every}\n", encoding="utf-8")
+        prefix = tmp_path / f"n{n}"
+        result = run_cli("simulate", "--config", str(config), "--output", str(prefix))
+        assert result.returncode == 0, result.stderr
+        outputs.append(prefix.with_suffix(".json").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_simulate_accepts_report_path(tmp_path):

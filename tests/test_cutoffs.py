@@ -76,6 +76,14 @@ def test_family_rejects_non_separated(report5):
         CutoffFamily.build(tight)
 
 
+@pytest.mark.parametrize("make", [CutoffFamily.build, lambda report: CutoffFamily(report, None)])
+def test_family_rejects_report_without_components(make):
+    empty = scan_all(5.0, r_max=1e-4)
+    assert empty.separated and not empty.components
+    with pytest.raises(ValueError, match="report has no resonant components to adapt to"):
+        make(empty)
+
+
 def test_chi_o_on_golden_radii(family):
     outcome = np.array([0.3535533906, 0.0, 0.0])
     assert family.chi_O(outcome) == 1.0

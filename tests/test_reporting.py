@@ -4,7 +4,7 @@ import math
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kgpair.reporting import csv_blocks, curve_csv, load_schema, sweep_csv, to_canonical_json
@@ -161,6 +161,16 @@ def test_report_json_round_trip_through_schema():
     assert rebuilt.resonant_indices == report.resonant_indices
     assert rebuilt.min_gap == pytest.approx(report.min_gap)
     assert rebuilt.components[0].source_radii == report.components[0].source_radii
+
+
+@example(c=150.0, r_max=100.0)  # not separated
+@example(c=5.0, r_max=1e-4)  # no components
+@given(c=st.one_of(st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+                   st.floats(1.05, 2000.0, exclude_min=True, exclude_max=True)),
+       r_max=st.floats(1e-4, 200.0))
+def test_report_read_back_is_byte_identical(c, r_max):
+    written = to_canonical_json(scan_all(c, r_max=r_max).to_dict())
+    assert to_canonical_json(ResonanceReport.from_dict(json.loads(written)).to_dict()) == written
 
 
 def test_empty_report_round_trip():
