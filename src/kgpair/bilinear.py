@@ -31,9 +31,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kgpair.cutoffs import bump, edge_down
+from kgpair.dispersion import _require_count, _require_positive
 from kgpair.reporting import curve_csv
 
 MAX_GRID_3D = 64
+MAX_GRID_1D = MAX_GRID_3D**3  # as many points as the largest 3-D grid
 MAX_DENSE_SYMBOL = 4096
 PROFILE_N = 1 << 16  # fine lattice of profile_l1_constant
 # Hoelder exponents (p, q, r) of holder_bound_probe
@@ -50,10 +52,9 @@ class TruncationWarning(UserWarning):
 def _check_grid(n: int, dims: int):
     if dims not in (1, 3):
         raise ValueError("dims must be 1 or 3")
-    if n < 2 or (n & (n - 1)) != 0:
+    n = _require_count("grid size n", n, 2, MAX_GRID_1D if dims == 1 else MAX_GRID_3D)
+    if n & (n - 1):
         raise ValueError("grid size must be a power of two")
-    if dims == 3 and n > MAX_GRID_3D:
-        raise ValueError(f"3-D grids are limited to {MAX_GRID_3D} points per axis")
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,7 @@ class SpectralField:
 
     def __post_init__(self):
         _check_grid(self.n, self.dims)
-        if not (math.isfinite(self.box_length) and self.box_length > 0.0):
-            raise ValueError(f"box_length must be finite and positive, got {self.box_length!r}")
+        _require_positive("box_length", self.box_length)
         expected = (self.n,) * self.dims
         if self.coef.shape != expected:
             raise ValueError(f"coefficient shape {self.coef.shape} != {expected}")
@@ -77,6 +77,7 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, dims: int, n: int, box_length: float) -> "SpectralField":
+        _check_grid(n, dims)
         return cls(dims, n, box_length, np.zeros((n,) * dims, dtype=complex))
 
     @classmethod
@@ -84,6 +85,7 @@ class SpectralField:
         values = np.asarray(values, dtype=complex)
         dims = values.ndim
         n = values.shape[0]
+        _check_grid(n, dims)
         h = box_length / n
         coef = np.fft.fftn(values) * (h**dims / (2.0 * math.pi) ** (dims / 2.0))
         return cls(dims, n, box_length, coef)

@@ -23,6 +23,7 @@ from kgpair.bilinear import (
     shell_weighted_ratio,
 )
 from kgpair.cutoffs import CutoffFamily, bound_probe, theta_radial
+from kgpair.dispersion import _require_count, _require_positive
 from kgpair.reporting import (
     csv_blocks,
     experiment_csv,
@@ -44,6 +45,8 @@ EXIT_NEGATIVE = 2
 EXIT_BLOWUP = 3
 
 _CHUNK_POINTS = 4096  # points per cut-off evaluation in cutoff-export
+MAX_POINTS = 10**6  # cutoff-export --points: the 6-D segment alone takes 48 MB
+MAX_TRIALS = 1000  # operator-probe --trials: 25 times the default of 40
 
 
 class _Parser(argparse.ArgumentParser):
@@ -177,10 +180,8 @@ def _evaluate_in_chunks(family: CutoffFamily, name: str, xi, eta, rho: float) ->
 
 def cmd_cutoff_export(args) -> int:
     for flag, value in (("--rho", args.rho), ("--radius-max", args.radius_max)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{flag} must be finite and positive, got {value!r}")
-    if args.points < 2:
-        raise ValueError(f"--points must be at least 2, got {args.points}")
+        _require_positive(flag, value)
+    _require_count("--points", args.points, 2, MAX_POINTS)
     report = _load_report(args)
     family = CutoffFamily.build(report, idx=args.index)
     name = args.cutoff.replace("-", "_")
@@ -243,8 +244,7 @@ def cmd_cutoff_export(args) -> int:
 
 
 def cmd_operator_probe(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    _require_count("--trials", args.trials, 1, MAX_TRIALS)
     holder = holder_bound_probe(pairs=args.trials, seed=args.seed)
     ridge = ridge_bound_probe(trials=max(4, args.trials // 8), seed=args.seed)
     bernstein = [

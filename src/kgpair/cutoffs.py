@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from kgpair.dispersion import PhaseIndex, SpeedPair
+from kgpair.dispersion import PhaseIndex, SpeedPair, _require_positive
 from kgpair.resonance import ResonanceReport, ResonantComponent, dist_to_component
 
 GRAD_FLOOR = 1e-8  # floor for the gradient magnitudes in distance surrogates
@@ -69,8 +69,7 @@ def edge_down(r, a, b):
 
 def theta(p, M: float):
     """High/low splitter on the 6-dimensional frequency: 1 on B(0,M), 0 off B(0,M+1)."""
-    if M <= 0.0:
-        raise ValueError("M must be positive")
+    _require_positive("M", M)
     p = np.asarray(p, dtype=float)
     return theta_radial(np.sqrt(np.sum(p * p, axis=-1)), M)
 
@@ -85,8 +84,7 @@ def chi_R_rho(xi, eta, comp: ResonantComponent, rho: float, support_radius: floa
     chi((|eta| - R)/rho) * chi((xi - lambda*eta)/rho) with chi a radial bump
     supported on |y| <= support_radius * rho.
     """
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    _require_positive("rho", rho)
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     scale = rho * support_radius
@@ -173,6 +171,7 @@ class CutoffFamily:
     # -- resonance-adapted partition -------------------------------------------
 
     def chi_R(self, xi, eta, rho: float):
+        _require_positive("rho", rho)  # also when the family has no components
         xi = np.asarray(xi, dtype=float)
         eta = np.asarray(eta, dtype=float)
         total = np.zeros(np.broadcast_shapes(xi.shape[:-1], eta.shape[:-1]))

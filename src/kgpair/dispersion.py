@@ -17,6 +17,8 @@ slots, so every index reduces to one of 20 canonical representatives.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 from itertools import product
 
@@ -24,32 +26,56 @@ import numpy as np
 
 SPEED_TAGS = ("c", "1")
 SIGNS = (1, -1)
+# largest fast speed c and largest 1/c: scan_all solves without a numpy
+# warning for 1e-19 <= c <= 1e19 and overflows at 1e-20 and 1e20
+SPEED_MAX = 1e16
+_FLOAT_MAX = sys.float_info.max
+_BUILTIN_REAL = (float, int)
 
 _TAG_RANK = {"c": 0, "1": 1}
 _SIGN_CHAR = {1: "+", -1: "-"}
 _CHAR_SIGN = {"+": 1, "-": -1}
 
 
+def _require_positive(name: str, value, hi: float = _FLOAT_MAX) -> float:
+    """``float(value)`` for a real number in (0, hi], else a ValueError naming it.
+
+    NaN fails both comparisons and inf exceeds any finite ``hi``, so the
+    default admits exactly the finite positive numbers.  The builtin types are
+    tested first because an ABC check is many times slower, and the rule
+    guards every SpectralField.
+    """
+    if (isinstance(value, _BUILTIN_REAL) or isinstance(value, numbers.Real)) and 0.0 < value <= hi:
+        return float(value)
+    limit = "" if hi == _FLOAT_MAX else f" and at most {hi:g}"
+    raise ValueError(f"{name} must be finite and positive{limit}, got {value!r}")
+
+
+def _require_count(name: str, value, lo: int, hi: int) -> int:
+    """``int(value)`` for an integral number in [lo, hi], else a ValueError naming it."""
+    if ((isinstance(value, _BUILTIN_REAL) or isinstance(value, numbers.Real))
+            and lo <= value <= hi and value == int(value)):
+        return int(value)
+    raise ValueError(f"{name} is limited to integers from {lo} to {hi}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SpeedPair:
-    """Propagation speeds of the two species; the slow speed is fixed to 1."""
+    """Speeds c of tag "c" and 1 of tag "1"; c and 1/c are at most SPEED_MAX, and c != 1."""
 
     c_fast: float
-    c_slow: float = 1.0
 
     def __post_init__(self):
-        if not (self.c_fast > 0.0) or not np.isfinite(self.c_fast):
-            raise ValueError(f"fast speed must be positive and finite, got {self.c_fast}")
+        _require_positive("c", self.c_fast, SPEED_MAX)
+        _require_positive("1/c", 1.0 / self.c_fast, SPEED_MAX)
         if self.c_fast == 1.0:
             raise ValueError("equal speeds (c = 1) form a degenerate configuration")
-        if self.c_slow != 1.0:
-            raise ValueError("the slow speed is normalized to 1")
 
     def speed_of(self, tag: str) -> float:
         if tag == "c":
             return self.c_fast
         if tag == "1":
-            return self.c_slow
+            return 1.0
         raise ValueError(f"unknown speed tag {tag!r}")
 
     def bracket(self, tag: str, x) -> np.ndarray | float:
@@ -132,14 +158,7 @@ class PhaseIndex:
 
     def serialize(self) -> str:
         """Six character form, speed tags then signs, e.g. ``"c11+--"``."""
-        return (
-            self.k
-            + self.l
-            + self.m
-            + _SIGN_CHAR[self.s0]
-            + _SIGN_CHAR[self.s1]
-            + _SIGN_CHAR[self.s2]
-        )
+        return self.k + self.l + self.m + "".join(_SIGN_CHAR[s] for s in (self.s0, self.s1, self.s2))
 
     @classmethod
     def parse(cls, text: str) -> "PhaseIndex":
@@ -224,34 +243,19 @@ def orbit(idx: PhaseIndex) -> tuple[PhaseIndex, ...]:
 
 def symmetry_reduce(idx: PhaseIndex) -> tuple[PhaseIndex, IndexTransform]:
     """Canonical representative of ``idx`` and the transform relating them."""
-    members = orbit(idx)
-    canonical = min(members, key=PhaseIndex.sort_key)
-    if canonical == idx:
-        return canonical, IndexTransform(sign_flip=False, swap=False)
-    if canonical == idx.negate():
-        return canonical, IndexTransform(sign_flip=True, swap=False)
-    if canonical == idx.swap():
-        return canonical, IndexTransform(sign_flip=False, swap=True)
-    return canonical, IndexTransform(sign_flip=True, swap=True)
+    members = orbit(idx)  # idx, its negation, its swap, the negated swap
+    k = min(range(len(members)), key=lambda i: members[i].sort_key())
+    return members[k], IndexTransform(sign_flip=k % 2 == 1, swap=k >= 2)
 
 
 def all_phase_indices() -> list[PhaseIndex]:
     """All 64 indices in deterministic order."""
-    return [
-        PhaseIndex(k, l, m, s0, s1, s2)
-        for k, l, m, s0, s1, s2 in product(
-            SPEED_TAGS, SPEED_TAGS, SPEED_TAGS, SIGNS, SIGNS, SIGNS
-        )
-    ]
+    return [PhaseIndex(*label) for label in product(*[SPEED_TAGS] * 3, *[SIGNS] * 3)]
 
 
 def enumerate_phases() -> list[tuple[PhaseIndex, PhaseIndex, IndexTransform]]:
     """All 64 indices, each with its canonical representative and transform."""
-    out = []
-    for idx in all_phase_indices():
-        canonical, transform = symmetry_reduce(idx)
-        out.append((idx, canonical, transform))
-    return out
+    return [(idx, *symmetry_reduce(idx)) for idx in all_phase_indices()]
 
 
 def canonical_phase_indices() -> list[PhaseIndex]:

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from kgpair.dispersion import PhaseIndex, SpeedPair, canonical_phase_indices
+from kgpair.dispersion import (PhaseIndex, SpeedPair, _require_count, _require_positive,
+                               canonical_phase_indices)
 
 ROOT_TOL = 1e-12
 # relative tolerance between a report read back and the one solved at its
@@ -45,12 +45,10 @@ _RADIUS_MERGE_TOL = 1e-9
 _MULTIPLICITY_TOL = 1e-6
 _NUMBER = (int, float)
 _MISSING = object()
-
-
-def _require_positive(name: str, value) -> float:
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    return float(value)
+MAX_SWEEP_STEPS = 10_000  # speeds per sweep, one scan_all (about 5 ms) each
+# largest intersection order n of a budget, which only records it: larger
+# integers do not survive a JSON reader that parses numbers as doubles
+MAX_ORDER = 2**53
 
 
 def _as_float(value) -> float | None:
@@ -432,12 +430,13 @@ def sweep_speed(
     tau_sep: float = DEFAULT_TAU_SEP,
 ) -> list[SweepEntry]:
     """Separation verdicts on an inclusive linear grid of speeds."""
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
+    _require_count("steps", steps, 1, MAX_SWEEP_STEPS)
     if not 0.0 < c_min <= c_max < math.inf:
         raise ValueError(f"need finite 0 < c_min <= c_max, got {c_min!r} and {c_max!r}")
-    if c_min <= 1.0 <= c_max or c_min == 1.0:
+    if c_min <= 1.0 <= c_max:
         raise ValueError("the sweep range must not contain the degenerate speed c = 1")
+    for c in (c_min, c_max):
+        SpeedPair(c)  # the speed range, checked before the first scan
     values = [c_min] if steps == 1 else list(np.linspace(c_min, c_max, steps))
     entries = []
     for c in values:
@@ -580,8 +579,7 @@ def find_admissible_constants(A: float, n: int) -> ConstantsBudget | InfeasibleB
     its terms reordered and stays because the schema pins twelve rows.
     """
     _require_positive("A", A)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    _require_count("n", n, 1, MAX_ORDER)
     d1, d3 = _D1_GRID[:, None], _D3_GRID[None, :]
     N = _minimal_regularity(d1, d3)
     skipped = (d3 * (A + 2) >= 3 * d1) | (N > _N_CAP)

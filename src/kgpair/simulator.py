@@ -10,18 +10,18 @@ packets at the source radii of a scan report and watch the outcome band.
 
 from __future__ import annotations
 
+import functools
 import math
-import numbers
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
 from kgpair.bilinear import SpectralField
-from kgpair.dispersion import SpeedPair
+from kgpair.dispersion import SIGNS, SpeedPair, _require_count, _require_positive
 from kgpair.resonance import ResonanceReport
 
 SPECIES = ("1", "c")
-SIGNS = (1, -1)
 
 ONE_D_CAVEAT = (
     "carrier radii come from the radial 3-D resonance analysis and are reused "
@@ -58,10 +58,7 @@ class NonlinearityCoefficients:
         return cls()
 
     def is_zero(self) -> bool:
-        return all(
-            v == 0.0
-            for v in (self.alpha, self.beta, self.gamma, self.delta, self.eps, self.zeta)
-        )
+        return not any((self.alpha, self.beta, self.gamma, self.delta, self.eps, self.zeta))
 
     def pair_coefficient(self, species: str, l: str, m: str) -> float:
         """Coefficient of the (u^l, u^m) product feeding species' equation,
@@ -100,6 +97,11 @@ class SystemState:
         return self.grid.with_coef(self.coef[SPECIES.index(species), SIGNS.index(sign)])
 
     def energy(self) -> float:
+        return self._energy
+
+    @functools.cached_property
+    def _energy(self) -> float:
+        # once per state: a step's incoming state was the previous step's result
         return float(np.vdot(self.coef, self.coef).real)
 
 
@@ -181,16 +183,11 @@ def expand_quadratic(coeffs: NonlinearityCoefficients) -> dict:
     substitution u = sum_s s*u_s/(2i<D>) contributes -s1*s2/4 per pair, and
     the s0 slot is inert because the same source feeds both signs.
     """
-    table = {}
-    for k in SPECIES:
-        for l in SPECIES:
-            for m in SPECIES:
-                q = coeffs.pair_coefficient(k, l, m)
-                for s0 in SIGNS:
-                    for s1 in SIGNS:
-                        for s2 in SIGNS:
-                            table[(k, l, m, s0, s1, s2)] = -q * s1 * s2 / 4.0
-    return table
+    return {
+        (k, l, m, s0, s1, s2): -coeffs.pair_coefficient(k, l, m) * s1 * s2 / 4.0
+        for k, l, m in product(SPECIES, repeat=3)
+        for s0, s1, s2 in product(SIGNS, repeat=3)
+    }
 
 
 def reassemble_quadratic(table: dict, state: SystemState) -> dict:
@@ -205,13 +202,10 @@ def reassemble_quadratic(table: dict, state: SystemState) -> dict:
     out = {}
     for k in SPECIES:
         total = np.zeros(grid.coef.shape, dtype=complex)
-        for l in SPECIES:
-            for m in SPECIES:
-                for s1 in SIGNS:
-                    for s2 in SIGNS:
-                        a = table[(k, l, m, 1, s1, s2)]
-                        if a != 0.0:
-                            total = total + a * normalized[(l, s1)] * normalized[(m, s2)]
+        for l, m, s1, s2 in product(SPECIES, SPECIES, SIGNS, SIGNS):
+            a = table[(k, l, m, 1, s1, s2)]
+            if a != 0.0:
+                total = total + a * normalized[(l, s1)] * normalized[(m, s2)]
         out[k] = total
     return out
 
@@ -230,6 +224,9 @@ def _sources(
 SCHEME_ORDERS = {"ifrk4": 4, "ifrk2": 2}
 # largest relative growth of the quadratic energy that one step may show
 ENERGY_GUARD = 0.1
+# largest step count t_final/dt of an amplification run, which steps twice
+# that often: the resonant run and the detuned one
+MAX_STEPS = 10**6
 
 
 def step(
@@ -244,8 +241,7 @@ def step(
     stages of the requested order.  A relative jump of the quadratic energy
     beyond ``ENERGY_GUARD``, or a non-finite energy, raises ``BlowUpError``.
     """
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    _require_positive("dt", dt)
     if scheme not in SCHEME_ORDERS:
         raise ValueError(f"unknown scheme {scheme!r}")
     grid, u = state.grid, state.coef
@@ -350,13 +346,11 @@ def run_resonant_amplification(
         ("probe_factor", probe_factor), ("band_halfwidth_factor", band_halfwidth_factor),
         ("box_length", box_length),
     ):
-        if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    if not (isinstance(detune_factor, numbers.Real) and math.isfinite(detune_factor)):
-        raise ValueError(f"detune_factor must be finite, got {detune_factor!r}")
-    if not (isinstance(sample_every, numbers.Real) and float(sample_every).is_integer()
-            and sample_every >= 1):
-        raise ValueError(f"sample_every must be an integer >= 1, got {sample_every!r}")
+        _require_positive(name, value)
+    # the detuning may take either sign or be zero; only its size must be finite
+    _require_positive("|detune_factor| + 1", abs(detune_factor) + 1.0)
+    _require_count("sample_every", sample_every, 1, MAX_STEPS)
+    steps = round(_require_positive("t_final/dt", t_final / dt, MAX_STEPS))
     if not report.separated:
         raise ValueError("experiment requires a separated resonance report")
     if not report.components:
@@ -381,7 +375,6 @@ def run_resonant_amplification(
             f"pi*n/box = {nyquist:.6g}; raise n"
         )
 
-    steps = int(round(t_final / dt))
     runs = {}
     inconclusive = False
     for label, carrier in (("resonant", carrier_res), ("detuned", carrier_det)):

@@ -391,7 +391,7 @@ def _blob(dims, sizes, box, payload_doubles):
     [
         (_blob(2, (8, 8), 1.0, 128), "dims"),
         (_blob(2**40, (), 1.0, 0), "dims"),
-        (_blob(1, (2**40,), 1.0, 16), "payload"),
+        (_blob(1, (2**40,), 1.0, 16), "limited"),
         (_blob(1, (12,), 1.0, 24), "power of two"),
         (_blob(3, (128, 128, 128), 1.0, 0), "limited"),
         (_blob(3, (8, 8, 4), 1.0, 0), "agree"),

@@ -19,12 +19,14 @@ GOLDEN_OUTCOMES = [0.3535533906, 0.3603654667]
 GOLDEN_SOURCES = [0.01314860997, 0.1767766953, 0.3472168567]
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=120):
+    # a hang fails the test with TimeoutExpired instead of stalling the suite
     return subprocess.run(
         [sys.executable, "-m", "kgpair.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -108,10 +110,19 @@ def test_invalid_flags_exit_one():
         (["cutoff-export", "--c", "5", "--cutoff", "chi-t", "--line", "nan,0,0,0,0,0:1,1,1,1,1,1"],
          "segment coordinates must be finite"),
         (["sweep", "--from", "2", "--to", "inf", "--steps", "3"], "need finite 0 < c_min <= c_max"),
+        # each size of work is bounded, and checked before the work starts
+        (["resonances", "--c", "1e-300"], "1/c must be finite and positive and at most 1e+16"),
+        (["resonances", "--c", "1e308"], "c must be finite and positive and at most 1e+16"),
+        (["cutoff-export", "--c", "5", "--cutoff", "chi-t", "--line", "0,0,0,0,0,0:1,1,1,1,1,1",
+          "--points", "3000000000"], "--points is limited to integers from 2 to 1000000"),
+        (["operator-probe", "--trials", "1001"], "--trials is limited to integers from 1 to 1000"),
+        (["sweep", "--from", "2", "--to", "10", "--steps", "10001"],
+         "steps is limited to integers from 1 to 10000"),
+        (["sweep", "--from", "2", "--to", "1e300", "--steps", "3"], "got 1e+300"),
     ],
 )
 def test_invalid_numbers_exit_one(tmp_path, args, name):
-    result = run_cli(*args, "--output", str(tmp_path / "out"))
+    result = run_cli(*args, "--output", str(tmp_path / "out"), timeout=30)
     assert result.returncode == 1
     assert len(result.stderr.strip().splitlines()) == 1, result.stderr
     assert name in result.stderr
@@ -348,7 +359,7 @@ def _simulate_error(tmp_path, text):
     config = tmp_path / "bad.cfg"
     config.write_text(text, encoding="utf-8")
     prefix = tmp_path / "bad"
-    result = run_cli("simulate", "--config", str(config), "--output", str(prefix))
+    result = run_cli("simulate", "--config", str(config), "--output", str(prefix), timeout=30)
     assert result.returncode == 1
     assert len(result.stderr.strip().splitlines()) == 1, result.stderr
     assert not prefix.with_suffix(".json").exists()
@@ -381,6 +392,8 @@ def test_simulate_rejects_outcome_band_above_nyquist(tmp_path):
         "detune_factor = inf",
         "box_length = inf",
         "box_length = -256",
+        "dt = 1e-300",
+        "n = 1099511627776",
     ],
 )
 def test_simulate_rejects_invalid_parameters(tmp_path, line):

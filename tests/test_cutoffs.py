@@ -249,6 +249,21 @@ def test_family_for_resonance_free_phase(report5):
     assert np.abs(total - 1.0).max() < 1e-12
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_scales_must_be_finite_and_positive(report5, family, bad):
+    # a NaN rho used to give all zeros and an infinite one all ones; a NaN M
+    # gave NaN with a RuntimeWarning
+    xi, eta = np.zeros((4, 3)), np.full((4, 3), 0.1)
+    free = CutoffFamily.build(report5, idx="111+--")  # no component to check rho
+    for evaluate in (lambda rho: chi_R_rho(xi, eta, family.components[0], rho),
+                     lambda rho: family.chi_T(xi, eta, rho),
+                     lambda rho: free.chi_T(xi, eta, rho)):
+        with pytest.raises(ValueError, match="rho must be finite and positive"):
+            evaluate(bad)
+    with pytest.raises(ValueError, match="M must be finite and positive"):
+        theta(np.ones((4, 6)), bad)
+
+
 def test_partition_evaluates_chi_r_once(family, monkeypatch):
     calls = []
     chi_R = CutoffFamily.chi_R

@@ -24,7 +24,7 @@ def test_speed_pair_rejects_degenerate():
         SpeedPair(1.0)
     with pytest.raises(ValueError):
         SpeedPair(-2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         SpeedPair(5.0, c_slow=2.0)
 
 

@@ -226,6 +226,23 @@ def test_energy_matches_per_field_sums(grid):
     assert state.energy() == pytest.approx(expected, rel=1e-13)
 
 
+def test_steps_compute_each_state_energy_once(grid, monkeypatch):
+    # a step's incoming energy is the previous step's outgoing one, so k
+    # steps compute k + 1 energies, not 2k
+    state, _, _ = random_state(grid, np.random.default_rng(14))
+    calls = []
+    vdot = np.vdot
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return vdot(a, b)
+
+    monkeypatch.setattr(np, "vdot", counted)
+    for _ in range(5):
+        state = step(state, 0.1, MIXED)
+    assert len(calls) == 5 + 1
+
+
 def test_step_builds_tables_once_per_grid_speeds_and_dt(grid, monkeypatch):
     state, _, _ = random_state(grid, np.random.default_rng(13))
     built = []
