@@ -14,13 +14,11 @@ from kgpair.bilinear import (
 )
 from kgpair.cutoffs import CutoffFamily, bound_probe, bump, smooth_step, theta
 from kgpair.dispersion import (
-    FrequencyPair,
     IndexTransform,
     PhaseIndex,
     SpeedPair,
     all_phase_indices,
     canonical_phase_indices,
-    enumerate_phases,
     symmetry_reduce,
 )
 from kgpair.resonance import (

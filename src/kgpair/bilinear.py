@@ -90,11 +90,6 @@ class SpectralField:
         coef = np.fft.fftn(values) * (h**dims / (2.0 * math.pi) ** (dims / 2.0))
         return cls(dims, n, box_length, coef)
 
-    @classmethod
-    def from_coefficients(cls, coef, box_length: float) -> "SpectralField":
-        coef = np.asarray(coef, dtype=complex)
-        return cls(coef.ndim, coef.shape[0], box_length, coef)
-
     # -- geometry -------------------------------------------------------------
 
     @property
@@ -114,9 +109,6 @@ class SpectralField:
             return np.abs(axis)
         grids = np.meshgrid(*([axis] * self.dims), indexing="ij")
         return np.sqrt(sum(g * g for g in grids))
-
-    def position_axis(self) -> np.ndarray:
-        return self.h * np.arange(self.n)
 
     # -- evaluation and norms ---------------------------------------------------
 
@@ -207,8 +199,8 @@ class SpectralField:
         _check_grid(n, dims)
         if len(blob) != offset + 16 * n**dims:
             raise ValueError("payload size does not match header")
-        flat = np.frombuffer(blob, dtype="<f8", offset=offset)
-        coef = (flat[0::2] + 1j * flat[1::2]).reshape((n,) * dims)
+        # read as complex, not as re + 1j*im, which turns a -0.0 real part into 0.0
+        coef = np.frombuffer(blob, dtype="<c16", offset=offset).reshape((n,) * dims).astype(complex)
         return cls(int(dims), int(n), float(box_length), coef)
 
     def spectrum_csv(self) -> str:
@@ -262,7 +254,7 @@ def _leading_shape(freqs) -> tuple:
 
 @dataclass(frozen=True)
 class SymbolGrid:
-    """Bilinear symbol m(xi, eta): a callable, separable factors, or a table.
+    """Bilinear symbol m(xi, eta): a callable or separable factors.
 
     Callables receive lattice frequency arrays (fundamental domain); the
     operator itself treats the difference xi - eta cyclically.  Separable
@@ -273,7 +265,6 @@ class SymbolGrid:
     fn: object = None
     factor_eta: object = None
     factor_diff: object = None
-    table: np.ndarray | None = None
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
@@ -288,13 +279,9 @@ class SymbolGrid:
     def constant(cls, value: float = 1.0) -> "SymbolGrid":
         return cls(factor_eta=lambda freqs: value, factor_diff=None)
 
-    @classmethod
-    def from_table(cls, table) -> "SymbolGrid":
-        return cls(table=np.asarray(table, dtype=complex))
-
     @property
     def is_separable(self) -> bool:
-        return self.fn is None and self.table is None
+        return self.fn is None
 
     def materialize(self, grid: SpectralField) -> np.ndarray:
         """The (n, n) coefficient table used by the dense 1-D operator."""
@@ -307,11 +294,7 @@ class SymbolGrid:
         if key in self._cache:
             return self._cache[key]
         xi = grid.frequency_axis()
-        if self.table is not None:
-            if self.table.shape != (n, n):
-                raise ValueError("symbol table shape does not match the grid")
-            out = self.table
-        elif self.fn is not None:
+        if self.fn is not None:
             out = np.asarray(self.fn(xi[:, None], xi[None, :]), dtype=complex)
             try:
                 out = np.broadcast_to(out, (n, n))

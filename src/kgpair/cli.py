@@ -145,9 +145,18 @@ def cmd_constants(args) -> int:
     return EXIT_OK if isinstance(result, ConstantsBudget) else EXIT_NEGATIVE
 
 
+def _read_report(path: Path | str) -> ResonanceReport:
+    """The resonance report stored at ``path``, solved again and compared."""
+    try:
+        doc = json.loads(Path(path).read_text("utf-8"))
+    except RecursionError:  # the JSON decoder's depth limit
+        raise ValueError(f"report {path} is nested too deeply to read") from None
+    return ResonanceReport.from_dict(doc)
+
+
 def _load_report(args) -> ResonanceReport:
     if args.report is not None:
-        return ResonanceReport.from_dict(json.loads(args.report.read_text("utf-8")))
+        return _read_report(args.report)
     if args.c is None:
         raise ValueError("provide either --c or --report")
     return scan_all(args.c)
@@ -315,7 +324,10 @@ def parse_config(path: Path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        lines[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise ValueError(f"{path}:{lineno}: duplicate config key {key}")
+        lines[key] = value.strip()
     unknown = set(lines) - set(_CONFIG_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -327,7 +339,7 @@ def cmd_simulate(args) -> int:
     scan = {key: config.pop(key) for key in ("r_max", "grid_step", "tau_sep") if key in config}
     report_path, c = config.pop("report_path", None), config.pop("c", None)
     if report_path is not None:
-        report = ResonanceReport.from_dict(json.loads(Path(report_path).read_text("utf-8")))
+        report = _read_report(report_path)
     elif c is not None:
         report = scan_all(c, **scan)
     else:

@@ -217,25 +217,6 @@ class IndexTransform:
         return xi, eta
 
 
-@dataclass(frozen=True)
-class FrequencyPair:
-    """One point (xi, eta) of the 6-dimensional interaction frequency space."""
-
-    xi: tuple
-    eta: tuple
-
-    def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
-        eta = np.asarray(self.eta, dtype=float)
-        if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(eta))):
-            raise ValueError("frequency components must be finite")
-        object.__setattr__(self, "xi", tuple(xi.tolist()))
-        object.__setattr__(self, "eta", tuple(eta.tolist()))
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.xi, dtype=float), np.asarray(self.eta, dtype=float)
-
-
 def orbit(idx: PhaseIndex) -> tuple[PhaseIndex, ...]:
     """The (at most 4-element) symmetry orbit of an index."""
     return (idx, idx.negate(), idx.swap(), idx.swap().negate())
@@ -251,11 +232,6 @@ def symmetry_reduce(idx: PhaseIndex) -> tuple[PhaseIndex, IndexTransform]:
 def all_phase_indices() -> list[PhaseIndex]:
     """All 64 indices in deterministic order."""
     return [PhaseIndex(*label) for label in product(*[SPEED_TAGS] * 3, *[SIGNS] * 3)]
-
-
-def enumerate_phases() -> list[tuple[PhaseIndex, PhaseIndex, IndexTransform]]:
-    """All 64 indices, each with its canonical representative and transform."""
-    return [(idx, *symmetry_reduce(idx)) for idx in all_phase_indices()]
 
 
 def canonical_phase_indices() -> list[PhaseIndex]:

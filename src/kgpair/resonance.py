@@ -72,15 +72,6 @@ def _number(doc: dict, key: str) -> float:
     return value
 
 
-def lambda_domain_bound(speeds: SpeedPair, idx: PhaseIndex) -> float:
-    """Largest r (possibly inf) below which the colinearity ratio exists."""
-    cl = speeds.speed_of(idx.l)
-    cm = speeds.speed_of(idx.m)
-    if cl <= cm:
-        return math.inf
-    return cm / (cl * math.sqrt(cl * cl - cm * cm))
-
-
 def space_resonance_lambda(speeds: SpeedPair, idx: PhaseIndex, r):
     """Colinearity ratio lambda with xi = lambda*eta on the space-resonant set.
 
@@ -545,10 +536,6 @@ def _inequalities(A: float, d1: float, d2: float, d3: float, N: int) -> list[Ine
 def verify_budget(budget: ConstantsBudget) -> list[InequalityCheck]:
     """Evaluate all twelve strict inequalities for a budget."""
     return _inequalities(budget.A, budget.d1, budget.d2, budget.d3, budget.N)
-
-
-def budget_holds(budget: ConstantsBudget) -> bool:
-    return all(c.ok for c in verify_budget(budget))
 
 
 _N_CAP = 10**9

@@ -165,16 +165,6 @@ def reconstruct(state: SystemState) -> tuple[dict, dict]:
     )
 
 
-def reality_error(state: SystemState) -> float:
-    """Largest imaginary part of the reconstructed physical fields."""
-    u0, u1 = reconstruct(state)
-    return max(
-        float(np.abs(fld.to_physical().imag).max())
-        for fields in (u0, u1)
-        for fld in fields.values()
-    )
-
-
 def expand_quadratic(coeffs: NonlinearityCoefficients) -> dict:
     """Interaction coefficients of the diagonalized expansion.
 

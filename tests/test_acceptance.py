@@ -6,14 +6,12 @@ summary) and fails if its criterion is not met.
 
 import json
 import math
-import subprocess
-import sys
 import time
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_cli
 
 from kgpair.bilinear import (
     SpectralField,
@@ -46,12 +44,6 @@ from kgpair.simulator import (
 GOLDEN_PHASES = ["c11+--", "cc1+--"]
 GOLDEN_OUTCOMES = [0.3535533906, 0.3603654667]
 GOLDEN_SOURCES = [0.01314860997, 0.1767766953, 0.3472168567]
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "kgpair.cli", *args], capture_output=True, text=True
-    )
 
 
 @pytest.fixture(scope="module")
@@ -309,10 +301,8 @@ def test_criterion_8_simulator_integrity(acceptance_record):
     )
 
 
-def test_criterion_9_resonant_amplification(acceptance_record, report5, tmp_path):
-    config = Path(str(resources.files("kgpair.configs").joinpath("resonant_c5.cfg")))
-    prefix = tmp_path / "calibrated"
-    result = run_cli("simulate", "--config", str(config), "--output", str(prefix))
+def test_criterion_9_resonant_amplification(acceptance_record, report5, bundled_run):
+    result, prefix = bundled_run
     record = json.loads(prefix.with_suffix(".json").read_text())
     archived = json.loads(
         resources.files("kgpair.configs")

@@ -11,7 +11,6 @@ from kgpair.resonance import (
     ConstantsBudget,
     InfeasibleBudget,
     _inequalities,
-    budget_holds,
     find_admissible_constants,
     verify_budget,
 )
@@ -69,7 +68,7 @@ def test_search_returns_verified_budget():
     result = find_admissible_constants(10.0, 1)
     assert isinstance(result, ConstantsBudget)
     assert result.feasible
-    assert budget_holds(result)
+    assert all(c.ok for c in verify_budget(result))
     assert result.n == 1 and result.N >= 3
 
 
@@ -90,7 +89,6 @@ def test_huge_blowup_exponent_is_infeasible_on_fixed_grid():
 def test_violations_are_detected():
     # d2 too large: A*d2 exceeds 1/2
     budget = ConstantsBudget(A=10.0, n=1, d1=5e-4, d2=0.2, d3=1e-4, N=13200)
-    assert not budget_holds(budget)
     names = {c.name for c in verify_budget(budget) if not c.ok}
     assert "near_set_blowup_half" in names
 
@@ -151,4 +149,4 @@ def test_budget_rows_replay_verify_budget(A, d1, d2, d3, N):
     rows = json.loads(to_canonical_json(doc))["inequalities"]
     assert rows == [{"name": c.name, "formula": c.formula, "slack": c.slack, "ok": c.ok}
                     for c in verify_budget(budget)]
-    assert budget_holds(budget) == all(row["slack"] > 0.0 for row in rows)
+    assert all(row["ok"] == (row["slack"] > 0.0) for row in rows)

@@ -1,37 +1,21 @@
 import csv
 import hashlib
 import json
-import subprocess
-import sys
 from dataclasses import replace
 from importlib import resources
-from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from conftest import run_cli, run_cli_subprocess
 
+from kgpair.cli import _HANDLERS
 from kgpair.cutoffs import CutoffFamily
 from kgpair.reporting import curve_csv, load_schema
 from kgpair.resonance import ResonanceReport, scan_all
 
 GOLDEN_OUTCOMES = [0.3535533906, 0.3603654667]
 GOLDEN_SOURCES = [0.01314860997, 0.1767766953, 0.3472168567]
-
-
-def run_cli(*args, cwd=None, timeout=120):
-    # a hang fails the test with TimeoutExpired instead of stalling the suite
-    return subprocess.run(
-        [sys.executable, "-m", "kgpair.cli", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        timeout=timeout,
-    )
-
-
-def bundled_config() -> Path:
-    return Path(str(resources.files("kgpair.configs").joinpath("resonant_c5.cfg")))
 
 
 def test_resonances_c5_golden(tmp_path):
@@ -122,7 +106,12 @@ def test_invalid_flags_exit_one():
     ],
 )
 def test_invalid_numbers_exit_one(tmp_path, args, name):
-    result = run_cli(*args, "--output", str(tmp_path / "out"), timeout=30)
+    # --points 3000000000 once allocated without bound, so it runs in a child
+    # process whose timeout fails a regression instead of stalling the suite
+    if "3000000000" in args:
+        result = run_cli_subprocess(*args, "--output", str(tmp_path / "out"), timeout=30)
+    else:
+        result = run_cli(*args, "--output", str(tmp_path / "out"))
     assert result.returncode == 1
     assert len(result.stderr.strip().splitlines()) == 1, result.stderr
     assert name in result.stderr
@@ -217,7 +206,8 @@ def test_simulate_blow_up_guard_exits_three(tmp_path):
         encoding="utf-8",
     )
     prefix = tmp_path / "hot"
-    result = run_cli("simulate", "--config", str(config), "--output", str(prefix))
+    # exit code 3 as a shell sees it, from a child process
+    result = run_cli_subprocess("simulate", "--config", str(config), "--output", str(prefix))
     assert result.returncode == 3, result.stderr
     doc = json.loads(prefix.with_suffix(".json").read_text())
     assert doc["inconclusive"] is True
@@ -250,7 +240,7 @@ def test_cutoff_export_radial_and_line(tmp_path):
     assert result.returncode == 0, result.stderr
     doc = json.loads(prefix.with_suffix(".json").read_text())
     jsonschema.validate(doc, load_schema("cutoff-export"))
-    rows = list(csv.DictReader(prefix.with_suffix(".csv").open()))
+    rows = list(csv.DictReader(prefix.with_suffix(".csv").read_text().splitlines()))
     assert len(rows) == 4096
     values = {float(r["radius"]): float(r["value"]) for r in rows}
     # 1 near the outcome sphere, 0 at the origin
@@ -263,7 +253,7 @@ def test_cutoff_export_radial_and_line(tmp_path):
         "--rho", "0.5", "--points", "101", "--output", str(prefix2),
     )
     assert result.returncode == 0, result.stderr
-    rows = list(csv.DictReader(prefix2.with_suffix(".csv").open()))
+    rows = list(csv.DictReader(prefix2.with_suffix(".csv").read_text().splitlines()))
     vals = [float(r["value"]) for r in rows]
     assert max(vals) == 1.0 and min(vals) == 0.0
 
@@ -315,9 +305,8 @@ def test_operator_probe_deterministic(tmp_path):
         assert row["max_normalized_ratio"] <= 1.0 + 1e-6
 
 
-def test_simulate_bundled_config(tmp_path):
-    prefix = tmp_path / "exp"
-    result = run_cli("simulate", "--config", str(bundled_config()), "--output", str(prefix))
+def test_simulate_bundled_config(bundled_run):
+    result, prefix = bundled_run
     assert result.returncode == 0, result.stderr
     doc = json.loads(prefix.with_suffix(".json").read_text())
     jsonschema.validate(doc, load_schema("experiment-record"))
@@ -359,7 +348,12 @@ def _simulate_error(tmp_path, text):
     config = tmp_path / "bad.cfg"
     config.write_text(text, encoding="utf-8")
     prefix = tmp_path / "bad"
-    result = run_cli("simulate", "--config", str(config), "--output", str(prefix), timeout=30)
+    argv = ("simulate", "--config", str(config), "--output", str(prefix))
+    # dt = 1e-300 once ran until killed: a child process with a timeout, as above
+    if "dt = 1e-300" in text:
+        result = run_cli_subprocess(*argv, timeout=30)
+    else:
+        result = run_cli(*argv)
     assert result.returncode == 1
     assert len(result.stderr.strip().splitlines()) == 1, result.stderr
     assert not prefix.with_suffix(".json").exists()
@@ -428,15 +422,65 @@ def test_simulate_accepts_report_path(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-def test_archived_calibration_matches_fresh_run(tmp_path):
+def test_archived_calibration_matches_fresh_run(bundled_run):
     archived = json.loads(
         resources.files("kgpair.configs")
         .joinpath("resonant_c5_calibration.json")
         .read_text("utf-8")
     )
-    prefix = tmp_path / "fresh"
-    result = run_cli("simulate", "--config", str(bundled_config()), "--output", str(prefix))
+    result, prefix = bundled_run
     assert result.returncode == 0
     fresh = json.loads(prefix.with_suffix(".json").read_text())
     assert archived["growth_ratio"] == pytest.approx(fresh["growth_ratio"], rel=1e-6)
     assert archived["parameters"] == fresh["parameters"]
+
+
+def test_simulate_rejects_repeated_keys(tmp_path):
+    stderr = _simulate_error(tmp_path, "c = 5.0\nn = 256\n# the same key again\nn = 512\n")
+    assert "bad.cfg:4: duplicate config key n" in stderr
+
+
+def test_deeply_nested_report_exits_one(tmp_path):
+    # deeper than the JSON decoder's recursion limit
+    report = tmp_path / "deep.json"
+    report.write_text("[" * 100_000 + "]" * 100_000)
+    prefix = tmp_path / "cut"
+    result = run_cli("cutoff-export", "--report", str(report), "--cutoff", "chi-t",
+                     "--output", str(prefix))
+    assert result.returncode == 1
+    assert result.stderr == f"kgpair: error: report {report} is nested too deeply to read\n"
+    stderr = _simulate_error(tmp_path, f"report_path = {report}\n")
+    assert stderr == f"kgpair: error: report {report} is nested too deeply to read\n"
+
+
+@pytest.fixture
+def subcommand_runs(tmp_path):
+    """One run per subcommand: (arguments, exit code, suffixes of the files
+    written under --output, where none means the output is stdout)."""
+    config = tmp_path / "short.cfg"
+    config.write_text("c = 5.0\ndelta = 1.0\nn = 128\nt_final = 10.0\n", encoding="utf-8")
+    return {
+        "resonances": (["resonances", "--c", "5", "--tau-sep", "0.01"], 2, ()),
+        "sweep": (["sweep", "--from", "2", "--to", "10", "--steps", "9"], 0, ()),
+        "constants": (["constants", "-A", "10", "-n", "1"], 0, ()),
+        "cutoff-export": (["cutoff-export", "--c", "5", "--cutoff", "chi-t", "--points", "100000"],
+                          0, (".csv", ".json")),
+        "operator-probe": (["operator-probe", "--seed", "0"], 0, ()),
+        "simulate": (["simulate", "--config", str(config)], 0, (".csv", ".json")),
+    }
+
+
+@pytest.mark.parametrize("command", _HANDLERS)
+def test_in_process_runs_match_a_child_process(tmp_path, subcommand_runs, command):
+    # run_cli calls main in this process, where module caches (_STEP_TABLES,
+    # SymbolGrid._cache) outlive a call; two calls in a row and a fresh
+    # process must give the same exit code, stdout, stderr and output bytes
+    args, code, suffixes = subcommand_runs[command]
+    outputs = []
+    for i, run in enumerate((run_cli, run_cli, run_cli_subprocess)):
+        prefix = tmp_path / f"run{i}"
+        result = run(*args, *(("--output", str(prefix)) if suffixes else ()))
+        assert result.returncode == code, result.stderr
+        files = [prefix.with_suffix(suffix).read_bytes() for suffix in suffixes]
+        outputs.append((result.stdout, result.stderr, files))
+    assert outputs[0] == outputs[1] == outputs[2]

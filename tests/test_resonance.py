@@ -11,7 +11,6 @@ from kgpair.resonance import (
     check_separation,
     dist_to_component,
     find_resonant_components,
-    lambda_domain_bound,
     resonance_quartic,
     root_multiplicities,
     scan_all,
@@ -22,6 +21,15 @@ from kgpair.resonance import (
 
 GOLDEN_OUTCOMES = [0.3535533906, 0.3603654667]
 GOLDEN_SOURCES = [0.01314860997, 0.1767766953, 0.3472168567]
+
+
+def lambda_domain_bound(speeds: SpeedPair, idx: PhaseIndex) -> float:
+    """Largest r (possibly inf) below which the colinearity ratio exists."""
+    cl = speeds.speed_of(idx.l)
+    cm = speeds.speed_of(idx.m)
+    if cl <= cm:
+        return math.inf
+    return cm / (cl * math.sqrt(cl * cl - cm * cm))
 
 
 @pytest.fixture(scope="module")

@@ -27,9 +27,7 @@ def initial_data(draw):
     shape = (n,) * dims
 
     def field():
-        return SpectralField.from_coefficients(
-            rng.normal(size=shape) + 1j * rng.normal(size=shape), box
-        )
+        return SpectralField(dims, n, box, rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
     speeds = SpeedPair(c)
     u0 = {s: field() for s in SPECIES}
