@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from kgpair.bilinear import (
+    SHELL_BOX,
     bernstein_check,
     holder_bound_probe,
     ridge_bound_probe,
@@ -265,7 +266,7 @@ def cmd_operator_probe(args) -> int:
         }
         for j in range(6)
     ]
-    dxi = 2.0 * math.pi / 128.0
+    dxi = 2.0 * math.pi / SHELL_BOX  # the shell lattice step
     shell = [
         {"s": s, "rho": rho, "ratio": shell_weighted_ratio(R=16 * dxi, rho=rho, s=s)}
         for s in (0.5, 1.0)
@@ -278,10 +279,9 @@ def cmd_operator_probe(args) -> int:
         "ridge": ridge,
         "bernstein": bernstein,
         "shell": shell,
+        "cutoff_symbols": bound_probe(CutoffFamily.build(scan_all(args.c)), sample_count=10_000,
+                                      seed=args.seed),
     }
-    if args.c is not None:
-        family = CutoffFamily.build(scan_all(args.c))
-        doc["cutoff_symbols"] = bound_probe(family, sample_count=10_000, seed=args.seed)
     _emit(to_canonical_json(doc), args.output)
     return EXIT_OK
 
@@ -336,12 +336,17 @@ def parse_config(path: Path) -> dict:
 
 def cmd_simulate(args) -> int:
     config = parse_config(args.config)
-    scan = {key: config.pop(key) for key in ("r_max", "grid_step", "tau_sep") if key in config}
-    report_path, c = config.pop("report_path", None), config.pop("c", None)
+    scan = {key: config.pop(key) for key in ("c", "r_max", "grid_step", "tau_sep") if key in config}
+    report_path = config.pop("report_path", None)
     if report_path is not None:
-        report = _read_report(report_path)
-    elif c is not None:
-        report = scan_all(c, **scan)
+        if scan:  # the report fixes its own scan
+            raise ValueError(f"config key report_path excludes {', '.join(scan)}")
+        try:  # a relative path is read from the config file's directory
+            report = _read_report(args.config.parent / report_path)
+        except (ValueError, OSError) as exc:
+            raise ValueError(f"config key report_path: {exc}") from None
+    elif "c" in scan:
+        report = scan_all(**scan)
     else:
         raise ValueError("config must set either c or report_path")
     coeffs = NonlinearityCoefficients(

@@ -557,31 +557,31 @@ def find_admissible_constants(A: float, n: int) -> ConstantsBudget | InfeasibleB
 
     The grids are fixed and descending (56 d2 in [1e-6, 10^-0.5], 71 d1 in
     [1e-8, 0.1], 81 d3 in [1e-10, 0.01]); the result is the first feasible
-    point in (d2, d1, d3) order, with N minimal for its (d1, d3).  Points with
-    d1 >= d2/72, d3*(A+2) >= 3*d1 or N > 10^9 are skipped.  Otherwise the
-    result names the most binding inequality of the first point with the
-    largest minimum slack, or of the least-constrained corner when every
-    point is skipped.  ``n`` is recorded but enters no inequality;
-    ``near_set_blowup_margin_bis`` repeats ``near_set_blowup_margin`` with
-    its terms reordered and stays because the schema pins twelve rows.
+    point in (d2, d1, d3) order, with N minimal for its (d1, d3).  Points where
+    row shell_shrink_beats_decay or space_ibp_gain is <= 0, or N > 10^9, are
+    skipped.  Otherwise the result names the most binding inequality of the
+    first point with the largest minimum slack, or of the least-constrained
+    corner when every point is skipped.  ``n`` is recorded but enters no
+    inequality; ``near_set_blowup_margin_bis`` repeats ``near_set_blowup_margin``
+    with its terms reordered and stays because the schema pins twelve rows.
     """
     _require_positive("A", A)
     _require_count("n", n, 1, MAX_ORDER)
-    d1, d3 = _D1_GRID[:, None], _D3_GRID[None, :]
+    d2, d1, d3 = np.ix_(_D2_GRID, _D1_GRID, _D3_GRID)
     N = _minimal_regularity(d1, d3)
-    skipped = (d3 * (A + 2) >= 3 * d1) | (N > _N_CAP)
+    rows = {name: slack for name, _, slack in _slacks(A, d1, d2, d3, N)}
+    # no row involves both d2 and d3: reduce on the (d2, d1) and the (d1, d3) plane
+    d2d1, d1d3 = (functools.reduce(np.minimum, (s for s in rows.values() if (len(s) > 1) == on_d2))
+                  for on_d2 in (True, False))
+    min_slack = np.minimum(np.where(rows["shell_shrink_beats_decay"] > 0.0, d2d1, -np.inf),
+                           np.where((rows["space_ibp_gain"] > 0.0) & (N <= _N_CAP), d1d3, -np.inf))
+    feasible = min_slack > 0.0
+    k = np.argmax(feasible) if feasible.any() else np.argmax(min_slack)
     # the least-constrained corner stands in when every point is skipped
-    best = (-np.inf, (_D1_GRID[-1], _D2_GRID[-1], _D3_GRID[-1], min(N[-1, -1], _N_CAP)))
-    for d2 in _D2_GRID:
-        min_slack = functools.reduce(np.minimum, (s for _, _, s in _slacks(A, d1, d2, d3, N)))
-        min_slack = np.where(skipped | (d1 >= d2 / 72.0), -np.inf, min_slack)
-        i, j = np.unravel_index(np.argmax(min_slack > 0.0), min_slack.shape)
-        if min_slack[i, j] > 0.0:
-            return ConstantsBudget(A=A, n=n, d1=float(_D1_GRID[i]), d2=float(d2),
-                                   d3=float(_D3_GRID[j]), N=int(N[i, j]))
-        i, j = np.unravel_index(np.argmax(min_slack), min_slack.shape)
-        if min_slack[i, j] > best[0]:
-            best = (min_slack[i, j], (_D1_GRID[i], d2, _D3_GRID[j], N[i, j]))
-    d1, d2, d3, N = best[1]
-    worst = min(_inequalities(A, float(d1), float(d2), float(d3), int(N)), key=lambda c: c.slack)
+    i2, i1, i3 = np.unravel_index(k, min_slack.shape) if min_slack.flat[k] > -np.inf else (-1,) * 3
+    d1, d2, d3 = float(_D1_GRID[i1]), float(_D2_GRID[i2]), float(_D3_GRID[i3])
+    N = int(min(N[0, i1, i3], _N_CAP))
+    if feasible.flat[k]:
+        return ConstantsBudget(A=A, n=n, d1=d1, d2=d2, d3=d3, N=N)
+    worst = min(_inequalities(A, d1, d2, d3, N), key=lambda c: c.slack)
     return InfeasibleBudget(A=A, n=n, binding=worst.name, best_min_slack=worst.slack)

@@ -9,8 +9,13 @@ from hypothesis import strategies as st
 from kgpair.reporting import to_canonical_json
 from kgpair.resonance import (
     ConstantsBudget,
+    _D1_GRID,
+    _D2_GRID,
+    _D3_GRID,
     InfeasibleBudget,
     _inequalities,
+    _minimal_regularity,
+    _slacks,
     find_admissible_constants,
     verify_budget,
 )
@@ -116,10 +121,18 @@ def _all_pruned_corner_slack(A):
     return 0.5 - A * float(np.logspace(-0.5, -6, 56)[-1])
 
 
+# A = 0.5/d2_k zeroes near_set_blowup_half at d2_k; at d2_33 = 10^-3.8 it is the first
+# infeasible A above 50, and the double below it the last feasible one
+_FIRST_INFEASIBLE_A = float(0.5 / _D2_GRID[33])
+
+
 @pytest.mark.parametrize(
     "A, outcome",
     [(2.0, "feasible"), (3.0, "feasible"), (10.0, "feasible"), (50.0, "feasible"),
-     (1e4, "candidate"), (1e5, "candidate"), (1e9, "pruned")],
+     (1e4, "candidate"), (1e5, "candidate"), (1e9, "pruned"),
+     (math.nextafter(_FIRST_INFEASIBLE_A, 0.0), "feasible")]
+    + [(float(0.5 / _D2_GRID[k]), "feasible" if k < 33 else "candidate")
+       for k in (0, 5, 20, 33, 40, 55)],
 )
 def test_search_matches_point_loop(A, outcome):
     result = find_admissible_constants(A, 1)
@@ -127,6 +140,27 @@ def test_search_matches_point_loop(A, outcome):
     assert result.feasible == (outcome == "feasible")
     if not result.feasible:
         assert (result.best_min_slack == _all_pruned_corner_slack(A)) == (outcome == "pruned")
+
+
+def test_no_slack_row_involves_both_d2_and_d3():
+    d2, d1, d3 = np.ix_(_D2_GRID, _D1_GRID, _D3_GRID)
+    rows = _slacks(10.0, d1, d2, d3, _minimal_regularity(d1, d3))
+    shapes = {name: np.shape(slack) for name, _, slack in rows}
+    assert len(shapes) == 12
+    for name, shape in shapes.items():
+        assert len(shape) == 3 and not (shape[0] > 1 and shape[2] > 1), (name, shape)
+    assert {name for name, shape in shapes.items() if shape[0] > 1} == {
+        "shell_shrink_beats_decay", "near_set_blowup_margin", "near_set_blowup_half",
+        "near_set_blowup_margin_bis"}
+
+
+@pytest.mark.parametrize("A", [5e-324, 2.0, 1e5, 1e300])
+def test_skip_rows_are_the_pruning_tests(A):
+    # the search skips where a row is <= 0; the point loop prunes with these tests
+    d2, d1, d3 = np.ix_(_D2_GRID, _D1_GRID, _D3_GRID)
+    rows = {name: slack for name, _, slack in _slacks(A, d1, d2, d3, 1.0)}
+    assert np.array_equal(rows["shell_shrink_beats_decay"] <= 0.0, d1 >= d2 / 72.0)
+    assert np.array_equal(rows["space_ibp_gain"] <= 0.0, d3 * (A + 2) >= 3 * d1)
 
 
 @settings(max_examples=10)

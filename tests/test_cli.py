@@ -422,17 +422,44 @@ def test_simulate_accepts_report_path(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_simulate_reads_report_path_from_the_config_directory(tmp_path, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    assert run_cli("resonances", "--c", "5", "--output", str(sub / "report.json")).returncode == 0
+    (sub / "run.cfg").write_text("report_path = report.json\ndelta = 1.0\nn = 128\n"
+                                 "t_final = 10.0\n", encoding="utf-8")
+    outputs = []
+    for i, (cwd, config) in enumerate(((sub, "run.cfg"), (tmp_path, "sub/run.cfg"))):
+        monkeypatch.chdir(cwd)
+        prefix = tmp_path / f"exp{i}"
+        result = run_cli("simulate", "--config", config, "--output", str(prefix))
+        assert result.returncode == 0, result.stderr
+        outputs.append(prefix.with_suffix(".json").read_bytes())
+    assert outputs[0] == outputs[1]
+    (sub / "run.cfg").write_text("report_path = missing.json\n", encoding="utf-8")
+    result = run_cli("simulate", "--config", "sub/run.cfg", "--output", str(tmp_path / "bad"))
+    assert result.returncode == 1
+    assert result.stderr.startswith("kgpair: error: config key report_path: ")
+    assert "sub/missing.json" in result.stderr
+
+
+@pytest.mark.parametrize("line", ["c = 7.0", "r_max = 50.0", "grid_step = 1e-3", "tau_sep = 0.5"])
+def test_simulate_rejects_report_path_with_a_scan_key(tmp_path, line):
+    # the report fixes its own scan, so a scan key next to it would be ignored
+    stderr = _simulate_error(tmp_path, f"report_path = report.json\n{line}\ndelta = 1.0\n")
+    assert stderr == f"kgpair: error: config key report_path excludes {line.split()[0]}\n"
+
+
 def test_archived_calibration_matches_fresh_run(bundled_run):
-    archived = json.loads(
-        resources.files("kgpair.configs")
-        .joinpath("resonant_c5_calibration.json")
-        .read_text("utf-8")
-    )
     result, prefix = bundled_run
     assert result.returncode == 0
+    configs = resources.files("kgpair.configs")
+    for suffix in (".json", ".csv"):
+        archived = configs.joinpath(f"resonant_c5_calibration{suffix}").read_bytes()
+        assert prefix.with_suffix(suffix).read_bytes() == archived, suffix
+    archived = json.loads(configs.joinpath("resonant_c5_calibration.json").read_text("utf-8"))
     fresh = json.loads(prefix.with_suffix(".json").read_text())
     assert archived["growth_ratio"] == pytest.approx(fresh["growth_ratio"], rel=1e-6)
-    assert archived["parameters"] == fresh["parameters"]
 
 
 def test_simulate_rejects_repeated_keys(tmp_path):
@@ -450,7 +477,8 @@ def test_deeply_nested_report_exits_one(tmp_path):
     assert result.returncode == 1
     assert result.stderr == f"kgpair: error: report {report} is nested too deeply to read\n"
     stderr = _simulate_error(tmp_path, f"report_path = {report}\n")
-    assert stderr == f"kgpair: error: report {report} is nested too deeply to read\n"
+    assert stderr == (f"kgpair: error: config key report_path: report {report} "
+                      "is nested too deeply to read\n")
 
 
 @pytest.fixture

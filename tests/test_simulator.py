@@ -240,16 +240,32 @@ def test_steps_compute_each_state_energy_once(grid, monkeypatch):
     # steps compute k + 1 energies, not 2k
     state, _, _ = random_state(grid, np.random.default_rng(14))
     calls = []
-    vdot = np.vdot
+    energy = SystemState.__dict__["_energy"]  # the cached_property
+    compute = energy.func
 
-    def counted(a, b):
-        calls.append(a.shape)
-        return vdot(a, b)
+    def counted(s):
+        calls.append(s.t)
+        return compute(s)
 
-    monkeypatch.setattr(np, "vdot", counted)
+    monkeypatch.setattr(energy, "func", counted)
     for _ in range(5):
         state = step(state, 0.1, MIXED)
     assert len(calls) == 5 + 1
+
+
+@pytest.mark.parametrize("scheme", ["ifrk4", "ifrk2"])
+def test_step_makes_no_blas_call(grid, monkeypatch, scheme):
+    # numpy's dot products go to a threaded BLAS; a step needs none of them
+    state, _, _ = random_state(grid, np.random.default_rng(15))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("BLAS call during a step")
+
+    for name in ("vdot", "dot", "matmul"):
+        monkeypatch.setattr(np, name, forbidden)
+    for _ in range(3):
+        state = step(state, 0.1, MIXED, scheme=scheme)
+    assert np.isfinite(state.energy())
 
 
 def test_step_builds_tables_once_per_grid_speeds_and_dt(grid, monkeypatch):
