@@ -48,6 +48,9 @@ EXIT_BLOWUP = 3
 _CHUNK_POINTS = 4096  # points per cut-off evaluation in cutoff-export
 MAX_POINTS = 10**6  # cutoff-export --points: the 6-D segment alone takes 48 MB
 MAX_TRIALS = 1000  # operator-probe --trials: 25 times the default of 40
+# largest |coordinate| of a cutoff-export point: the cut-offs square
+# coordinates, which overflows near 1e154 and turns their values to NaN
+MAX_COORD = 1e100
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,8 +175,10 @@ def _parse_segment(text: str):
         raise ValueError("segment must look like 'x0,..,x5:y0,..,y5'") from None
     if start.size != 6 or stop.size != 6:
         raise ValueError("segment endpoints need six coordinates each")
-    if not (np.isfinite(start).all() and np.isfinite(stop).all()):
-        raise ValueError(f"segment coordinates must be finite, got {text!r}")
+    # the segment's points lie between its endpoints; nan fails the comparison
+    if not max(np.abs(start).max(), np.abs(stop).max()) <= MAX_COORD:
+        raise ValueError(f"segment coordinates must be finite and at most {MAX_COORD:g} "
+                         f"in absolute value, got {text!r}")
     return start, stop
 
 
@@ -189,8 +194,8 @@ def _evaluate_in_chunks(family: CutoffFamily, name: str, xi, eta, rho: float) ->
 
 
 def cmd_cutoff_export(args) -> int:
-    for flag, value in (("--rho", args.rho), ("--radius-max", args.radius_max)):
-        _require_positive(flag, value)
+    _require_positive("--rho", args.rho)
+    _require_positive("--radius-max", args.radius_max, MAX_COORD)
     _require_count("--points", args.points, 2, MAX_POINTS)
     report = _load_report(args)
     family = CutoffFamily.build(report, idx=args.index)
@@ -230,6 +235,10 @@ def cmd_cutoff_export(args) -> int:
         # multiples of the bump support width rho * support_radius
         comp = family.components[0]
         half = 3.0 * args.radius_max * family.support_radius * args.rho
+        top = (comp.R + half) * max(1.0, abs(comp.lam))  # the largest |coordinate| of xi, eta
+        if not top <= MAX_COORD:
+            raise ValueError(f"the component line reaches coordinates of {top:g}, above "
+                             f"{MAX_COORD:g}; lower --rho or --radius-max")
         r = comp.R + np.linspace(-half, half, args.points)
         r = r[r > 0.0]
         eta = np.zeros((r.size, 3))
@@ -255,6 +264,8 @@ def cmd_cutoff_export(args) -> int:
 
 def cmd_operator_probe(args) -> int:
     _require_count("--trials", args.trials, 1, MAX_TRIALS)
+    if args.seed < 0:  # numpy's generators take any size of seed, but no negative one
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     holder = holder_bound_probe(pairs=args.trials, seed=args.seed)
     ridge = ridge_bound_probe(trials=max(4, args.trials // 8), seed=args.seed)
     bernstein = [

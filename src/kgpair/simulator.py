@@ -4,8 +4,10 @@ The second-order pair is evolved through the first-order variables
 u_s = du/dt + s*i*<D>_k u for s = +,-; the linear part is then diagonal in
 frequency and integrated exactly by the propagator exp(s*i*dt*<D>_k), while
 the quadratic coupling enters through an explicit integrating-factor
-Runge-Kutta stage.  Resonant amplification experiments inject narrow wave
-packets at the source radii of a scan report and watch the outcome band.
+Runge-Kutta stage.  The data are real, so u_-(xi) = conj(u_+(-xi)): only u_+
+is stored and evolved, and u_- is its mirror image ``_reflect(u_+)``.
+Resonant amplification experiments inject narrow wave packets at the source
+radii of a scan report and watch the outcome band.
 """
 
 from __future__ import annotations
@@ -79,9 +81,9 @@ class NonlinearityCoefficients:
 
 @dataclass(frozen=True)
 class SystemState:
-    """Diagonalized state: ``coef[SPECIES.index(k), SIGNS.index(s)]`` holds
-    the spectral coefficients of u^k_s on ``grid``, whose own coefficients
-    are unused."""
+    """Diagonalized state of real data: ``coef[SPECIES.index(k)]`` holds the
+    spectral coefficients of u^k_+ on ``grid``, whose own coefficients are
+    unused; u^k_- is ``_reflect`` of them."""
 
     t: float
     speeds: SpeedPair
@@ -89,12 +91,15 @@ class SystemState:
     coef: np.ndarray
 
     def __post_init__(self):
-        expected = (len(SPECIES), len(SIGNS)) + self.grid.coef.shape
+        expected = (len(SPECIES),) + self.grid.coef.shape
         if self.coef.shape != expected:
             raise ValueError(f"state shape {self.coef.shape} != {expected}")
 
     def field(self, species: str, sign: int) -> SpectralField:
-        return self.grid.with_coef(self.coef[SPECIES.index(species), SIGNS.index(sign)])
+        if sign not in SIGNS:
+            raise ValueError(f"unknown sign {sign!r}")
+        coef = self.coef[SPECIES.index(species)]
+        return self.grid.with_coef(coef if sign == 1 else _reflect(coef))
 
     def energy(self) -> float:
         return self._energy
@@ -102,19 +107,20 @@ class SystemState:
     @functools.cached_property
     def _energy(self) -> float:
         # once per state: a step's incoming state was the previous step's result.
-        # No BLAS call: np.vdot runs a threaded zdotc on a (2, 2, 4096) state
-        return float(np.sum(self.coef.real ** 2 + self.coef.imag ** 2))
+        # No BLAS call (np.vdot runs a threaded zdotc); u_- has the moduli of u_+
+        return 2.0 * float(np.sum(self.coef.real ** 2 + self.coef.imag ** 2))
+
+
+def _reflect(coef: np.ndarray) -> np.ndarray:
+    """conj(coef(-xi)) over the grid axes of one field: index j of an FFT
+    lattice axis holds frequency j and -j is index (n - j) mod n."""
+    return np.roll(np.flip(coef), 1, axis=tuple(range(coef.ndim))).conj()
 
 
 def _bracket_weights(grid: SpectralField, speeds: SpeedPair) -> np.ndarray:
     """<D>_k on the grid, stacked over species: shape (species, *grid)."""
     norms = grid.frequency_norms()
     return np.stack([speeds.bracket_radial(species, norms) for species in SPECIES])
-
-
-def _flow(weights: np.ndarray, dt: float) -> np.ndarray:
-    """Linear propagator exp(s*i*dt*<D>_k), shape (species, sign, *grid)."""
-    return np.stack([np.exp(sign * 1j * dt * weights) for sign in SIGNS], axis=1)
 
 
 # (dims, n, box_length, c_fast, dt) -> (weights, dt flow, dt/2 flow) of the
@@ -124,12 +130,12 @@ _STEP_TABLES: dict = {}
 
 
 def _step_tables(grid: SpectralField, speeds: SpeedPair, dt: float) -> tuple:
-    """Bracket weights and the dt and dt/2 flows, built once per (grid, speeds, dt)."""
+    """Bracket weights and the u_+ flows over dt and dt/2, built once per (grid, speeds, dt)."""
     key = (grid.dims, grid.n, grid.box_length, speeds.c_fast, dt)
     if key not in _STEP_TABLES:
         _STEP_TABLES.clear()  # before building: never two sets of tables at once
         weights = _bracket_weights(grid, speeds)
-        tables = (weights, _flow(weights, dt), _flow(weights, dt / 2.0))
+        tables = (weights, np.exp(1j * dt * weights), np.exp(1j * (dt / 2.0) * weights))
         for table in tables:
             table.flags.writeable = False
         _STEP_TABLES[key] = tables
@@ -137,33 +143,29 @@ def _step_tables(grid: SpectralField, speeds: SpeedPair, dt: float) -> tuple:
 
 
 def diagonalize(u0: dict, u1: dict, speeds: SpeedPair) -> SystemState:
-    """Form u_s = u1 + s*i*<D>_k u0 for both species and signs."""
+    """Form u_+ = u1 + i*<D>_k u0 for both species from real data u0, u1."""
     first = u0[SPECIES[0]]
     for fld in (*u0.values(), *u1.values()):
         first._check_same_grid(fld)
+    for (name, fields), species in product((("u0", u0), ("u1", u1)), SPECIES):
+        coef = fields[species].coef
+        gap = float(np.max(np.abs(coef - _reflect(coef))))
+        if not gap <= REAL_DATA_TOL * float(np.max(np.abs(coef))):
+            raise ValueError(f"{name}[{species!r}] is not real data: its coefficients differ "
+                             f"from their mirror image conj(coef(-xi)) by up to {gap:.3g}")
     grid = SpectralField.zeros(first.dims, first.n, first.box_length)
     weights = _bracket_weights(grid, speeds)
-    coef = np.stack([
-        [u1[species].coef + sign * 1j * w * u0[species].coef for sign in SIGNS]
-        for species, w in zip(SPECIES, weights)
-    ])
+    coef = np.stack([u1[species].coef + 1j * w * u0[species].coef
+                     for species, w in zip(SPECIES, weights)])
     return SystemState(t=0.0, speeds=speeds, grid=grid, coef=coef)
-
-
-def _positions(coef: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """u = (u_+ - u_-)/(2i<D>) per species."""
-    return (coef[:, 0] - coef[:, 1]) / (2j * weights)
 
 
 def reconstruct(state: SystemState) -> tuple[dict, dict]:
     """Invert the diagonalization: u = (u_+ - u_-)/(2i<D>), du/dt = (u_+ + u_-)/2."""
-    pos = _positions(state.coef, _bracket_weights(state.grid, state.speeds))
-    vel = (state.coef[:, 0] + state.coef[:, 1]) / 2.0
-    grid = state.grid
-    return (
-        {species: grid.with_coef(p) for species, p in zip(SPECIES, pos)},
-        {species: grid.with_coef(v) for species, v in zip(SPECIES, vel)},
-    )
+    weights = _bracket_weights(state.grid, state.speeds)
+    minus = np.stack([_reflect(c) for c in state.coef])
+    pos, vel = (state.coef - minus) / (2j * weights), (state.coef + minus) / 2.0
+    return tuple({sp: state.grid.with_coef(c) for sp, c in zip(SPECIES, f)} for f in (pos, vel))
 
 
 def expand_quadratic(coeffs: NonlinearityCoefficients) -> dict:
@@ -186,9 +188,9 @@ def reassemble_quadratic(table: dict, state: SystemState) -> dict:
     grid = state.grid
     weights = _bracket_weights(grid, state.speeds)
     normalized = {
-        (species, sign): grid.with_coef(state.coef[i, j] / weights[i]).to_physical()
-        for i, species in enumerate(SPECIES)
-        for j, sign in enumerate(SIGNS)
+        (species, sign): grid.with_coef(state.field(species, sign).coef / w).to_physical()
+        for species, w in zip(SPECIES, weights)
+        for sign in SIGNS
     }
     out = {}
     for k in SPECIES:
@@ -201,18 +203,21 @@ def reassemble_quadratic(table: dict, state: SystemState) -> dict:
     return out
 
 
-def _sources(
-    grid: SpectralField, coef: np.ndarray, weights: np.ndarray, coeffs: NonlinearityCoefficients
-) -> np.ndarray:
-    """Sign-agnostic source spectra, shaped (species, 1, *grid) to feed both signs."""
-    u1, uc = (grid.with_coef(p).to_physical() for p in _positions(coef, weights))
+def _sources(grid: SpectralField, coef: np.ndarray, weights: np.ndarray,
+             coeffs: NonlinearityCoefficients) -> np.ndarray:
+    """Source spectra of u_+, shape (species, *grid), from the positions
+    u = Im(u_+/<D>) in physical space."""
+    u1, uc = (grid.with_coef(c / w).to_physical().imag for c, w in zip(coef, weights))
     return np.stack([
         SpectralField.from_physical(coeffs.evaluate(u1, uc, species), grid.box_length).coef
         for species in SPECIES
-    ])[:, None]
+    ])
 
 
 SCHEME_ORDERS = {"ifrk4": 4, "ifrk2": 2}
+# largest |coef - _reflect(coef)| / max|coef| of a field diagonalize accepts
+# as real data; spectra of real arrays stay within 5.1e-16
+REAL_DATA_TOL = 1e-12
 # largest relative growth of the quadratic energy that one step may show
 ENERGY_GUARD = 0.1
 # largest step count t_final/dt of an amplification run, which steps twice
@@ -266,9 +271,9 @@ def step(
 
 
 def profile_of(state: SystemState) -> SystemState:
-    """f_s = exp(-s*i*t*<D>_k) u_s: constant in time under the linear flow."""
+    """f_+ = exp(-i*t*<D>_k) u_+: constant in time under the linear flow."""
     weights = _bracket_weights(state.grid, state.speeds)
-    return replace(state, coef=state.coef * _flow(weights, -state.t))
+    return replace(state, coef=state.coef * np.exp(1j * -state.t * weights))
 
 
 def band_energy(
@@ -285,25 +290,20 @@ def band_energy(
     mask = (norms >= radius_lo) & (norms < radius_hi)
     cell = state.grid.dxi**state.grid.dims
     total = 0.0
-    for sp, by_sign in zip(SPECIES, state.coef):
-        for sg, coef in zip(SIGNS, by_sign):
-            if species in (None, sp) and sign in (None, sg):
-                total += float(np.sum(np.abs(coef[mask]) ** 2) * cell)
+    for sp, sg in product(SPECIES, SIGNS):
+        if species in (None, sp) and sign in (None, sg):
+            total += float(np.sum(np.abs(state.field(sp, sg).coef[mask]) ** 2) * cell)
     return total
 
 
 def _packet_initial_state(grid: SpectralField, speeds: SpeedPair, packets) -> SystemState:
-    """Real initial data from (species, carrier, amplitude, bandwidth) packets.
-
-    Each packet fills the + component with a Gaussian at the carrier and the
-    - component with its reality partner (the reflected conjugate).
-    """
+    """Real initial data: each (species, carrier, amplitude, bandwidth) packet
+    puts a Gaussian at the carrier into u_+, and so its mirror image into u_-."""
     xi = grid.frequency_axis()
-    coef = np.zeros((len(SPECIES), len(SIGNS)) + xi.shape, dtype=complex)
+    coef = np.zeros((len(SPECIES),) + xi.shape, dtype=complex)
     for species, carrier, amplitude, bandwidth in packets:
-        for sign in SIGNS:
-            gauss = amplitude * np.exp(-((sign * xi - carrier) ** 2) / (2.0 * bandwidth**2))
-            coef[SPECIES.index(species), SIGNS.index(sign)] += gauss
+        coef[SPECIES.index(species)] += amplitude * np.exp(
+            -((xi - carrier) ** 2) / (2.0 * bandwidth**2))
     return SystemState(t=0.0, speeds=speeds, grid=grid, coef=coef)
 
 

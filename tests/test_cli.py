@@ -103,6 +103,15 @@ def test_invalid_flags_exit_one():
         (["sweep", "--from", "2", "--to", "10", "--steps", "10001"],
          "steps is limited to integers from 1 to 10000"),
         (["sweep", "--from", "2", "--to", "1e300", "--steps", "3"], "got 1e+300"),
+        # cut-off coordinates square without overflow only below about 1e154
+        (["cutoff-export", "--c", "5", "--cutoff", "chi-s", "--line",
+          "1e300,0,0,0,0,0:0,0,0,1e300,0,0"],
+         "segment coordinates must be finite and at most 1e+100 in absolute value"),
+        (["cutoff-export", "--c", "5", "--cutoff", "chi-t", "--rho", "1e300"],
+         "lower --rho or --radius-max"),
+        (["cutoff-export", "--c", "5", "--cutoff", "theta", "--radius-max", "1e308"],
+         "--radius-max must be finite and positive and at most 1e+100"),
+        (["operator-probe", "--seed", "-1"], "--seed must be a non-negative integer"),
     ],
 )
 def test_invalid_numbers_exit_one(tmp_path, args, name):
@@ -460,6 +469,8 @@ def test_archived_calibration_matches_fresh_run(bundled_run):
     archived = json.loads(configs.joinpath("resonant_c5_calibration.json").read_text("utf-8"))
     fresh = json.loads(prefix.with_suffix(".json").read_text())
     assert archived["growth_ratio"] == pytest.approx(fresh["growth_ratio"], rel=1e-6)
+    # a regenerated archive may move only by rounding: the calibrated ratio is pinned
+    assert archived["growth_ratio"] == pytest.approx(15088.439860238235, rel=1e-12)
 
 
 def test_simulate_rejects_repeated_keys(tmp_path):

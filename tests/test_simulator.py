@@ -14,6 +14,7 @@ from kgpair.simulator import (
     BlowUpError,
     NonlinearityCoefficients,
     SystemState,
+    _reflect,
     band_energy,
     diagonalize,
     expand_quadratic,
@@ -81,6 +82,9 @@ def test_diagonalize_special_cases(grid):
         assert np.array_equal(state.field(s, -1).coef, vel[s].coef)
     mode = np.zeros(N, dtype=complex)
     mode[3] = 1.0
+    with pytest.raises(ValueError, match=r"u0\['1'\] is not real data"):
+        diagonalize({s: grid.with_coef(mode) for s in SPECIES}, zero, sp)
+    mode[-3] = 1.0  # the real cosine mode
     pos = {s: grid.with_coef(mode) for s in SPECIES}
     state = diagonalize(pos, {s: grid for s in SPECIES}, sp)
     xi3 = abs(grid.frequency_axis()[3])
@@ -103,14 +107,62 @@ def test_linear_flow_conserves_moduli(grid):
 
 def test_linear_phase_advance_exact(grid):
     sp = SpeedPair(5.0)
-    coef = np.zeros((len(SPECIES), len(SIGNS), N), dtype=complex)
-    coef[SPECIES.index("c"), SIGNS.index(1), 5] = 1.0
+    coef = np.zeros((len(SPECIES), N), dtype=complex)
+    coef[SPECIES.index("c"), 5] = 1.0
     state = SystemState(t=0.0, speeds=sp, grid=grid, coef=coef)
     t = 0.9
     advanced = step(state, t, NonlinearityCoefficients.zero())
     xi = abs(grid.frequency_axis()[5])
     expected = np.exp(1j * t * sp.bracket_radial("c", xi))
     assert abs(advanced.field("c", 1).coef[5] - expected) < 1e-12
+
+
+def two_sign_step(grid, weights, coef, dt, coeffs, scheme):
+    """The integrating-factor step on both signs, coef shaped (species, sign,
+    *grid), with u_- evolved beside u_+ instead of taken as its mirror image."""
+
+    def flow(tau):
+        return np.stack([np.exp(sign * 1j * tau * weights) for sign in SIGNS], axis=1)
+
+    def source(c):
+        u1, uc = (grid.with_coef(p).to_physical() for p in (c[:, 0] - c[:, 1]) / (2j * weights))
+        return np.stack([
+            SpectralField.from_physical(coeffs.evaluate(u1, uc, k), grid.box_length).coef
+            for k in SPECIES
+        ])[:, None]
+
+    full, half = flow(dt), flow(dt / 2.0)
+    n1 = source(coef)
+    n2 = source((coef + dt / 2.0 * n1) * half)
+    if scheme == "ifrk2":
+        return coef * full + dt * (n2 * half)
+    n3 = source(coef * half + dt / 2.0 * n2)
+    n4 = source(coef * full + dt * (n3 * half))
+    return coef * full + dt / 6.0 * (n1 * full + 2.0 * (n2 * half) + 2.0 * (n3 * half) + n4)
+
+
+@pytest.mark.parametrize("scheme", ["ifrk4", "ifrk2"])
+@pytest.mark.parametrize("dims, n, box", [(1, 256, 64.0), (3, 8, 4.0)])
+def test_step_matches_two_sign_oracle(dims, n, box, scheme):
+    sp = SpeedPair(5.0)
+    rng = np.random.default_rng(16)
+    u0, u1 = (
+        {s: SpectralField.from_physical(0.1 * rng.normal(size=(n,) * dims), box) for s in SPECIES}
+        for _ in range(2)
+    )
+    state = diagonalize(u0, u1, sp)
+    weights = simulator._bracket_weights(state.grid, sp)
+    oracle = np.stack([
+        [u1[s].coef + sign * 1j * w * u0[s].coef for sign in SIGNS]
+        for s, w in zip(SPECIES, weights)
+    ])
+    for _ in range(10):
+        state = step(state, 0.05, MIXED, scheme=scheme)
+        oracle = two_sign_step(state.grid, weights, oracle, 0.05, MIXED, scheme)
+    tol = 1e-13 * np.abs(state.coef).max()
+    assert np.abs(state.coef - oracle[:, 0]).max() <= tol
+    for plus, minus in zip(state.coef, oracle[:, 1]):
+        assert np.abs(minus - _reflect(plus)).max() <= tol
 
 
 def test_expand_quadratic_pure_slow_square():

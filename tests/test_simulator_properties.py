@@ -1,6 +1,7 @@
 """Property tests of the diagonalized state on random 1-D and 3-D grids."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from kgpair.dispersion import SpeedPair
 from kgpair.simulator import (
     SPECIES,
     NonlinearityCoefficients,
+    _reflect,
     diagonalize,
     profile_of,
     reconstruct,
@@ -18,7 +20,8 @@ from kgpair.simulator import (
 
 @st.composite
 def initial_data(draw):
-    """(speeds, u0, u1, largest bracket weight) with complex Gaussian coefficients."""
+    """(speeds, u0, u1, largest bracket weight) with real data: each field's
+    coefficients are the mirror-symmetric part of complex Gaussian ones."""
     dims = draw(st.sampled_from([1, 3]))
     n = draw(st.sampled_from([8, 64, 512] if dims == 1 else [4, 8]))
     box = draw(st.floats(4.0, 256.0))
@@ -27,7 +30,8 @@ def initial_data(draw):
     shape = (n,) * dims
 
     def field():
-        return SpectralField(dims, n, box, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        coef = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return SpectralField(dims, n, box, (coef + _reflect(coef)) / 2.0)
 
     speeds = SpeedPair(c)
     u0 = {s: field() for s in SPECIES}
@@ -48,6 +52,20 @@ def test_diagonalize_reconstruct_round_trip(data):
         # u_s carries <D> u0, so du/dt comes back with an error of order eps * <D>
         assert np.abs(r0[s].coef - u0[s].coef).max() < 1e-13
         assert np.abs(r1[s].coef - u1[s].coef).max() < 1e-13 * wmax
+
+
+@given(initial_data(), st.sampled_from(["u0", "u1"]), st.sampled_from(SPECIES), st.data())
+def test_diagonalize_rejects_data_that_is_not_real(data, name, species, draws):
+    speeds, u0, u1, _ = data
+    fields = {"u0": u0, "u1": u1}[name]
+    fld = fields[species]
+    index = draws.draw(st.tuples(*[st.integers(0, fld.n - 1)] * fld.dims))
+    coef = fld.coef.copy()
+    # breaks the symmetry by 1e-9 max|coef| at index and at its mirror image
+    coef[index] += 1e-9j * np.abs(coef).max()
+    fields[species] = fld.with_coef(coef)
+    with pytest.raises(ValueError, match=rf"{name}\['{species}'\] is not real data"):
+        diagonalize(u0, u1, speeds)
 
 
 @given(initial_data(), times)
