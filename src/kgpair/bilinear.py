@@ -117,12 +117,20 @@ class SpectralField:
         return np.fft.ifftn(self.coef) * (scale / (2.0 * math.pi) ** (self.dims / 2.0))
 
     def lp_norm(self, p: float) -> float:
+        return self.lp_norms(p)[0]
+
+    def lp_norms(self, *ps: float) -> tuple:
+        """The L^p norms for each exponent of ``ps`` from one physical-space
+        transform; every exponent must be >= 1 or +inf."""
+        for p in ps:
+            if not p >= 1:  # also rejects nan
+                raise ValueError(f"p must be >= 1 or +inf, got {p}")
         values = np.abs(self.to_physical())
-        if math.isinf(p):
-            return float(values.max())
-        if p < 1:
-            raise ValueError("p must be >= 1")
-        return float((np.sum(values**p) * self.h**self.dims) ** (1.0 / p))
+        return tuple(
+            float(values.max()) if p == math.inf
+            else float((np.sum(values**p) * self.h**self.dims) ** (1.0 / p))
+            for p in ps
+        )
 
     def spectral_l2(self) -> float:
         return float(
@@ -441,10 +449,10 @@ def bernstein_check(j: int, p: float, q: float, trials: int = 100, seed: int = 0
             envelope = np.exp(-((norms - center) ** 2) / (2.0 * width**2))
             coef += amp * envelope * np.exp(-1j * axis * x0) * (axis > 0)
         f = lp_project(base.with_coef(coef), j, mode="annulus")
-        denom = f.lp_norm(q)
+        denom, numer = f.lp_norms(q, p)
         if denom == 0.0:
             continue
-        ratio = f.lp_norm(p) / (2.0 ** (j * (1.0 / q - inv_p)) * denom)
+        ratio = numer / (2.0 ** (j * (1.0 / q - inv_p)) * denom)
         best = max(best, ratio)
     return best
 
@@ -525,18 +533,26 @@ def ridge_bound_probe(trials: int = 12, seed: int = 0) -> dict:
     }
 
 
-def shell_weighted_ratio(R: float, rho: float, s: float) -> float:
-    """Measured ||chi((|D|-R)/rho) f||_2 / || |x|^s f ||_2 on a localized 3-D
-    field: a Gaussian of width 1.5 on the SHELL_N^3 grid of the SHELL_BOX box."""
+def shell_weighted_ratio(R: float, pairs) -> list:
+    """Measured ||chi((|D|-R)/rho) f||_2 / || |x|^s f ||_2 for each (rho, s)
+    of ``pairs``, on one localized 3-D field: a Gaussian of width 1.5 on the
+    SHELL_N^3 grid of the SHELL_BOX box, built and transformed once per call."""
     h = SHELL_BOX / SHELL_N
     grid_x = (np.arange(SHELL_N) - SHELL_N / 2.0) * h
     xg, yg, zg = np.meshgrid(grid_x, grid_x, grid_x, indexing="ij")
     r2 = xg**2 + yg**2 + zg**2
+    del xg, yg, zg  # 2 MB each; kept, they raise the probe's peak RSS
     values = np.exp(-r2 / (2.0 * 1.5**2))
     f = SpectralField.from_physical(values, SHELL_BOX)
-    shell = f.apply_multiplier(lambda v: bump((np.linalg.norm(v, axis=-1) - R) / rho))
-    weighted = float(math.sqrt(np.sum(r2**s * np.abs(values) ** 2) * h**3))
-    return shell.spectral_l2() / weighted
+    density = np.abs(values) ** 2
+    del values
+    norms = np.linalg.norm(f._frequency_vectors(), axis=-1)
+    ratios = []
+    for rho, s in pairs:
+        shell = f.apply_multiplier(bump((norms - R) / rho))
+        weighted = float(math.sqrt(np.sum(r2**s * density) * h**3))
+        ratios.append(shell.spectral_l2() / weighted)
+    return ratios
 
 
 def holder_bound_probe(
@@ -557,16 +573,18 @@ def holder_bound_probe(
         f = grid.with_coef(rng.normal(size=n) + 1j * rng.normal(size=n))
         g = grid.with_coef(rng.normal(size=n) + 1j * rng.normal(size=n))
         fields.append((f, g))
-    f_norms = {p: [f.lp_norm(p) for f, _ in fields] for p in {t[0] for t in HOLDER_EXPONENTS}}
-    g_norms = {q: [g.lp_norm(q) for _, g in fields] for q in {t[1] for t in HOLDER_EXPONENTS}}
+    # every norm of one field comes from a single transform of it
+    ps, qs, rs = (sorted({t[k] for t in HOLDER_EXPONENTS}) for k in range(3))
+    f_norms = [dict(zip(ps, f.lp_norms(*ps))) for f, _ in fields]
+    g_norms = [dict(zip(qs, g.lp_norms(*qs))) for _, g in fields]
     results = []
     for name, symbol in symbols.items():
         constant = symbol_l1_norm(symbol, grid)
-        products = [pseudo_product(symbol, f, g) for f, g in fields]
+        t_norms = [dict(zip(rs, pseudo_product(symbol, f, g).lp_norms(*rs))) for f, g in fields]
         for p, q, r in HOLDER_EXPONENTS:
             worst = 0.0
-            for tm, f_p, g_q in zip(products, f_norms[p], g_norms[q]):
-                worst = max(worst, tm.lp_norm(r) / (constant * f_p * g_q))
+            for tm, fm, gm in zip(t_norms, f_norms, g_norms):
+                worst = max(worst, tm[r] / (constant * fm[p] * gm[q]))
             results.append(
                 {
                     "symbol": name,

@@ -278,10 +278,10 @@ def cmd_operator_probe(args) -> int:
         for j in range(6)
     ]
     dxi = 2.0 * math.pi / SHELL_BOX  # the shell lattice step
+    pairs = [(rho, s) for s in (0.5, 1.0) for rho in (dxi, 10.0 * dxi)]
     shell = [
-        {"s": s, "rho": rho, "ratio": shell_weighted_ratio(R=16 * dxi, rho=rho, s=s)}
-        for s in (0.5, 1.0)
-        for rho in (dxi, 10.0 * dxi)
+        {"s": s, "rho": rho, "ratio": ratio}
+        for (rho, s), ratio in zip(pairs, shell_weighted_ratio(16 * dxi, pairs))
     ]
     doc = {
         "schema": "operator-probe/1",

@@ -37,7 +37,9 @@ def bump(x):
     """Compactly supported mollifier exp(1 - 1/(1-x^2)) on (-1, 1), peak 1."""
     x = np.asarray(x, dtype=float)
     inside = np.abs(x) < 1.0
-    x2 = np.where(inside, x * x, 0.0)
+    # square the masked copy: x * x overflows for |x| > 1e154
+    x2 = np.where(inside, x, 0.0)
+    x2 *= x2
     with np.errstate(under="ignore"):
         vals = np.exp(1.0 - 1.0 / (1.0 - x2))
     return np.where(inside, vals, 0.0)

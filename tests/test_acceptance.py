@@ -176,9 +176,8 @@ def test_criterion_6_operator_bounds(acceptance_record):
     dxi = 2.0 * math.pi / 128.0
     for s in (0.5, 1.0):
         lo, hi = dxi, 10.0 * dxi
-        measured = shell_weighted_ratio(R=16 * dxi, rho=lo, s=s) / shell_weighted_ratio(
-            R=16 * dxi, rho=hi, s=s
-        )
+        c_lo, c_hi = shell_weighted_ratio(16 * dxi, [(lo, s), (hi, s)])
+        measured = c_lo / c_hi
         predicted = (lo / hi) ** (s / 3.0)
         if not (1.0 / 3.0 < measured / predicted < 3.0):
             failing.append(f"shell scaling s={s}: factor {measured / predicted:.3f}")

@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kgpair.bilinear import (
+    SHELL_BOX,
+    SHELL_N,
     SpectralField,
     SymbolGrid,
     TruncationWarning,
@@ -277,8 +279,7 @@ def test_shell_weighted_rho_scaling():
     dxi = 2.0 * math.pi / 128.0
     for s in (0.5, 1.0):
         lo, hi = dxi, 10.0 * dxi
-        c_lo = shell_weighted_ratio(R=16 * dxi, rho=lo, s=s)
-        c_hi = shell_weighted_ratio(R=16 * dxi, rho=hi, s=s)
+        c_lo, c_hi = shell_weighted_ratio(16 * dxi, [(lo, s), (hi, s)])
         measured = c_lo / c_hi
         predicted = (lo / hi) ** (s / 3.0)
         assert measured / predicted < 3.0
@@ -482,3 +483,86 @@ def test_sparse_tables_match_dense_oracle(data, density):
     scale = rounding_scale(table, np.abs(f.coef), np.abs(g.coef), grid.dxi)
     assert np.abs(out - oracle).max() <= 2.0 * grid.n * np.finfo(float).eps * scale
     assert np.all(out[~table.any(axis=1)] == 0.0)
+
+
+def single_pair_shell_ratio(R, rho, s):
+    """The one-pair ``shell_weighted_ratio`` that rebuilt the 64^3 field, its
+    spectrum and its frequency norms on every call: the oracle of the
+    many-pair version."""
+    h = SHELL_BOX / SHELL_N
+    grid_x = (np.arange(SHELL_N) - SHELL_N / 2.0) * h
+    xg, yg, zg = np.meshgrid(grid_x, grid_x, grid_x, indexing="ij")
+    r2 = xg**2 + yg**2 + zg**2
+    values = np.exp(-r2 / (2.0 * 1.5**2))
+    f = SpectralField.from_physical(values, SHELL_BOX)
+    shell = f.apply_multiplier(lambda v: bump((np.linalg.norm(v, axis=-1) - R) / rho))
+    weighted = float(math.sqrt(np.sum(r2**s * np.abs(values) ** 2) * h**3))
+    return shell.spectral_l2() / weighted
+
+
+def test_shell_ratios_match_single_pair_oracle():
+    dxi = 2.0 * math.pi / SHELL_BOX
+    cli_pairs = [(rho, s) for s in (0.5, 1.0) for rho in (dxi, 10.0 * dxi)]
+    more_pairs = [(0.5 * dxi, 0.0), (3.0 * dxi, 2.0), (40.0 * dxi, 0.25)]
+    for R, pairs in ((16 * dxi, cli_pairs + more_pairs), (5.5 * dxi, more_pairs)):
+        assert shell_weighted_ratio(R, pairs) == [single_pair_shell_ratio(R, *pair) for pair in pairs]
+    assert shell_weighted_ratio(16 * dxi, []) == []
+
+
+def old_lp_norm(field, p):
+    # lp_norm as it was before lp_norms: one transform per exponent
+    values = np.abs(field.to_physical())
+    if math.isinf(p):
+        return float(values.max())
+    return float((np.sum(values**p) * field.h**field.dims) ** (1.0 / p))
+
+
+@pytest.mark.parametrize("dims, n", [(1, 128), (3, 16)])
+def test_lp_norms_match_lp_norm_bit_for_bit(dims, n):
+    rng = np.random.default_rng(21)
+    shape = (n,) * dims
+    f = SpectralField.from_physical(rng.normal(size=shape) + 1j * rng.normal(size=shape), 9.5)
+    ps = (1, 2, 3, 4, 6, math.inf, 2.0, 1.5)
+    norms = f.lp_norms(*ps)
+    assert norms == tuple(f.lp_norm(p) for p in ps)
+    assert norms == tuple(old_lp_norm(f, p) for p in ps)
+    assert f.lp_norms() == ()
+
+
+@pytest.mark.parametrize("p", [math.nan, -math.inf, 0.999, 0.0, -2.0])
+def test_lp_norms_reject_exponents_before_transforming(grid, monkeypatch, p):
+    def forbidden(self):
+        raise AssertionError("transform taken before the exponent check")
+
+    monkeypatch.setattr(SpectralField, "to_physical", forbidden)
+    with pytest.raises(ValueError, match="p must be >= 1 or \\+inf"):
+        grid.lp_norm(p)
+    with pytest.raises(ValueError, match="p must be >= 1 or \\+inf"):
+        grid.lp_norms(2.0, math.inf, p)
+
+
+def count_to_physical(monkeypatch) -> list:
+    calls = []
+    original = SpectralField.to_physical
+
+    def counted(self):
+        calls.append(self.dims)
+        return original(self)
+
+    monkeypatch.setattr(SpectralField, "to_physical", counted)
+    return calls
+
+
+def test_bernstein_check_transforms_each_trial_once(monkeypatch):
+    calls = count_to_physical(monkeypatch)
+    bernstein_check(2, 6.0, 2.0, trials=7, seed=3)
+    assert len(calls) == 7
+
+
+def test_holder_probe_transforms_each_field_and_product_once(monkeypatch):
+    calls = count_to_physical(monkeypatch)
+    pairs = 6
+    holder_bound_probe(pairs=pairs, seed=2)
+    # one transform per f, per g and per product of each of the four symbols,
+    # plus the two that each of the two separable products takes inside
+    assert len(calls) == pairs * (2 + 4) + 2 * 2 * pairs

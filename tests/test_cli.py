@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import run_cli, run_cli_subprocess
 
+from kgpair.bilinear import SpectralField
 from kgpair.cli import _HANDLERS
 from kgpair.cutoffs import CutoffFamily
 from kgpair.reporting import curve_csv, load_schema
@@ -523,3 +524,50 @@ def test_in_process_runs_match_a_child_process(tmp_path, subcommand_runs, comman
         files = [prefix.with_suffix(suffix).read_bytes() for suffix in suffixes]
         outputs.append((result.stdout, result.stderr, files))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["--seed", "0", "--c", "5"],
+         "e3da0ed2d8ee4eacb2f6729f56f88a8ec2a5f6cb971708f5c00876958c336832"),
+        (["--seed", "3", "--c", "3.3", "--trials", "16"],
+         "e99a444c06f4207fbded891c1c303d972702d5197d0fd66f824ea7326433930d"),
+    ],
+)
+def test_operator_probe_golden(tmp_path, args, digest):
+    # sha256 of the output as written when every norm took its own transform
+    # and each shell pair rebuilt the 64^3 field
+    out = tmp_path / "probe.json"
+    result = run_cli("operator-probe", *args, "--output", str(out))
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_operator_probe_transforms_the_shell_field_once(monkeypatch, tmp_path):
+    calls = []
+    original = SpectralField.from_physical.__func__
+
+    def counted(cls, values, box_length):
+        calls.append(np.shape(values))
+        return original(cls, values, box_length)
+
+    monkeypatch.setattr(SpectralField, "from_physical", classmethod(counted))
+    result = run_cli("operator-probe", "--seed", "1", "--trials", "8",
+                     "--output", str(tmp_path / "probe.json"))
+    assert result.returncode == 0, result.stderr
+    assert calls.count((64, 64, 64)) == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_cutoff_export_tiny_rho_warns_nothing(tmp_path):
+    # rho = 1e-300 scales the bump's argument past 1e154, whose square overflows
+    prefix = tmp_path / "tiny"
+    result = run_cli(
+        "cutoff-export", "--c", "5", "--cutoff", "chi-t", "--rho", "1e-300",
+        "--line", "1,0,0,0,0,0:0,0,0,1,0,0", "--output", str(prefix),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    values = [float(row["value"]) for row in csv.DictReader(prefix.with_suffix(".csv").read_text().splitlines())]
+    assert all(np.isfinite(values))
