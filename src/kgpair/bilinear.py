@@ -38,7 +38,9 @@ MAX_GRID_3D = 64
 MAX_GRID_1D = MAX_GRID_3D**3  # as many points as the largest 3-D grid
 MAX_DENSE_SYMBOL = 4096
 PROFILE_N = 1 << 16  # fine lattice of profile_l1_constant
-# Hoelder exponents (p, q, r) of holder_bound_probe
+# holder_bound_probe: its 1-D grid (points, box length) and Hoelder exponents (p, q, r)
+HOLDER_N = 128
+HOLDER_BOX = 64.0
 HOLDER_EXPONENTS = ((2.0, 2.0, 1.0), (4.0, 4.0, 2.0), (6.0, 3.0, 2.0))
 # localized 3-D field of shell_weighted_ratio: points per axis and box length
 SHELL_N = 64
@@ -437,6 +439,7 @@ def bernstein_check(j: int, p: float, q: float, trials: int = 100, seed: int = 0
     best = 0.0
     axis = base.frequency_axis()
     norms = base.frequency_norms()
+    band = lp_psi(norms / 2.0**j)  # the P_j weights, the same for every trial
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
@@ -448,7 +451,7 @@ def bernstein_check(j: int, p: float, q: float, trials: int = 100, seed: int = 0
             amp = rng.uniform(0.3, 1.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
             envelope = np.exp(-((norms - center) ** 2) / (2.0 * width**2))
             coef += amp * envelope * np.exp(-1j * axis * x0) * (axis > 0)
-        f = lp_project(base.with_coef(coef), j, mode="annulus")
+        f = base.with_coef(coef * band)
         denom, numer = f.lp_norms(q, p)
         if denom == 0.0:
             continue
@@ -555,23 +558,22 @@ def shell_weighted_ratio(R: float, pairs) -> list:
     return ratios
 
 
-def holder_bound_probe(
-    n: int = 128, box_length: float = 64.0, pairs: int = 100, seed: int = 0
-) -> dict:
+def holder_bound_probe(pairs: int = 100, seed: int = 0) -> dict:
     """Measured operator ratios against the discrete bound constant.
 
     Returns, per symbol of ``default_probe_symbols(seed)`` and exponent
     triple of HOLDER_EXPONENTS, the maximum ratio
-    ||T_m(f,g)||_r / (l1(m^) ||f||_p ||g||_q) over random field pairs; the
-    discrete bound guarantees the ratio stays below 1 up to roundoff.
+    ||T_m(f,g)||_r / (l1(m^) ||f||_p ||g||_q) over random field pairs on the
+    HOLDER_N-point grid of the HOLDER_BOX box; the discrete bound guarantees
+    the ratio stays below 1 up to roundoff.
     """
-    grid = SpectralField.zeros(1, n, box_length)
+    grid = SpectralField.zeros(1, HOLDER_N, HOLDER_BOX)
     symbols = default_probe_symbols(seed)
     rng = np.random.default_rng(seed)
     fields = []
     for _ in range(pairs):
-        f = grid.with_coef(rng.normal(size=n) + 1j * rng.normal(size=n))
-        g = grid.with_coef(rng.normal(size=n) + 1j * rng.normal(size=n))
+        f = grid.with_coef(rng.normal(size=HOLDER_N) + 1j * rng.normal(size=HOLDER_N))
+        g = grid.with_coef(rng.normal(size=HOLDER_N) + 1j * rng.normal(size=HOLDER_N))
         fields.append((f, g))
     # every norm of one field comes from a single transform of it
     ps, qs, rs = (sorted({t[k] for t in HOLDER_EXPONENTS}) for k in range(3))

@@ -31,6 +31,7 @@ TRUST_RADIUS = 1.0  # distance surrogates are only first-order; cap them here
 # set holds with an implicit constant; the gain absorbs it so the step
 # saturates to {0, 1} away from the resonant components.
 COMPARISON_GAIN = 8.0
+PROBE_RHOS = (1.0, 0.1, 0.01)  # the scales rho of bound_probe, largest first
 
 
 def bump(x):
@@ -303,23 +304,18 @@ def sample_interaction_points(family: CutoffFamily, rng, count: int):
     return pts[:, :3], pts[:, 3:]
 
 
-def bound_probe(
-    family: CutoffFamily,
-    rho_list=(1.0, 1e-1, 1e-2),
-    sample_count: int = 10_000,
-    seed: int = 0,
-) -> dict:
+def bound_probe(family: CutoffFamily, sample_count: int = 10_000, seed: int = 0) -> dict:
     """Monte-Carlo sup estimates of the singular symbol magnitudes.
 
     Estimates sup |chi_S^rho / phi| and sup |chi_T^rho / |d_eta phi|| over
-    B(0, M), fits the growth exponent in 1/rho, and samples the high-frequency
-    region, on shells out to radius 1000, where the bound should be
-    polynomial in |(xi, eta)|.
+    B(0, M) for each rho of PROBE_RHOS, fits the growth exponent in 1/rho,
+    and samples the high-frequency region, on shells out to radius 1000, where
+    the bound should be polynomial in |(xi, eta)|.
     """
     rng = np.random.default_rng(seed)
     xi, eta = sample_interaction_points(family, rng, sample_count)
     rows = []
-    for rho in rho_list:
+    for rho in PROBE_RHOS:
         # extra samples at the rho-adapted scale, where the symbols peak
         s = family.support_radius * rho
         extra = _near_component_points(
@@ -338,7 +334,7 @@ def bound_probe(
             }
         )
     sup_vals = np.array([row["sup_chi_s_over_phi"] for row in rows])
-    inv_rho = 1.0 / np.asarray(rho_list, dtype=float)
+    inv_rho = 1.0 / np.asarray(PROBE_RHOS, dtype=float)
     exponent = float(np.polyfit(np.log(inv_rho), np.log(np.maximum(sup_vals, 1e-300)), 1)[0])
 
     # high-frequency shells: the ratio against (1 + |p|)^n stays bounded.
@@ -358,7 +354,7 @@ def bound_probe(
         ridge = np.concatenate([heta + w, heta], axis=1)
         pts = np.concatenate([generic, ridge], axis=0)
         hxi, heta = pts[:, :3], pts[:, 3:]
-        _, chi_s, _, hphi, _ = family._partition_and_moduli(hxi, heta, rho_list[0])
+        _, chi_s, _, hphi, _ = family._partition_and_moduli(hxi, heta, PROBE_RHOS[0])
         ok = hphi > 1e-12
         ratio = np.max(chi_s[ok] / hphi[ok]) if np.any(ok) else 0.0
         hf_rows.append(

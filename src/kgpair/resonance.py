@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -103,21 +104,21 @@ def time_resonance_gap(speeds: SpeedPair, idx: PhaseIndex, r):
 
 @dataclass(frozen=True)
 class ResonantComponent:
-    """One component {|eta| = R, xi = lambda*eta} of a space-time resonant set."""
+    """One component {|eta| = R, xi = lambda*eta} of a space-time resonant set;
+    ``tangent`` marks an even zero order."""
 
     idx: PhaseIndex
     R: float
     lam: float
     order: int
-    tangent: bool = False
+    tangent: bool = field(init=False)
     outcome_radius: float = field(init=False)
     source_radii: tuple = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "tangent", self.order % 2 == 0)
         object.__setattr__(self, "outcome_radius", abs(self.lam) * self.R)
-        object.__setattr__(
-            self, "source_radii", (self.R, abs(self.lam - 1.0) * self.R)
-        )
+        object.__setattr__(self, "source_radii", (self.R, abs(self.lam - 1.0) * self.R))
 
     def to_dict(self) -> dict:
         return {
@@ -242,7 +243,7 @@ def find_resonant_components(
             r, confirmed = _polish(speeds, idx, r, order)
             if confirmed and r <= r_max:
                 lam = float(space_resonance_lambda(speeds, idx, r))
-                components.append(ResonantComponent(idx, r, lam, order, tangent=order % 2 == 0))
+                components.append(ResonantComponent(idx, r, lam, order))
     return sorted(components, key=lambda comp: comp.R)
 
 
@@ -258,46 +259,35 @@ def _merge_radii(values, tol: float = _RADIUS_MERGE_TOL) -> list[float]:
 class ResonanceReport:
     """Full scan result for one speed value.
 
+    The radius sets and the separation verdict (``separated``, ``min_gap``,
+    ``delta0``) are derived from ``components`` and ``tau_sep``.
     ``grid_step`` is recorded for the ``resonance-report/1`` schema only; the
-    exact solver has no grid.  ``warnings`` is kept for the same schema.
+    exact solver has no grid.  ``warnings`` is always empty, kept for the same
+    schema.
     """
 
     c: float
     components: tuple
-    outcome_radii: tuple
-    source_radii: tuple
-    separated: bool
-    min_gap: float
-    delta0: float
     tau_sep: float
     r_max: float
     grid_step: float
-    warnings: tuple = ()
+    outcome_radii: tuple = field(init=False)
+    source_radii: tuple = field(init=False)
+    separated: bool = field(init=False)
+    min_gap: float = field(init=False)
+    delta0: float = field(init=False)
+    warnings: ClassVar[tuple] = ()
 
-    @classmethod
-    def from_components(
-        cls, c: float, components, tau_sep: float, r_max: float, grid_step: float, warnings=()
-    ) -> "ResonanceReport":
-        """Report whose radius sets and separation verdict follow from ``components``."""
-        for name, value in (("tau_sep", tau_sep), ("r_max", r_max), ("grid_step", grid_step)):
-            _require_positive(name, value)
-        components = tuple(components)
-        outcomes = _merge_radii(comp.outcome_radius for comp in components)
-        sources = _merge_radii(r for comp in components for r in comp.source_radii)
-        separated, min_gap, delta0 = _separation(outcomes, sources, tau_sep)
-        return cls(
-            c=c,
-            components=components,
-            outcome_radii=tuple(outcomes),
-            source_radii=tuple(sources),
-            separated=separated,
-            min_gap=min_gap,
-            delta0=delta0,
-            tau_sep=tau_sep,
-            r_max=r_max,
-            grid_step=grid_step,
-            warnings=tuple(warnings),
-        )
+    def __post_init__(self):
+        for name in ("tau_sep", "r_max", "grid_step"):
+            _require_positive(name, getattr(self, name))
+        components = tuple(self.components)
+        outcomes = tuple(_merge_radii(comp.outcome_radius for comp in components))
+        sources = tuple(_merge_radii(r for comp in components for r in comp.source_radii))
+        names = ("components", "outcome_radii", "source_radii", "separated", "min_gap", "delta0")
+        derived = (components, outcomes, sources, *_separation(outcomes, sources, self.tau_sep))
+        for name, value in zip(names, derived):
+            object.__setattr__(self, name, value)
 
     @property
     def resonant_indices(self) -> list[str]:
@@ -402,7 +392,7 @@ def scan_all(
         for idx in canonical_phase_indices()
         for comp in find_resonant_components(speeds, idx, r_max)
     ]
-    return ResonanceReport.from_components(c, components, tau_sep, r_max, grid_step)
+    return ResonanceReport(c, components, tau_sep, r_max, grid_step)
 
 
 @dataclass(frozen=True)
@@ -446,8 +436,8 @@ class ConstantsBudget:
 
     ``A`` is the pseudo-product blow-up exponent, ``n`` the finite
     intersection order; ``d1``, ``d2``, ``d3`` are the small constants and
-    ``N`` the regularity index.  ``feasible`` is True for every budget built
-    by a successful search.
+    ``N`` the regularity index.  ``feasible`` is the constant True; a failed
+    search returns an ``InfeasibleBudget``.
     """
 
     A: float
@@ -456,7 +446,7 @@ class ConstantsBudget:
     d2: float
     d3: float
     N: int
-    feasible: bool = True
+    feasible: ClassVar[bool] = True
 
     def to_dict(self) -> dict:
         checks = verify_budget(self)
@@ -484,7 +474,7 @@ class InfeasibleBudget:
     n: int
     binding: str
     best_min_slack: float
-    feasible: bool = False
+    feasible: ClassVar[bool] = False
 
     def to_dict(self) -> dict:
         return {
@@ -502,7 +492,10 @@ class InequalityCheck:
     name: str
     formula: str
     slack: float
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.slack > 0.0
 
 
 def _slacks(A, d1, d2, d3, N) -> list[tuple[str, str, object]]:
@@ -529,7 +522,7 @@ def _slacks(A, d1, d2, d3, N) -> list[tuple[str, str, object]]:
 
 
 def _inequalities(A: float, d1: float, d2: float, d3: float, N: int) -> list[InequalityCheck]:
-    return [InequalityCheck(name, formula, float(slack), bool(slack > 0.0))
+    return [InequalityCheck(name, formula, float(slack))
             for name, formula, slack in _slacks(A, d1, d2, d3, N)]
 
 

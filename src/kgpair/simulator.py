@@ -55,6 +55,11 @@ class NonlinearityCoefficients:
     eps: float = 0.0
     zeta: float = 0.0
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"coefficient {name} must be finite, got {value!r}")
+
     @classmethod
     def zero(cls) -> "NonlinearityCoefficients":
         return cls()
@@ -380,12 +385,14 @@ def run_resonant_amplification(
         lo, hi = 2.0 * carrier - half_width, 2.0 * carrier + half_width
         times = [0.0]
         energies = [band_energy(state, lo, hi, species=outcome_species)]
+        # an overflowing state is non-finite, which the energy guard reports as a blow-up
         try:
-            for k in range(1, steps + 1):
-                state = step(state, dt, coeffs, scheme=scheme)
-                if k % sample_every == 0 or k == steps:
-                    times.append(state.t)
-                    energies.append(band_energy(state, lo, hi, species=outcome_species))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(1, steps + 1):
+                    state = step(state, dt, coeffs, scheme=scheme)
+                    if k % sample_every == 0 or k == steps:
+                        times.append(state.t)
+                        energies.append(band_energy(state, lo, hi, species=outcome_species))
         except BlowUpError:
             inconclusive = True
         runs[label] = {

@@ -16,6 +16,7 @@ from kgpair.bilinear import (
     default_probe_symbols,
     holder_bound_probe,
     lp_project,
+    lp_psi,
     profile_l1_constant,
     pseudo_product,
     ridge_bound_probe,
@@ -191,7 +192,7 @@ def test_truncation_warning(grid):
 
 
 def test_measured_operator_bounded_by_symbol_l1(grid):
-    report = holder_bound_probe(n=N, box_length=L, pairs=100, seed=5)
+    report = holder_bound_probe(pairs=100, seed=5)
     assert len(report["rows"]) >= 9
     for row in report["rows"]:
         assert row["max_normalized_ratio"] <= 1.0 + 1e-6, row
@@ -245,6 +246,44 @@ def test_bernstein_single_mode_volume_constant():
 def test_bernstein_ratios_j_independent():
     ratios = [bernstein_check(j, 6.0, 2.0, trials=30, seed=11) for j in range(6)]
     assert max(ratios) / min(ratios) < 2.0
+
+
+def _bernstein_projecting_each_trial(j, p, q, trials, seed):
+    """``bernstein_check`` as it was, with ``lp_project`` called on every trial."""
+    base = SpectralField.zeros(1, 2048, 64.0)
+    axis, norms = base.frequency_axis(), base.frequency_norms()
+    inv_p = 0.0 if math.isinf(p) else 1.0 / p
+    best = 0.0
+    for t in range(trials):
+        rng = np.random.default_rng((seed, t))
+        coef = np.zeros_like(norms, dtype=complex)
+        for _ in range(3):
+            center = 2.0**j * rng.uniform(1.05, 1.45)
+            width = 2.0**j * rng.uniform(0.05, 0.12)
+            x0 = rng.uniform(0.0, base.box_length)
+            amp = rng.uniform(0.3, 1.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            envelope = np.exp(-((norms - center) ** 2) / (2.0 * width**2))
+            coef += amp * envelope * np.exp(-1j * axis * x0) * (axis > 0)
+        f = lp_project(base.with_coef(coef), j, mode="annulus")
+        denom, numer = f.lp_norms(q, p)
+        if denom != 0.0:
+            best = max(best, numer / (2.0 ** (j * (1.0 / q - inv_p)) * denom))
+    return best
+
+
+@pytest.mark.parametrize("j, p, q", [(0, 6.0, 2.0), (2, 4.0, 4.0), (3, math.inf, 1.0),
+                                     (4, 3.0, 2.0), (5, 6.0, 2.0)])
+def test_bernstein_builds_band_weights_once(monkeypatch, j, p, q):
+    calls = []
+
+    def counted(r):
+        calls.append(np.shape(r))
+        return lp_psi(r)
+
+    monkeypatch.setattr("kgpair.bilinear.lp_psi", counted)
+    got = bernstein_check(j, p, q, trials=6, seed=j)
+    assert calls == [(2048,)]
+    assert got == _bernstein_projecting_each_trial(j, p, q, trials=6, seed=j)
 
 
 def test_bernstein_rejects_bad_exponents():

@@ -1,7 +1,8 @@
 import csv
 import hashlib
+import inspect
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 
 import jsonschema
@@ -10,10 +11,11 @@ import pytest
 from conftest import run_cli, run_cli_subprocess
 
 from kgpair.bilinear import SpectralField
-from kgpair.cli import _HANDLERS
+from kgpair.cli import _CONFIG_TYPES, _HANDLERS
 from kgpair.cutoffs import CutoffFamily
 from kgpair.reporting import curve_csv, load_schema
 from kgpair.resonance import ResonanceReport, scan_all
+from kgpair.simulator import NonlinearityCoefficients, run_resonant_amplification
 
 GOLDEN_OUTCOMES = [0.3535533906, 0.3603654667]
 GOLDEN_SOURCES = [0.01314860997, 0.1767766953, 0.3472168567]
@@ -143,7 +145,7 @@ def _forge_component(doc):
     # move c11+-- off its resonance and rebuild every derived key to match,
     # so only the comparison of R with the solver's can reject the document
     full = scan_all(doc["c"])
-    forged = ResonanceReport.from_components(
+    forged = ResonanceReport(
         full.c, (replace(comp, R=0.2) if comp.idx.serialize() == "c11+--" else comp
                  for comp in full.components),
         full.tau_sep, full.r_max, full.grid_step,
@@ -161,7 +163,7 @@ def _omit_component(doc):
     # at c = 150 the tiny cc1+-- zero spoils the separation; dropping it and
     # rebuilding every derived key gives a report that claims separated: true
     full = scan_all(150.0)
-    forged = ResonanceReport.from_components(
+    forged = ResonanceReport(
         full.c, (comp for comp in full.components if comp.idx.serialize() != "cc1+--"),
         full.tau_sep, full.r_max, full.grid_step,
     )
@@ -403,6 +405,38 @@ def test_simulate_rejects_outcome_band_above_nyquist(tmp_path):
 def test_simulate_rejects_invalid_parameters(tmp_path, line):
     stderr = _simulate_error(tmp_path, f"c = 5.0\ndelta = 1.0\n{line}\n")
     assert line.split()[0] in stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", [f.name for f in fields(NonlinearityCoefficients)])
+def test_simulate_rejects_non_finite_coefficients(tmp_path, key, value):
+    stderr = _simulate_error(tmp_path, f"c = 5.0\n{key} = {value}\n")
+    assert f"coefficient {key} must be finite" in stderr
+
+
+def test_simulate_overflow_is_a_quiet_blow_up(tmp_path):
+    # the state overflows in the first step; warnings are errors in the tests
+    config = tmp_path / "huge.cfg"
+    config.write_text("c = 5.0\nalpha = 1e300\nt_final = 1.0\n", encoding="utf-8")
+    prefix = tmp_path / "huge"
+    result = run_cli("simulate", "--config", str(config), "--output", str(prefix))
+    assert (result.returncode, result.stderr) == (3, "")
+    assert json.loads(prefix.with_suffix(".json").read_text())["inconclusive"] is True
+
+
+def test_config_types_match_the_signatures():
+    def keyword_defaults(function):
+        return {name: param.default for name, param in inspect.signature(function).parameters.items()
+                if param.kind is param.POSITIONAL_OR_KEYWORD}
+
+    scan = keyword_defaults(scan_all)
+    run = keyword_defaults(run_resonant_amplification)
+    del run["report"], run["coeffs"]
+    coefficients = {f.name: f.default for f in fields(NonlinearityCoefficients)}
+    assert set(_CONFIG_TYPES) == {*scan, "report_path", *coefficients, *run}
+    for key, default in {**scan, **coefficients, **run}.items():
+        if default is not inspect.Parameter.empty:
+            assert type(default) is _CONFIG_TYPES[key], key
 
 
 def test_simulate_int_keys_accept_integral_numerals(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kgpair.cutoffs import (
+    PROBE_RHOS,
     CutoffFamily,
     _near_component_points,
     bound_probe,
@@ -278,10 +279,9 @@ def test_partition_evaluates_chi_r_once(family, monkeypatch):
     family.chi_T(xi, eta, 0.1)
     assert calls == [0.1]
     calls.clear()
-    rho_list = (1.0, 0.1, 0.01)
-    probe = bound_probe(family, rho_list=rho_list, sample_count=1_000, seed=4)
+    probe = bound_probe(family, sample_count=1_000, seed=4)
     # once per rho on the low-frequency points, once per high-frequency shell
-    assert calls == list(rho_list) + [rho_list[0]] * len(probe["high_frequency"])
+    assert calls == list(PROBE_RHOS) + [PROBE_RHOS[0]] * len(probe["high_frequency"])
 
 
 def test_bound_probe_evaluates_phase_once_per_point(family, monkeypatch):
@@ -297,10 +297,9 @@ def test_bound_probe_evaluates_phase_once_per_point(family, monkeypatch):
 
     for name in points:
         monkeypatch.setattr(SpeedPair, name, counting(name))
-    rho_list = (1.0, 0.1, 0.01)
-    probe = bound_probe(family, rho_list=rho_list, sample_count=1_000, seed=4)
+    probe = bound_probe(family, sample_count=1_000, seed=4)
     # 1000 + 500 points per rho, 2000 per high-frequency shell
-    expected = len(rho_list) * 1_500 + len(probe["high_frequency"]) * 2_000
+    expected = len(PROBE_RHOS) * 1_500 + len(probe["high_frequency"]) * 2_000
     assert points == {"phase": expected, "grad_eta_phase": expected}
 
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -7,7 +9,15 @@ from scipy.optimize import brentq
 
 from kgpair.dispersion import PhaseIndex, SpeedPair, all_phase_indices, canonical_phase_indices
 from kgpair.resonance import (
+    DEFAULT_TAU_SEP,
+    ConstantsBudget,
+    InequalityCheck,
+    InfeasibleBudget,
+    ResonanceReport,
+    ResonantComponent,
+    _merge_radii,
     _polish,
+    _separation,
     check_separation,
     dist_to_component,
     find_resonant_components,
@@ -401,6 +411,59 @@ def test_sweep_rejects_bad_ranges():
         sweep_speed(0.5, 2.0, 4)
     with pytest.raises(ValueError):
         sweep_speed(2.0, 10.0, 0)
+
+
+def _derived_oracle(components, tau_sep):
+    """The derived fields as the old ``from_components`` computed them."""
+    outcomes = _merge_radii(comp.outcome_radius for comp in components)
+    sources = _merge_radii(r for comp in components for r in comp.source_radii)
+    separated, min_gap, delta0 = _separation(outcomes, sources, tau_sep)
+    return tuple(outcomes), tuple(sources), separated, min_gap, delta0
+
+
+@pytest.mark.parametrize("c", [0.2, 0.5, 3.3, 5.0, 150.0, 1000.0])
+def test_report_derives_its_fields_from_components(c):
+    full = scan_all(c)
+    # a tangent copy of each zero adds orders the solver finds at no c tested
+    pool = [*full.components, *(replace(comp, order=2) for comp in full.components)]
+    gap = full.min_gap
+    for tau_sep in (DEFAULT_TAU_SEP, gap / 2.0, 2.0 * gap, 1.0):
+        for size in range(len(pool) + 1):
+            for subset in itertools.combinations(pool, size):
+                report = ResonanceReport(c, iter(subset), tau_sep, full.r_max, full.grid_step)
+                assert report.components == subset
+                assert (report.outcome_radii, report.source_radii, report.separated,
+                        report.min_gap, report.delta0) == _derived_oracle(subset, tau_sep)
+                assert report.warnings == ()
+
+
+def test_component_tangent_marks_even_orders(report5):
+    comp = report5.components[0]
+    assert [replace(comp, order=k).tangent for k in (1, 2, 3, 4)] == [False, True, False, True]
+
+
+@pytest.mark.parametrize("derived", ["outcome_radii", "source_radii", "separated", "min_gap",
+                                     "delta0", "warnings"])
+def test_report_rejects_derived_fields(report5, derived):
+    with pytest.raises(TypeError):
+        ResonanceReport(5.0, report5.components, DEFAULT_TAU_SEP, 100.0, 1e-3,
+                        **{derived: getattr(report5, derived)})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ResonantComponent(PhaseIndex.parse("c11+--"), 0.2, 2.0, 1, tangent=False),
+    lambda: ConstantsBudget(A=10.0, n=1, d1=5e-4, d2=0.04, d3=1e-4, N=13200, feasible=False),
+    lambda: InfeasibleBudget(A=10.0, n=1, binding="x", best_min_slack=-1.0, feasible=True),
+    lambda: InequalityCheck("x", "x > 0", 1.0, False),
+])
+def test_records_reject_derived_values(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_report_warnings_cannot_be_set(report5):
+    with pytest.raises(AttributeError):
+        report5.warnings = ("hand-edited",)
 
 
 def test_report_serialization_round_trip(report5):
