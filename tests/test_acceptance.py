@@ -170,7 +170,7 @@ def test_criterion_6_operator_bounds(acceptance_record):
     if max(adapted) / min(adapted) >= 1.1:
         failing.append("ridge measured ratio varies >= 10%")
     for row in ridge["rows"]:
-        if row["adapted_ratio"] > row["grid_constant"] * (1.0 + 1e-6):
+        if max(row["adapted_ratio"], row["random_ratio"]) > row["grid_constant"] * (1.0 + 1e-6):
             failing.append(f"ridge bound violated at rho={row['rho']}")
 
     dxi = 2.0 * math.pi / 128.0

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from kgpair.bilinear import (
     SpectralField,
     SymbolGrid,
     TruncationWarning,
+    _coefficient_l1,
     bernstein_check,
     default_probe_symbols,
     holder_bound_probe,
@@ -286,6 +288,37 @@ def test_bernstein_builds_band_weights_once(monkeypatch, j, p, q):
     assert got == _bernstein_projecting_each_trial(j, p, q, trials=6, seed=j)
 
 
+def _bernstein_full_length_packets(j, p, q, trials, seed):
+    """``bernstein_check`` as it was, with each packet built on the whole
+    frequency axis and then masked to the positive frequencies."""
+    base = SpectralField.zeros(1, 2048, 64.0)
+    axis, norms = base.frequency_axis(), base.frequency_norms()
+    band = lp_psi(norms / 2.0**j)
+    inv_p = 0.0 if math.isinf(p) else 1.0 / p
+    best = 0.0
+    for t in range(trials):
+        rng = np.random.default_rng((seed, t))
+        coef = np.zeros_like(norms, dtype=complex)
+        for _ in range(3):
+            center = 2.0**j * rng.uniform(1.05, 1.45)
+            width = 2.0**j * rng.uniform(0.05, 0.12)
+            x0 = rng.uniform(0.0, base.box_length)
+            amp = rng.uniform(0.3, 1.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            envelope = np.exp(-((norms - center) ** 2) / (2.0 * width**2))
+            coef += amp * envelope * np.exp(-1j * axis * x0) * (axis > 0)
+        f = base.with_coef(coef * band)
+        denom, numer = f.lp_norms(q, p)
+        if denom != 0.0:
+            best = max(best, numer / (2.0 ** (j * (1.0 / q - inv_p)) * denom))
+    return best
+
+
+@pytest.mark.parametrize("p, q", [(6.0, 2.0), (math.inf, 1.0), (4.0, 4.0)])
+def test_bernstein_positive_packets_match_full_length_packets(p, q):
+    for j in range(6):
+        assert bernstein_check(j, p, q, trials=20, seed=3) == _bernstein_full_length_packets(j, p, q, 20, 3)
+
+
 def test_bernstein_rejects_bad_exponents():
     with pytest.raises(ValueError):
         bernstein_check(0, 2.0, 4.0)
@@ -300,6 +333,121 @@ def test_ridge_probe_uniform_in_rho():
     for row in probe["rows"]:
         assert row["adapted_ratio"] <= row["grid_constant"] * (1.0 + 1e-6)
         assert row["random_ratio"] <= row["grid_constant"] * (1.0 + 1e-6)
+
+
+def cyclic_table(g, lam):
+    """The dense cyclic ridge table g[(a - lam*b) mod n]: the oracle of the
+    band support, the 1-D constant and the ridge product."""
+    idx = np.arange(g.size)
+    return g[(idx[:, None] - lam * idx[None, :]) % g.size]
+
+
+def table_nonzeros(table):
+    """``(rows, starts, cols, diffs, vals)`` of a table's nonzeros in row order."""
+    entries, cols = np.nonzero(table)
+    starts = np.flatnonzero(np.diff(entries, prepend=-1))
+    return entries[starts], starts, cols, (entries - cols) % table.shape[0], table[entries, cols]
+
+
+RIDGE_GRIDS = {128: 64.0, 1024: 1310.72}
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.1, 0.01])
+@pytest.mark.parametrize("n", [128, 1024])
+def test_cyclic_ridge_constant_is_the_dense_coefficient_sum(n, rho):
+    grid = SpectralField.zeros(1, n, RIDGE_GRIDS[n])
+    g = bump(grid.frequency_axis() / rho)
+    dense = float(np.abs(np.fft.ifft2(cyclic_table(g, 2))).sum())
+    assert _coefficient_l1(g) == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+
+def test_ridge_probe_grid_constant_is_the_dense_coefficient_sum():
+    grid = SpectralField.zeros(1, 1024, 1310.72)
+    for row in ridge_bound_probe(trials=4, seed=0)["rows"]:
+        table = cyclic_table(bump(grid.frequency_axis() / row["rho"]), 2)
+        dense = float(np.abs(np.fft.ifft2(table)).sum())
+        assert row["grid_constant"] == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.1, 0.01])
+@pytest.mark.parametrize("n", [128, 1024])
+def test_cyclic_ridge_band_matches_dense_table(n, rho):
+    grid = SpectralField.zeros(1, n, RIDGE_GRIDS[n])
+    symbol = SymbolGrid.cyclic_ridge(lambda k: bump(k / rho), 2.0)
+    table = cyclic_table(bump(grid.frequency_axis() / rho), 2)
+    support = symbol.support(grid)
+    assert support[4].dtype == np.float64
+    for got, expected in zip(support, table_nonzeros(table)):
+        assert np.array_equal(got, expected)
+    assert np.array_equal(symbol.materialize(grid), table)
+    rng = np.random.default_rng(12)
+    f, g = random_field(grid, rng), random_field(grid, rng)
+    oracle = dense_pseudo_product(table_symbol(table), f, g)
+    assert np.abs(pseudo_product(symbol, f, g).coef - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+@given(
+    st.sampled_from([8, 16, 32, 64, 128, 256]),
+    st.floats(2.0, 500.0),
+    st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]),
+    st.floats(1e-3, 50.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_cyclic_ridge_matches_dense_table_property(n, box, lam, rho, seed):
+    grid = SpectralField.zeros(1, n, box)
+    rng = np.random.default_rng(seed)
+    f, g = random_field(grid, rng), random_field(grid, rng)
+    symbol = SymbolGrid.cyclic_ridge(lambda k: bump(k / rho), lam)
+    samples = bump(grid.frequency_axis() / rho)
+    table = cyclic_table(samples, lam)
+    for got, expected in zip(symbol.support(grid), table_nonzeros(table)):
+        assert np.array_equal(got, expected)
+    dense = float(np.abs(np.fft.ifft2(table)).sum())
+    assert _coefficient_l1(samples) == pytest.approx(dense, rel=1e-12, abs=0.0)
+    out = pseudo_product(symbol, f, g).coef
+    oracle = dense_pseudo_product(table_symbol(table), f, g)
+    scale = rounding_scale(table, np.abs(f.coef), np.abs(g.coef), grid.dxi)
+    assert np.abs(out - oracle).max() <= 2.0 * n * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("lam", [2.5, -0.5, math.nan, math.inf])
+def test_cyclic_ridge_needs_an_integer_lambda(lam):
+    with pytest.raises(ValueError, match="ridge lambda must be an integer"):
+        SymbolGrid.cyclic_ridge(bump, lam)
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.01])
+def test_cyclic_ridge_memory_scales_with_its_band(rho):
+    # the band and one product take about 60 bytes per entry; one complex
+    # n x n table alone would take 16 n^2 bytes
+    grid = SpectralField.zeros(1, 1024, 1310.72)
+    rng = np.random.default_rng(4)
+    f, g = random_field(grid, rng), random_field(grid, rng)
+    symbol = SymbolGrid.cyclic_ridge(lambda k: bump(k / rho), 2)
+    tracemalloc.start()
+    try:
+        pseudo_product(symbol, f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * symbol.support(grid)[4].size + 256 * grid.n < 16 * grid.n**2 / 4
+
+
+def test_ridge_probe_is_sharp_and_bounded():
+    for seed in (0, 1):
+        for row in ridge_bound_probe(trials=5, seed=seed)["rows"]:
+            assert row["adapted_ratio"] >= 0.75 * row["grid_constant"]
+            assert max(row["adapted_ratio"], row["random_ratio"]) <= row["grid_constant"] * (1.0 + 1e-12)
+
+
+def test_ridge_probe_builds_no_dense_table(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense table built on the ridge path")
+
+    monkeypatch.setattr(SymbolGrid, "materialize", forbidden)
+    monkeypatch.setattr("kgpair.bilinear.symbol_l1_norm", forbidden)
+    monkeypatch.setattr(np.fft, "ifft2", forbidden)
+    assert len(ridge_bound_probe(trials=4, seed=2)["rows"]) == 3
 
 
 def test_profile_constant_matches_bound_shape():

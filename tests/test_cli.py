@@ -13,7 +13,7 @@ from conftest import run_cli, run_cli_subprocess
 from kgpair.bilinear import SpectralField
 from kgpair.cli import _CONFIG_TYPES, _HANDLERS
 from kgpair.cutoffs import CutoffFamily
-from kgpair.reporting import curve_csv, load_schema
+from kgpair.reporting import curve_csv, load_schema, to_canonical_json
 from kgpair.resonance import ResonanceReport, scan_all
 from kgpair.simulator import NonlinearityCoefficients, run_resonant_amplification
 
@@ -561,21 +561,28 @@ def test_in_process_runs_match_a_child_process(tmp_path, subcommand_runs, comman
 
 
 @pytest.mark.parametrize(
-    "args, digest",
+    "args, digest, without_ridge",
     [
         (["--seed", "0", "--c", "5"],
-         "e3da0ed2d8ee4eacb2f6729f56f88a8ec2a5f6cb971708f5c00876958c336832"),
+         "3b41ffeb4243507445f33baa065b672f3179006e879e3f7a517c70b13b01da62",
+         "75ba3f8792e9715c80202a96d9ce6e7dcc9b296ac7c2e9b70e747c3487ef49db"),
         (["--seed", "3", "--c", "3.3", "--trials", "16"],
-         "e99a444c06f4207fbded891c1c303d972702d5197d0fd66f824ea7326433930d"),
+         "6db787a95b307cf6fab4af638cdc4c2fb56a88037393cc8773f24002dc3f971d",
+         "33b3bf361c4ede212c819a378c20df0cbb6379bcd029015005642f3123cd4f0c"),
     ],
+    ids=["seed0-c5", "seed3-c3.3-trials16"],
 )
-def test_operator_probe_golden(tmp_path, args, digest):
-    # sha256 of the output as written when every norm took its own transform
-    # and each shell pair rebuilt the 64^3 field
+def test_operator_probe_golden(tmp_path, args, digest, without_ridge):
+    # sha256 of the output with the cyclic ridge probe, and of the output with
+    # its "ridge" entry removed, which is the digest of the same document as
+    # written before the ridge became cyclic: no other section moved
     out = tmp_path / "probe.json"
     result = run_cli("operator-probe", *args, "--output", str(out))
     assert result.returncode == 0, result.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    doc = json.loads(out.read_text())
+    del doc["ridge"]
+    assert hashlib.sha256(to_canonical_json(doc).encode()).hexdigest() == without_ridge
 
 
 def test_operator_probe_transforms_the_shell_field_once(monkeypatch, tmp_path):
