@@ -89,7 +89,9 @@ class SpectralField:
         n = values.shape[0]
         _check_grid(n, dims)
         h = box_length / n
-        coef = np.fft.fftn(values) * (h**dims / (2.0 * math.pi) ** (dims / 2.0))
+        # the 1-D transform skips fftn's axis bookkeeping; the bits are the same
+        transformed = np.fft.fft(values) if dims == 1 else np.fft.fftn(values)
+        coef = transformed * (h**dims / (2.0 * math.pi) ** (dims / 2.0))
         return cls(dims, n, box_length, coef)
 
     # -- geometry -------------------------------------------------------------
@@ -109,14 +111,16 @@ class SpectralField:
         axis = self.frequency_axis()
         if self.dims == 1:
             return np.abs(axis)
-        grids = np.meshgrid(*([axis] * self.dims), indexing="ij")
+        # open grids: the squares broadcast into one full-size array
+        grids = np.meshgrid(*([axis] * self.dims), indexing="ij", sparse=True)
         return np.sqrt(sum(g * g for g in grids))
 
     # -- evaluation and norms ---------------------------------------------------
 
     def to_physical(self) -> np.ndarray:
         scale = self.n**self.dims * self.dxi**self.dims
-        return np.fft.ifftn(self.coef) * (scale / (2.0 * math.pi) ** (self.dims / 2.0))
+        values = np.fft.ifft(self.coef) if self.dims == 1 else np.fft.ifftn(self.coef)
+        return values * (scale / (2.0 * math.pi) ** (self.dims / 2.0))
 
     def lp_norm(self, p: float) -> float:
         return self.lp_norms(p)[0]
@@ -410,8 +414,14 @@ def symbol_l1_norm(symbol: SymbolGrid, grid: SpectralField) -> float:
     inverse-DFT coefficients on the product lattice.
 
     Warns when more than 1 % of the coefficient mass sits at the edge of the
-    lattice (the truncated symbol is then unreliable).
+    lattice (the truncated symbol is then unreliable).  A cyclic ridge has no
+    lattice cut: its sum is the exact 1-D one of its profile, with no table
+    and no warning.
     """
+    if symbol.ridge_profile is not None:
+        if grid.dims != 1:
+            raise ValueError("a cyclic ridge lives on 1-D grids")
+        return _coefficient_l1(symbol._ridge_samples(grid))
     table = symbol.materialize(grid)
     coeffs = np.abs(np.fft.ifft2(table))
     total = float(coeffs.sum())
@@ -581,14 +591,13 @@ def shell_weighted_ratio(R: float, pairs) -> list:
     SHELL_N^3 grid of the SHELL_BOX box, built and transformed once per call."""
     h = SHELL_BOX / SHELL_N
     grid_x = (np.arange(SHELL_N) - SHELL_N / 2.0) * h
-    xg, yg, zg = np.meshgrid(grid_x, grid_x, grid_x, indexing="ij")
+    xg, yg, zg = np.meshgrid(grid_x, grid_x, grid_x, indexing="ij", sparse=True)
     r2 = xg**2 + yg**2 + zg**2
-    del xg, yg, zg  # 2 MB each; kept, they raise the probe's peak RSS
     values = np.exp(-r2 / (2.0 * 1.5**2))
     f = SpectralField.from_physical(values, SHELL_BOX)
     density = np.abs(values) ** 2
     del values
-    norms = np.linalg.norm(f._frequency_vectors(), axis=-1)
+    norms = f.frequency_norms()
     ratios = []
     for rho, s in pairs:
         shell = f.apply_multiplier(bump((norms - R) / rho))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from kgpair.dispersion import PhaseIndex, SpeedPair, _require_positive
+from kgpair.dispersion import PhaseIndex, SpeedPair, _require_positive, sum_of_squares
 from kgpair.resonance import ResonanceReport, ResonantComponent, dist_to_component
 
 GRAD_FLOOR = 1e-8  # floor for the gradient magnitudes in distance surrogates
@@ -73,8 +73,7 @@ def edge_down(r, a, b):
 def theta(p, M: float):
     """High/low splitter on the 6-dimensional frequency: 1 on B(0,M), 0 off B(0,M+1)."""
     _require_positive("M", M)
-    p = np.asarray(p, dtype=float)
-    return theta_radial(np.sqrt(np.sum(p * p, axis=-1)), M)
+    return theta_radial(np.sqrt(sum_of_squares(p)), M)
 
 
 def theta_radial(r, M: float):
@@ -91,16 +90,15 @@ def chi_R_rho(xi, eta, comp: ResonantComponent, rho: float, support_radius: floa
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     scale = rho * support_radius
-    radial = (np.linalg.norm(eta, axis=-1) - comp.R) / scale
-    offset = np.linalg.norm(xi - comp.lam * eta, axis=-1) / scale
+    radial = (np.sqrt(sum_of_squares(eta)) - comp.R) / scale
+    offset = np.sqrt(sum_of_squares(xi - comp.lam * eta)) / scale
     return bump(radial) * bump(offset)
 
 
 def _frobenius_bracket_jacobian(speeds: SpeedPair, tag: str, w):
     # Frobenius norm of d/dw [c^2 w / <w>] = (c^2/<w>) (I - c^2 w w^T / <w>^2)
-    w = np.asarray(w, dtype=float)
     ca = speeds.speed_of(tag)
-    t = np.sum(w * w, axis=-1)
+    t = sum_of_squares(w)
     b2 = 1.0 + ca * ca * t
     alpha = ca * ca / b2
     frob2 = (ca**4 / b2) * (3.0 - 2.0 * alpha * t + alpha * alpha * t * t)
@@ -159,8 +157,7 @@ class CutoffFamily:
     # -- output-frequency pair ------------------------------------------------
 
     def dist_to_outcomes(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        radius = np.linalg.norm(xi, axis=-1)
+        radius = np.sqrt(sum_of_squares(xi))
         dists = [np.abs(radius - o) for o in self.report.outcome_radii]
         return np.min(np.stack(dists, axis=0), axis=0)
 
@@ -199,8 +196,8 @@ class CutoffFamily:
         phi = np.abs(self.speeds.phase(self.idx, xi, eta))
         # squared gradient moduli: the square root of the eta one is |d_eta phi|
         # bit for bit, and no (..., 3) gradient array outlives its line
-        gx2 = np.sum(self.speeds.grad_xi_phase(self.idx, xi, eta) ** 2, axis=-1)
-        ge = np.sum(self.speeds.grad_eta_phase(self.idx, xi, eta) ** 2, axis=-1)
+        gx2 = sum_of_squares(self.speeds.grad_xi_phase(self.idx, xi, eta))
+        ge = sum_of_squares(self.speeds.grad_eta_phase(self.idx, xi, eta))
         d_time = np.minimum(phi / np.maximum(np.sqrt(gx2 + ge), GRAD_FLOOR), TRUST_RADIUS)
         ge = np.sqrt(ge)  # rebinding frees the square: one array fewer at the peak
         hess = (_frobenius_bracket_jacobian(self.speeds, self.idx.l, eta)
@@ -213,7 +210,7 @@ class CutoffFamily:
         return smooth_step(arg), phi, ge
 
     def _chi_S_high(self, xi, eta):
-        gap = np.linalg.norm(np.asarray(xi) - np.asarray(eta), axis=-1)
+        gap = np.sqrt(sum_of_squares(np.asarray(xi) - np.asarray(eta)))
         width = 0.5 * self.high_freq_offset
         return bump((gap - self.high_freq_offset) / width)
 
@@ -227,8 +224,9 @@ class CutoffFamily:
         branch computes anyway: (chi_R, chi_S, chi_T, |phi|, |d_eta phi|)."""
         xi = np.asarray(xi, dtype=float)
         eta = np.asarray(eta, dtype=float)
-        low, phi, ge = self._chi_S_low(xi, eta)  # before the 6-D theta input: lower peak memory
-        blend = theta(np.concatenate(np.broadcast_arrays(xi, eta), axis=-1), self.M)
+        low, phi, ge = self._chi_S_low(xi, eta)
+        # theta of the 6-vector (xi, eta), its squares summed in that order
+        blend = theta_radial(np.sqrt(sum_of_squares(xi, eta)), self.M)
         away = blend * low + (1.0 - blend) * self._chi_S_high(xi, eta)
         chi_r = self.chi_R(xi, eta, rho)
         chi_s = (1.0 - chi_r) * away
@@ -270,7 +268,7 @@ class CutoffFamily:
 
 def _sample_ball(rng, count: int, radius: float, dim: int = 6):
     direction = rng.normal(size=(count, dim))
-    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    direction /= np.sqrt(sum_of_squares(direction))[:, None]
     r = radius * rng.uniform(0.0, 1.0, count) ** (1.0 / dim)
     return direction * r[:, None]
 
@@ -278,7 +276,7 @@ def _sample_ball(rng, count: int, radius: float, dim: int = 6):
 def _near_component_points(family: CutoffFamily, rng, count: int, spreads):
     picks = rng.integers(0, len(family.components), count)
     omega = rng.normal(size=(count, 3))
-    omega /= np.linalg.norm(omega, axis=1)[:, None]
+    omega /= np.sqrt(sum_of_squares(omega))[:, None]
     R = np.array([comp.R for comp in family.components])[picks, None]
     lam_R = np.array([comp.lam * comp.R for comp in family.components])[picks, None]
     base = np.concatenate([lam_R * omega, R * omega], axis=1)
@@ -344,12 +342,12 @@ def bound_probe(family: CutoffFamily, sample_count: int = 10_000, seed: int = 0)
     hf_rows = []
     for radius in shells:
         direction = rng.normal(size=(1000, 6))
-        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        direction /= np.sqrt(sum_of_squares(direction))[:, None]
         generic = direction * radius
         w = rng.normal(size=(1000, 3))
-        w *= (rng.uniform(0.0, 2.0 * family.high_freq_offset, 1000) / np.linalg.norm(w, axis=1))[:, None]
+        w *= (rng.uniform(0.0, 2.0 * family.high_freq_offset, 1000) / np.sqrt(sum_of_squares(w)))[:, None]
         ez = rng.normal(size=(1000, 3))
-        ez /= np.linalg.norm(ez, axis=1)[:, None]
+        ez /= np.sqrt(sum_of_squares(ez))[:, None]
         heta = ez * radius / math.sqrt(2.0)
         ridge = np.concatenate([heta + w, heta], axis=1)
         pts = np.concatenate([generic, ridge], axis=0)

@@ -59,6 +59,35 @@ def _require_count(name: str, value, lo: int, hi: int) -> int:
     raise ValueError(f"{name} is limited to integers from {lo} to {hi}, got {value!r}")
 
 
+def sum_of_squares(*vectors) -> np.ndarray:
+    """x0^2 + x1^2 + ... over the last axis of each argument in turn.
+
+    The squares are added left to right, one component array at a time, so
+    the result equals ``np.sum(x*x, axis=-1)`` (and its square root
+    ``np.linalg.norm(x, axis=-1)``) bit for bit for last axes shorter than
+    8, where numpy's reduction is a plain running sum; from 8 on numpy sums
+    pairwise in an order that depends on the memory layout.  Several
+    arguments sum like their concatenation along the last axis, and their
+    leading axes broadcast.  It avoids numpy's per-row reduction loop,
+    which costs far more than the arithmetic on 3- and 6-vectors.
+    """
+    total = None
+    for vector in vectors:
+        vector = np.asarray(vector, dtype=float)
+        for k in range(vector.shape[-1]):
+            component = vector[..., k]
+            square = component * component
+            if total is None:
+                total = square
+            elif total.shape == square.shape:
+                total += square
+            else:
+                total = total + square
+    if total is None:
+        raise ValueError("sum_of_squares needs at least one vector component")
+    return total
+
+
 @dataclass(frozen=True)
 class SpeedPair:
     """Speeds c of tag "c" and 1 of tag "1"; c and 1/c are at most SPEED_MAX, and c != 1."""
@@ -87,7 +116,7 @@ class SpeedPair:
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
             return self.bracket_radial(tag, x)
-        return self.bracket_radial(tag, np.sqrt(np.sum(x * x, axis=-1)))
+        return self.bracket_radial(tag, np.sqrt(sum_of_squares(x)))
 
     def bracket_radial(self, tag: str, r) -> np.ndarray | float:
         """Bracket as an elementwise function of the modulus |x| = r."""

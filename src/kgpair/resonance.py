@@ -33,7 +33,7 @@ from typing import ClassVar
 import numpy as np
 
 from kgpair.dispersion import (PhaseIndex, SpeedPair, _require_count, _require_positive,
-                               canonical_phase_indices)
+                               canonical_phase_indices, sum_of_squares)
 
 ROOT_TOL = 1e-12
 # relative tolerance between a report read back and the one solved at its
@@ -141,10 +141,10 @@ def dist_to_component(xi, eta, comp: ResonantComponent):
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     lam, R = comp.lam, comp.R
-    drive = np.linalg.norm(lam * xi + eta, axis=-1)
+    drive = np.sqrt(sum_of_squares(lam * xi + eta))
     d2 = (
-        np.sum(xi * xi, axis=-1)
-        + np.sum(eta * eta, axis=-1)
+        sum_of_squares(xi)
+        + sum_of_squares(eta)
         + R * R * (lam * lam + 1.0)
         - 2.0 * R * drive
     )

@@ -84,6 +84,21 @@ def test_round_trip_and_parseval(grid):
     assert f.lp_norm(2) == pytest.approx(f.spectral_l2(), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 8, 256, 4096])
+def test_one_dimensional_transforms_are_the_fftn_formulas_bit_for_bit(n):
+    # the 1-D methods call fft/ifft; the module docstring's conventions, as
+    # written with fftn/ifftn for every dimension, give the same bits
+    rng = np.random.default_rng(n)
+    box = 3.7 * n
+    h, dxi = box / n, 2.0 * math.pi / box
+    values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    f = SpectralField.from_physical(values, box)
+    assert np.array_equal(f.coef, np.fft.fftn(values) * (h / (2.0 * math.pi) ** 0.5))
+    g = random_field(f, rng)
+    expected = np.fft.ifftn(g.coef) * (n * dxi / (2.0 * math.pi) ** 0.5)
+    assert np.array_equal(g.to_physical(), expected)
+
+
 def test_single_mode_single_coefficient(grid):
     x = grid.h * np.arange(grid.n)
     k = 5 * grid.dxi
@@ -359,6 +374,11 @@ def test_cyclic_ridge_constant_is_the_dense_coefficient_sum(n, rho):
     g = bump(grid.frequency_axis() / rho)
     dense = float(np.abs(np.fft.ifft2(cyclic_table(g, 2))).sum())
     assert _coefficient_l1(g) == pytest.approx(dense, rel=1e-12, abs=0.0)
+    # symbol_l1_norm takes the cyclic symbol's exact 1-D sum: no table, and no
+    # TruncationWarning (an error under the test settings) at any rho
+    symbol = SymbolGrid.cyclic_ridge(lambda k: bump(k / rho), 2)
+    assert symbol_l1_norm(symbol, grid) == pytest.approx(dense, rel=1e-12, abs=0.0)
+    assert not symbol._cache
 
 
 def test_ridge_probe_grid_constant_is_the_dense_coefficient_sum():

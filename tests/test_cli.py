@@ -286,6 +286,40 @@ def test_cutoff_export_chi_t_golden(tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    "args, csv_digest, json_digest",
+    [
+        (["--c", "0.5", "--cutoff", "chi-s", "--points", "100000"],
+         "15dd697519004ffbc913e61cd7b954854270cc7cd957b5055be8794d0ec6226b",
+         "b3c170d380d448d9a8ab87342257f29462699ec87f2865f7b6fba7113955615c"),
+        (["--c", "0.5", "--cutoff", "chi-r", "--points", "100000"],
+         "5ed6807ec4eacd6daace1dcac55632555d08396284f66dd48d314ea13ad28435",
+         "30041858ca7ca5a45c17cf46d886d2444c160aeb6a62aa969d14b66905f24631"),
+        (["--c", "11", "--cutoff", "chi-s", "--points", "100000"],
+         "9fe829e6c5ef73fcabebd7254c0ce72af25c7a9cf29e73aea3fc4ab1e085e4f9",
+         "367be22d6047f0dbe38febc2ff096f9a9a87a17978fe792047368f07100b5036"),
+        (["--c", "11", "--cutoff", "chi-r", "--points", "100000"],
+         "99ef7a23aeb727bd01520f40271a80bba9afe44e7395ea3f860559627b8152f8",
+         "f11fc0a42648a772403c3d84dbd74e0803bcede6ad045ee5850a5b525cfabe55"),
+        # a segment away from the component, through the low branch, the
+        # theta blend (|p| from M = 2 to 3) and the high branch: 3285 values
+        # strictly between 0 and 1
+        (["--c", "5", "--cutoff", "chi-t", "--points", "20001",
+          "--line=-0.91,-0.65,-0.62,0.07,-0.1,0.91:2.27,1.48,0.86,1.73,2.19,-2.39"],
+         "f37ddcae804a6fcc750059cd07694276f8533c22aaf9deacaa7a1edf1fe973bf",
+         "619f7ac70397f57013d85895c1b7d95e27a84d7c43b574b7d9b2a0c66bcf0333"),
+    ],
+    ids=["chi-s-c0.5", "chi-r-c0.5", "chi-s-c11", "chi-r-c11", "chi-t-line-c5"],
+)
+def test_cutoff_export_golden(tmp_path, args, csv_digest, json_digest):
+    # sha256 of both outputs, pinning the cut-off arithmetic byte for byte
+    prefix = tmp_path / "cutoff"
+    result = run_cli("cutoff-export", *args, "--output", str(prefix))
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(prefix.with_suffix(".csv").read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256(prefix.with_suffix(".json").read_bytes()).hexdigest() == json_digest
+
+
 def test_cutoff_export_line_matches_one_evaluation(tmp_path):
     # cutoff-export evaluates 4096 points at a time; the values must equal one
     # evaluation over all points

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgpair.dispersion import (
@@ -10,6 +10,7 @@ from kgpair.dispersion import (
     SpeedPair,
     all_phase_indices,
     canonical_phase_indices,
+    sum_of_squares,
     symmetry_reduce,
 )
 
@@ -207,3 +208,82 @@ def test_serialization_round_trip():
         PhaseIndex.parse("c11+-")
     with pytest.raises(ValueError):
         PhaseIndex.parse("x11+--")
+
+
+# components: moderate values, and the edges where a running sum and a
+# pairwise one could part: +-0, subnormals, squares that overflow, +-inf, nan
+_COMPONENTS = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308, 1e-160, 1e200,
+                     math.inf, -math.inf, math.nan]),
+)
+
+
+@st.composite
+def vector_arrays(draw, length=None, lead=None):
+    """A float array of shape lead + (length,), drawn as one of four layouts:
+    contiguous, every other row of a larger array, Fortran order, or a
+    broadcast view of a single vector."""
+    length = draw(st.integers(1, 8)) if length is None else length
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=3))) if lead is None else lead
+    layout = draw(st.sampled_from(["contiguous", "strided", "fortran", "broadcast"]))
+    shape = lead + (length,)
+    if layout == "broadcast":
+        row = np.array(draw(st.lists(_COMPONENTS, min_size=length, max_size=length)))
+        return np.broadcast_to(row, shape)
+    if layout == "strided" and lead:
+        shape = (2 * lead[0],) + shape[1:]
+    values = draw(st.lists(_COMPONENTS, min_size=math.prod(shape), max_size=math.prod(shape)))
+    x = np.array(values, dtype=float).reshape(shape)
+    if layout == "strided" and lead:
+        return x[::2]
+    return np.asfortranarray(x) if layout == "fortran" else x
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    # every nan is a match: its payload is not part of numpy's contract
+    both_nan = np.isnan(got) & np.isnan(want)
+    assert np.array_equal(np.where(both_nan, 0.0, got).view(np.uint64),
+                          np.where(both_nan, 0.0, want).view(np.uint64))
+
+
+@settings(max_examples=200)
+@given(vector_arrays())
+def test_sum_of_squares_is_numpys_reduction_bit_for_bit(x):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got = sum_of_squares(x)
+        reference = x[..., 0] * x[..., 0]
+        for k in range(1, x.shape[-1]):
+            reference = reference + x[..., k] * x[..., k]
+        _same_bits(got, reference)
+        if x.shape[-1] < 8:
+            _same_bits(got, np.sum(x * x, axis=-1))
+            _same_bits(np.sqrt(got), np.linalg.norm(x, axis=-1))
+        else:
+            # from 8 components numpy sums pairwise, in an order that depends
+            # on the layout; each order of 8 nonnegative terms is within
+            # 7 half-ulps of the exact sum, so the two are within 7 ulps
+            np.testing.assert_allclose(got, np.sum(x * x, axis=-1),
+                                       rtol=8 * np.finfo(float).eps, atol=0.0)
+
+
+@settings(max_examples=200)
+@given(st.data(), st.integers(1, 4), st.integers(1, 3))
+def test_sum_of_squares_of_two_vectors_is_that_of_their_concatenation(data, k1, k2):
+    lead = tuple(data.draw(st.lists(st.integers(1, 3), max_size=3)))
+    a = data.draw(vector_arrays(k1, lead))
+    # the second argument broadcasts against the leading axes of the first
+    b = data.draw(vector_arrays(k2, lead[data.draw(st.integers(0, len(lead))):]))
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    joined = np.concatenate([np.broadcast_to(a, shape + (k1,)), np.broadcast_to(b, shape + (k2,))],
+                            axis=-1)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        _same_bits(sum_of_squares(a, b), np.sum(joined * joined, axis=-1))
+
+
+def test_sum_of_squares_needs_a_component():
+    with pytest.raises(ValueError, match="at least one"):
+        sum_of_squares(np.zeros((4, 0)))
