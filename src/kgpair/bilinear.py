@@ -61,7 +61,12 @@ def _check_grid(n: int, dims: int):
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Periodic grid function stored as Fourier coefficients."""
+    """Periodic grid function stored as Fourier coefficients.
+
+    The grid axes are the trailing ``dims`` axes of ``coef``. Leading axes,
+    if any, index independent fields on the same grid: the transforms act on
+    each of them, while the norms treat ``coef`` as one field.
+    """
 
     dims: int
     n: int
@@ -72,8 +77,8 @@ class SpectralField:
         _check_grid(self.n, self.dims)
         _require_positive("box_length", self.box_length)
         expected = (self.n,) * self.dims
-        if self.coef.shape != expected:
-            raise ValueError(f"coefficient shape {self.coef.shape} != {expected}")
+        if self.coef.shape[-self.dims:] != expected:
+            raise ValueError(f"coefficient shape {self.coef.shape} does not end in {expected}")
 
     # -- constructors ---------------------------------------------------------
 
@@ -83,14 +88,16 @@ class SpectralField:
         return cls(dims, n, box_length, np.zeros((n,) * dims, dtype=complex))
 
     @classmethod
-    def from_physical(cls, values, box_length: float) -> "SpectralField":
+    def from_physical(cls, values, box_length: float, dims: int | None = None) -> "SpectralField":
+        """The field of physical ``values``; ``dims`` counts the trailing grid
+        axes and defaults to all of them."""
         values = np.asarray(values, dtype=complex)
-        dims = values.ndim
-        n = values.shape[0]
+        dims = values.ndim if dims is None else dims
+        n = values.shape[-1]
         _check_grid(n, dims)
         h = box_length / n
         # the 1-D transform skips fftn's axis bookkeeping; the bits are the same
-        transformed = np.fft.fft(values) if dims == 1 else np.fft.fftn(values)
+        transformed = np.fft.fft(values) if dims == 1 else np.fft.fftn(values, axes=(-3, -2, -1))
         coef = transformed * (h**dims / (2.0 * math.pi) ** (dims / 2.0))
         return cls(dims, n, box_length, coef)
 
@@ -119,7 +126,8 @@ class SpectralField:
 
     def to_physical(self) -> np.ndarray:
         scale = self.n**self.dims * self.dxi**self.dims
-        values = np.fft.ifft(self.coef) if self.dims == 1 else np.fft.ifftn(self.coef)
+        coef = self.coef
+        values = np.fft.ifft(coef) if self.dims == 1 else np.fft.ifftn(coef, axes=(-3, -2, -1))
         return values * (scale / (2.0 * math.pi) ** (self.dims / 2.0))
 
     def lp_norm(self, p: float) -> float:
@@ -598,12 +606,11 @@ def shell_weighted_ratio(R: float, pairs) -> list:
     density = np.abs(values) ** 2
     del values
     norms = f.frequency_norms()
-    ratios = []
-    for rho, s in pairs:
-        shell = f.apply_multiplier(bump((norms - R) / rho))
-        weighted = float(math.sqrt(np.sum(r2**s * density) * h**3))
-        ratios.append(shell.spectral_l2() / weighted)
-    return ratios
+    # the weighted norm depends on s alone: one 64^3 pass per distinct s
+    weighted = {s: float(math.sqrt(np.sum(r2**s * density) * h**3))
+                for s in dict.fromkeys(s for _, s in pairs)}
+    return [f.apply_multiplier(bump((norms - R) / rho)).spectral_l2() / weighted[s]
+            for rho, s in pairs]
 
 
 def holder_bound_probe(pairs: int = 100, seed: int = 0) -> dict:

@@ -7,7 +7,9 @@ the quadratic coupling enters through an explicit integrating-factor
 Runge-Kutta stage.  The data are real, so u_-(xi) = conj(u_+(-xi)): only u_+
 is stored and evolved, and u_- is its mirror image ``_reflect(u_+)``.
 Resonant amplification experiments inject narrow wave packets at the source
-radii of a scan report and watch the outcome band.
+radii of a scan report and watch the outcome band.  A state may stack
+several runs on one grid along leading axes, and a step then advances all of
+them with the same transforms.
 """
 
 from __future__ import annotations
@@ -33,11 +35,14 @@ ONE_D_CAVEAT = (
 
 
 class BlowUpError(RuntimeError):
-    """The per-step energy guard tripped; carries the last good state."""
+    """The per-step energy guard tripped; carries the last good state and
+    ``tripped``, booleans of its run shape (a single one for a state without
+    run axes) that mark the runs whose guard fired."""
 
-    def __init__(self, message: str, state: "SystemState"):
+    def __init__(self, message: str, state: "SystemState", tripped: np.ndarray):
         super().__init__(message)
         self.state = state
+        self.tripped = tripped
 
 
 @dataclass(frozen=True)
@@ -86,9 +91,11 @@ class NonlinearityCoefficients:
 
 @dataclass(frozen=True)
 class SystemState:
-    """Diagonalized state of real data: ``coef[SPECIES.index(k)]`` holds the
-    spectral coefficients of u^k_+ on ``grid``, whose own coefficients are
-    unused; u^k_- is ``_reflect`` of them."""
+    """Diagonalized state of real data, ``coef`` shaped (*runs, species, *grid):
+    ``coef[..., SPECIES.index(k), :]`` holds the spectral coefficients of u^k_+
+    on ``grid``, whose own coefficients are unused; u^k_- is ``_reflect`` of
+    them.  The leading run axes, if any, stack independent runs that share
+    the grid, the time and the speeds."""
 
     t: float
     speeds: SpeedPair
@@ -97,29 +104,44 @@ class SystemState:
 
     def __post_init__(self):
         expected = (len(SPECIES),) + self.grid.coef.shape
-        if self.coef.shape != expected:
-            raise ValueError(f"state shape {self.coef.shape} != {expected}")
+        if self.coef.shape[self.coef.ndim - len(expected):] != expected:
+            raise ValueError(f"state shape {self.coef.shape} does not end in {expected}")
+
+    @property
+    def runs(self) -> tuple:
+        """Shape of the run axes: () for a single run."""
+        return self.coef.shape[:self.coef.ndim - self.grid.dims - 1]
 
     def field(self, species: str, sign: int) -> SpectralField:
         if sign not in SIGNS:
             raise ValueError(f"unknown sign {sign!r}")
-        coef = self.coef[SPECIES.index(species)]
-        return self.grid.with_coef(coef if sign == 1 else _reflect(coef))
+        coef = self.coef[_species_row(SPECIES.index(species), self.grid.dims)]
+        return self.grid.with_coef(coef if sign == 1 else _reflect(coef, self.grid.dims))
 
-    def energy(self) -> float:
-        return self._energy
+    def energy(self):
+        """Quadratic energy of each run: a float without run axes, else an
+        array of the run shape."""
+        return float(self._energy) if not self.runs else self._energy
 
     @functools.cached_property
-    def _energy(self) -> float:
+    def _energy(self) -> np.ndarray:
         # once per state: a step's incoming state was the previous step's result.
-        # No BLAS call (np.vdot runs a threaded zdotc); u_- has the moduli of u_+
-        return 2.0 * float(np.sum(self.coef.real ** 2 + self.coef.imag ** 2))
+        # No BLAS call (np.vdot runs a threaded zdotc); u_- has the moduli of u_+.
+        # Each run sums its own (species, *grid) block in one pass
+        squares = self.coef.real ** 2 + self.coef.imag ** 2
+        return 2.0 * np.sum(squares.reshape(self.runs + (-1,)), axis=-1)
 
 
-def _reflect(coef: np.ndarray) -> np.ndarray:
-    """conj(coef(-xi)) over the grid axes of one field: index j of an FFT
-    lattice axis holds frequency j and -j is index (n - j) mod n."""
-    return np.roll(np.flip(coef), 1, axis=tuple(range(coef.ndim))).conj()
+def _reflect(coef: np.ndarray, dims: int | None = None) -> np.ndarray:
+    """conj(coef(-xi)) over the trailing ``dims`` grid axes (default: all):
+    index j of an FFT lattice axis holds frequency j and -j is index (n - j) mod n."""
+    axes = tuple(range(-(dims or coef.ndim), 0))
+    return np.roll(np.flip(coef, axes), 1, axis=axes).conj()
+
+
+def _species_row(k: int, dims: int) -> tuple:
+    """Index of species k in a (*runs, species, *grid) array."""
+    return (Ellipsis, k) + (slice(None),) * dims
 
 
 def _bracket_weights(grid: SpectralField, speeds: SpeedPair) -> np.ndarray:
@@ -128,19 +150,24 @@ def _bracket_weights(grid: SpectralField, speeds: SpeedPair) -> np.ndarray:
     return np.stack([speeds.bracket_radial(species, norms) for species in SPECIES])
 
 
-# (dims, n, box_length, c_fast, dt) -> (weights, dt flow, dt/2 flow) of the
+# (dims, n, box_length, c_fast, dt) -> (1/weights, dt flow, dt/2 flow) of the
 # last key a step used: a run steps on one grid with one dt. Read-only, since
 # every step with that key shares them.
 _STEP_TABLES: dict = {}
 
 
 def _step_tables(grid: SpectralField, speeds: SpeedPair, dt: float) -> tuple:
-    """Bracket weights and the u_+ flows over dt and dt/2, built once per (grid, speeds, dt)."""
+    """Reciprocal bracket weights and the u_+ flows over dt and dt/2, built
+    once per (grid, speeds, dt), each shaped (species, *grid)."""
     key = (grid.dims, grid.n, grid.box_length, speeds.c_fast, dt)
     if key not in _STEP_TABLES:
         _STEP_TABLES.clear()  # before building: never two sets of tables at once
         weights = _bracket_weights(grid, speeds)
-        tables = (weights, np.exp(1j * dt * weights), np.exp(1j * (dt / 2.0) * weights))
+        # numpy divides a complex number by a real one as a product with its
+        # reciprocal, so multiplying by this complex table gives the same
+        # values; only an exact zero may come out with the other sign
+        inverse = (1.0 / weights).astype(complex)
+        tables = (inverse, np.exp(1j * dt * weights), np.exp(1j * (dt / 2.0) * weights))
         for table in tables:
             table.flags.writeable = False
         _STEP_TABLES[key] = tables
@@ -168,9 +195,11 @@ def diagonalize(u0: dict, u1: dict, speeds: SpeedPair) -> SystemState:
 def reconstruct(state: SystemState) -> tuple[dict, dict]:
     """Invert the diagonalization: u = (u_+ - u_-)/(2i<D>), du/dt = (u_+ + u_-)/2."""
     weights = _bracket_weights(state.grid, state.speeds)
-    minus = np.stack([_reflect(c) for c in state.coef])
+    dims = state.grid.dims
+    minus = _reflect(state.coef, dims)
     pos, vel = (state.coef - minus) / (2j * weights), (state.coef + minus) / 2.0
-    return tuple({sp: state.grid.with_coef(c) for sp, c in zip(SPECIES, f)} for f in (pos, vel))
+    return tuple({sp: state.grid.with_coef(f[_species_row(k, dims)])
+                  for k, sp in enumerate(SPECIES)} for f in (pos, vel))
 
 
 def expand_quadratic(coeffs: NonlinearityCoefficients) -> dict:
@@ -208,15 +237,22 @@ def reassemble_quadratic(table: dict, state: SystemState) -> dict:
     return out
 
 
-def _sources(grid: SpectralField, coef: np.ndarray, weights: np.ndarray,
+def _sources(grid: SpectralField, coef: np.ndarray, inverse: np.ndarray,
              coeffs: NonlinearityCoefficients) -> np.ndarray:
-    """Source spectra of u_+, shape (species, *grid), from the positions
-    u = Im(u_+/<D>) in physical space."""
-    u1, uc = (grid.with_coef(c / w).to_physical().imag for c, w in zip(coef, weights))
-    return np.stack([
-        SpectralField.from_physical(coeffs.evaluate(u1, uc, species), grid.box_length).coef
-        for species in SPECIES
-    ])
+    """Source spectra of u_+, shaped like ``coef`` (*runs, species, *grid),
+    from the positions u = Im(u_+/<D>) in physical space, with ``inverse``
+    the (species, *grid) table 1/<D>: one transform per species and
+    direction serves every run."""
+    dims = grid.dims
+    rows = [_species_row(k, dims) for k in range(len(SPECIES))]
+    # contiguous copies: the products below run faster on them, with the same bits
+    u1, uc = (np.ascontiguousarray(grid.with_coef(coef[row] * inv).to_physical().imag)
+              for row, inv in zip(rows, inverse))
+    out = np.empty_like(coef)
+    for row, species in zip(rows, SPECIES):
+        values = coeffs.evaluate(u1, uc, species)
+        out[row] = SpectralField.from_physical(values, grid.box_length, dims).coef
+    return out
 
 
 SCHEME_ORDERS = {"ifrk4": 4, "ifrk2": 2}
@@ -225,8 +261,8 @@ SCHEME_ORDERS = {"ifrk4": 4, "ifrk2": 2}
 REAL_DATA_TOL = 1e-12
 # largest relative growth of the quadratic energy that one step may show
 ENERGY_GUARD = 0.1
-# largest step count t_final/dt of an amplification run, which steps twice
-# that often: the resonant run and the detuned one
+# largest step count t_final/dt of an amplification run; its resonant and
+# detuned runs advance together, one step call per step
 MAX_STEPS = 10**6
 
 
@@ -236,42 +272,59 @@ def step(
     coeffs: NonlinearityCoefficients,
     scheme: str = "ifrk4",
 ) -> SystemState:
-    """One integrating-factor Runge-Kutta step.
+    """One integrating-factor Runge-Kutta step of every run of ``state``.
 
     The linear flow is exact; the source terms use the classical explicit
-    stages of the requested order.  A relative jump of the quadratic energy
-    beyond ``ENERGY_GUARD``, or a non-finite energy, raises ``BlowUpError``.
+    stages of the requested order.  A relative jump of a run's quadratic
+    energy beyond ``ENERGY_GUARD``, or a non-finite energy, raises
+    ``BlowUpError`` naming the runs that tripped.
     """
     _require_positive("dt", dt)
     if scheme not in SCHEME_ORDERS:
         raise ValueError(f"unknown scheme {scheme!r}")
     grid, u = state.grid, state.coef
-    weights, full, half = _step_tables(grid, state.speeds, dt)
+    # (species, *grid) tables: they broadcast over the run axes
+    inverse, full, half = _step_tables(grid, state.speeds, dt)
 
     def source(coef: np.ndarray) -> np.ndarray:
-        return _sources(grid, coef, weights, coeffs)
+        return _sources(grid, coef, inverse, coeffs)
 
+    u_full = u * full
     if coeffs.is_zero():
-        new = u * full
+        return replace(state, t=state.t + dt, coef=u_full)
+    n1 = source(u)
+    n2 = source((u + dt / 2.0 * n1) * half)
+    if scheme == "ifrk2":
+        n2 *= half
+        n2 *= dt
+        new = u_full + n2
     else:
-        n1 = source(u)
-        n2 = source((u + dt / 2.0 * n1) * half)
-        if scheme == "ifrk2":
-            new = u * full + dt * (n2 * half)
-        else:
-            n3 = source(u * half + dt / 2.0 * n2)
-            n4 = source(u * full + dt * (n3 * half))
-            incr = n1 * full + 2.0 * (n2 * half) + 2.0 * (n3 * half) + n4
-            new = u * full + dt / 6.0 * incr
+        n3 = source(u * half + dt / 2.0 * n2)
+        n3 *= half
+        n4 = source(u_full + dt * n3)
+        # n1*full + 2*(n2*half) + 2*(n3*half) + n4, added left to right in place
+        new = n1 * full
+        del n1
+        n2 *= half
+        n2 *= 2.0
+        new += n2
+        n3 *= 2.0
+        new += n3
+        new += n4
+        new *= dt / 6.0
+        new += u_full
 
     new_state = replace(state, t=state.t + dt, coef=new)
-    if not coeffs.is_zero():
-        before, after = state.energy(), new_state.energy()
-        if not math.isfinite(after) or after > (1.0 + ENERGY_GUARD) * max(before, 1e-300):
-            raise BlowUpError(
-                f"energy jumped {after / max(before, 1e-300):.3f}x in one step at t = {state.t:.6g}",
-                state,
-            )
+    before, after = state._energy, new_state._energy
+    tripped = ~(np.isfinite(after) & (after <= (1.0 + ENERGY_GUARD) * np.maximum(before, 1e-300)))
+    if tripped.any():
+        jumps = [float(a) / max(float(b), 1e-300) for a, b, hit in
+                 zip(np.ravel(after), np.ravel(before), np.ravel(tripped)) if hit]
+        raise BlowUpError(
+            f"energy jumped {', '.join(f'{jump:.3f}x' for jump in jumps)} in one step "
+            f"at t = {state.t:.6g}",
+            state, tripped,
+        )
     return new_state
 
 
@@ -288,9 +341,12 @@ def band_energy(
     species: str | None = None,
     sign: int | None = None,
 ) -> float:
-    """Quadratic spectral mass in the band radius_lo <= |xi| < radius_hi."""
+    """Quadratic spectral mass in the band radius_lo <= |xi| < radius_hi of
+    a state without run axes."""
     if radius_lo >= radius_hi:
         raise ValueError("need radius_lo < radius_hi")
+    if state.runs:
+        raise ValueError(f"band_energy takes one run, not a stack of shape {state.runs}")
     norms = state.grid.frequency_norms()
     mask = (norms >= radius_lo) & (norms < radius_hi)
     cell = state.grid.dxi**state.grid.dims
@@ -301,15 +357,49 @@ def band_energy(
     return total
 
 
-def _packet_initial_state(grid: SpectralField, speeds: SpeedPair, packets) -> SystemState:
-    """Real initial data: each (species, carrier, amplitude, bandwidth) packet
-    puts a Gaussian at the carrier into u_+, and so its mirror image into u_-."""
+def _packet_coef(grid: SpectralField, packets) -> np.ndarray:
+    """Real initial data of one run, shaped (species, *grid): each (species,
+    carrier, amplitude, bandwidth) packet puts a Gaussian at the carrier into
+    u_+, and so its mirror image into u_-."""
     xi = grid.frequency_axis()
     coef = np.zeros((len(SPECIES),) + xi.shape, dtype=complex)
     for species, carrier, amplitude, bandwidth in packets:
         coef[SPECIES.index(species)] += amplitude * np.exp(
             -((xi - carrier) ** 2) / (2.0 * bandwidth**2))
-    return SystemState(t=0.0, speeds=speeds, grid=grid, coef=coef)
+    return coef
+
+
+def _evolve(state: SystemState, bands, species: str, dt: float,
+            coeffs: NonlinearityCoefficients, scheme: str, steps: int, sample_every: int):
+    """Step the runs stacked along the one run axis of ``state`` together,
+    sampling run r's ``species`` energy in ``bands[r]`` at t = 0, every
+    ``sample_every`` steps and at the last step.  A run whose energy guard
+    trips stops with the samples it has; the others go on from the state
+    before that step.  Returns each run's (times, energies) and whether any
+    run tripped."""
+    series = [([state.t], [band_energy(replace(state, coef=coef), lo, hi, species=species)])
+              for coef, (lo, hi) in zip(state.coef, bands)]
+    live = list(range(len(series)))  # the run of each row of state.coef
+    tripped_any = False
+    k = 0
+    # an overflowing state is non-finite, which the energy guard reports as a blow-up
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < steps and live:
+            try:
+                state = step(state, dt, coeffs, scheme=scheme)
+            except BlowUpError as exc:
+                tripped_any = True
+                live = [run for run, hit in zip(live, exc.tripped) if not hit]
+                state = replace(exc.state, coef=exc.state.coef[~exc.tripped])
+                continue
+            k += 1
+            if k % sample_every == 0 or k == steps:
+                for run, coef in zip(live, state.coef):
+                    times, energies = series[run]
+                    times.append(state.t)
+                    energies.append(band_energy(replace(state, coef=coef), *bands[run],
+                                                species=species))
+    return series, tripped_any
 
 
 def run_resonant_amplification(
@@ -371,36 +461,23 @@ def run_resonant_amplification(
             f"pi*n/box = {nyquist:.6g}; raise n"
         )
 
-    runs = {}
-    inconclusive = False
-    for label, carrier in (("resonant", carrier_res), ("detuned", carrier_det)):
-        state = _packet_initial_state(
-            grid,
-            speeds,
-            [
-                (source_species, carrier, amplitude, bandwidth),
-                (outcome_species, 2.0 * carrier, probe_factor * amplitude, bandwidth),
-            ],
-        )
-        lo, hi = 2.0 * carrier - half_width, 2.0 * carrier + half_width
-        times = [0.0]
-        energies = [band_energy(state, lo, hi, species=outcome_species)]
-        # an overflowing state is non-finite, which the energy guard reports as a blow-up
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                for k in range(1, steps + 1):
-                    state = step(state, dt, coeffs, scheme=scheme)
-                    if k % sample_every == 0 or k == steps:
-                        times.append(state.t)
-                        energies.append(band_energy(state, lo, hi, species=outcome_species))
-        except BlowUpError:
-            inconclusive = True
-        runs[label] = {
-            "carrier": carrier,
-            "band": [lo, hi],
-            "times": times,
-            "band_energy": energies,
-        }
+    carriers = {"resonant": carrier_res, "detuned": carrier_det}
+    bands = [(2.0 * carrier - half_width, 2.0 * carrier + half_width)
+             for carrier in carriers.values()]
+    # both runs in one stacked state, shape (run, species, n)
+    state = SystemState(t=0.0, speeds=speeds, grid=grid, coef=np.stack([
+        _packet_coef(grid, [
+            (source_species, carrier, amplitude, bandwidth),
+            (outcome_species, 2.0 * carrier, probe_factor * amplitude, bandwidth),
+        ])
+        for carrier in carriers.values()
+    ]))
+    series, inconclusive = _evolve(state, bands, outcome_species, dt, coeffs, scheme,
+                                   steps, sample_every)
+    runs = {
+        label: {"carrier": carrier, "band": list(band), "times": times, "band_energy": energies}
+        for (label, carrier), band, (times, energies) in zip(carriers.items(), bands, series)
+    }
 
     record = {
         "schema": "experiment-record/1",

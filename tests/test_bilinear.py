@@ -99,6 +99,34 @@ def test_one_dimensional_transforms_are_the_fftn_formulas_bit_for_bit(n):
     assert np.array_equal(g.to_physical(), expected)
 
 
+@given(
+    st.sampled_from([(1, n) for n in (2, 8, 64, 256, 4096)] + [(3, 4), (3, 8)]),
+    st.lists(st.integers(1, 3), max_size=2),
+    st.floats(1.0, 300.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_transforms_over_leading_axes_are_the_per_row_transforms(grid_size, leading, box, seed):
+    # a field with leading axes transforms each row over its trailing grid axes
+    dims, n = grid_size
+    rng = np.random.default_rng(seed)
+    shape = (*leading, *(n,) * dims)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    stacked = SpectralField.from_physical(values, box, dims)
+    assert (stacked.dims, stacked.n, stacked.coef.shape) == (dims, n, shape)
+    back = stacked.to_physical()
+    for index in np.ndindex(*leading):
+        row = SpectralField.from_physical(values[index], box)
+        assert stacked.coef[index].tobytes() == row.coef.tobytes()
+        assert back[index].tobytes() == row.to_physical().tobytes()
+
+
+def test_field_shape_must_end_in_the_grid():
+    for dims, shape in [(1, (8, 4)), (3, (8, 8)), (3, (2, 8, 8, 4)), (1, ())]:
+        with pytest.raises(ValueError, match="does not end in"):
+            SpectralField(dims, 8, 1.0, np.zeros(shape, dtype=complex))
+    assert SpectralField(1, 8, 1.0, np.zeros((3, 2, 8), dtype=complex)).coef.shape == (3, 2, 8)
+
+
 def test_single_mode_single_coefficient(grid):
     x = grid.h * np.arange(grid.n)
     k = 5 * grid.dxi

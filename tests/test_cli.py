@@ -542,6 +542,36 @@ def test_archived_calibration_matches_fresh_run(bundled_run):
     assert archived["growth_ratio"] == pytest.approx(15088.439860238235, rel=1e-12)
 
 
+def amplify_config(n, t_final) -> str:
+    """A simulate config laid out as the benchmark's amplify workload writes them."""
+    return (f"c = 7.3\ndelta = 1.1\neps = -0.3\nzeta = 0.2\nn = {n}\nbox_length = 256.0\n"
+            f"dt = 0.25\nt_final = {t_final!r}\namplitude = 0.02\nbandwidth = 0.02\n"
+            "detune_factor = 10.0\nband_halfwidth_factor = 5.0\nsample_every = 10\n"
+            "scheme = ifrk4\n")
+
+
+@pytest.mark.parametrize(
+    "n, t_final, json_digest, csv_digest",
+    [
+        (1024, 47.0, "128eec9850a75f3e4cb572aac41bad942b80455ae5dda43f5eb7da959b7f2004",
+         "f5364260ae726f0d0417809fa014a11b2c3b2f77d102aeb634328a7bfb6c2645"),
+        (4096, 16.0, "b1efc1eb2f7f7a3310de1f9248d0bee9e3831580ef64a9ba7aabf1fd9d73aa5c",
+         "08be82ac5bb28f646399b9472316ce80d04d2db37ebdeeca6ec2368dec10ea01"),
+    ],
+    ids=["n1024", "n4096"],
+)
+def test_simulate_golden(tmp_path, n, t_final, json_digest, csv_digest):
+    # sha256 of both outputs as written when the two runs were stepped one
+    # after the other; the bundled n = 256 archive pins the third grid
+    config = tmp_path / "amplify.cfg"
+    config.write_text(amplify_config(n, t_final), encoding="utf-8")
+    prefix = tmp_path / "amplify"
+    result = run_cli("simulate", "--config", str(config), "--output", str(prefix))
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(prefix.with_suffix(".json").read_bytes()).hexdigest() == json_digest
+    assert hashlib.sha256(prefix.with_suffix(".csv").read_bytes()).hexdigest() == csv_digest
+
+
 def test_simulate_rejects_repeated_keys(tmp_path):
     stderr = _simulate_error(tmp_path, "c = 5.0\nn = 256\n# the same key again\nn = 512\n")
     assert "bad.cfg:4: duplicate config key n" in stderr

@@ -1,8 +1,13 @@
+import json
 import math
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
+from conftest import run_cli
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kgpair import simulator
 from kgpair.bilinear import SpectralField
@@ -337,8 +342,8 @@ def test_step_builds_tables_once_per_grid_speeds_and_dt(grid, monkeypatch):
     step(state, 0.05, MIXED)
     step(replace(state, speeds=SpeedPair(3.0)), 0.1, MIXED)
     assert built == [(N, 5.0), (N, 5.0), (N, 3.0)]
-    weights, full, half = simulator._step_tables(grid, state.speeds, 0.1)
-    assert not any(table.flags.writeable for table in (weights, full, half))
+    inverse, full, half = simulator._step_tables(grid, state.speeds, 0.1)
+    assert not any(table.flags.writeable for table in (inverse, full, half))
     assert len(simulator._STEP_TABLES) == 1
 
 
@@ -440,3 +445,164 @@ def test_three_d_state_round_trip_and_linear_step():
         assert drift.max() < 1e-13
     assert reality_error(advanced) < 1e-12
     assert grid.dims == 3
+
+
+@st.composite
+def stacked_states(draw):
+    """(stacked state, its runs as separate states, coefficients): R in 1..3
+    random complex states on a 1-D grid of 8 to 256 points or on 8^3."""
+    dims = draw(st.sampled_from([1, 3]))
+    n = draw(st.sampled_from([8, 16, 32, 64, 128, 256])) if dims == 1 else 8
+    runs = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (runs, len(SPECIES)) + (n,) * dims
+    coef = draw(st.floats(0.01, 1.0)) * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    grid = SpectralField.zeros(dims, n, draw(st.floats(4.0, 256.0)))
+    stacked = SystemState(t=draw(st.floats(0.0, 10.0)), speeds=SpeedPair(5.0), grid=grid,
+                          coef=coef)
+    coeffs = NonlinearityCoefficients(*(draw(st.floats(-2.0, 2.0)) for _ in range(6)))
+    return stacked, [replace(stacked, coef=c.copy()) for c in coef], coeffs
+
+
+@given(stacked_states(), st.sampled_from(["ifrk4", "ifrk2"]), st.floats(0.01, 0.5))
+def test_stacked_step_is_each_run_stepped_alone(data, scheme, dt):
+    stacked, singles, coeffs = data
+    assert stacked.runs == (len(singles),)
+    for _ in range(2):
+        outcomes = []
+        for single in singles:
+            try:
+                outcomes.append(step(single, dt, coeffs, scheme=scheme))
+            except BlowUpError:
+                outcomes.append(None)
+        tripped = [out is None for out in outcomes]
+        if any(tripped):
+            # the stack names exactly the runs that trip alone
+            with pytest.raises(BlowUpError) as info:
+                step(stacked, dt, coeffs, scheme=scheme)
+            assert info.value.tripped.tolist() == tripped
+            assert info.value.state is stacked
+            return
+        stacked = step(stacked, dt, coeffs, scheme=scheme)
+        energies = stacked.energy()
+        for r, single in enumerate(outcomes):
+            assert stacked.coef[r].tobytes() == single.coef.tobytes()
+            assert energies[r] == single.energy()
+            assert stacked.t == single.t
+        singles = outcomes
+
+
+def test_step_guards_each_run_against_its_own_energy(grid):
+    # a quiet run beside a hot one: only the hot run trips
+    quiet, _, _ = random_state(grid, np.random.default_rng(8))
+    hot = quiet.coef * 200.0
+    stacked = replace(quiet, coef=np.stack([quiet.coef, hot, quiet.coef]))
+    harsh = NonlinearityCoefficients(alpha=5.0, delta=5.0)
+    with pytest.raises(BlowUpError) as info:
+        step(stacked, 0.5, harsh)
+    assert info.value.tripped.tolist() == [False, True, False]
+    assert info.value.state is stacked
+    step(quiet, 0.5, harsh)
+    with pytest.raises(BlowUpError) as info:
+        step(replace(quiet, coef=hot), 0.5, harsh)
+    assert info.value.tripped.shape == ()
+
+
+def test_state_rejects_a_shape_without_the_species_and_grid_axes(grid):
+    sp = SpeedPair(5.0)
+    for shape in [(N,), (3, N), (2, 2, N // 2), (2, 3, N)]:
+        with pytest.raises(ValueError, match="does not end in"):
+            SystemState(t=0.0, speeds=sp, grid=grid, coef=np.zeros(shape, dtype=complex))
+    stacked = SystemState(t=0.0, speeds=sp, grid=grid, coef=np.zeros((4, 3, 2, N), complex))
+    assert stacked.runs == (4, 3)
+    assert stacked.energy().shape == (4, 3)
+    with pytest.raises(ValueError, match="band_energy takes one run"):
+        band_energy(stacked, 0.1, 0.2)
+
+
+def sequential_evolve(state, bands, species, dt, coeffs, scheme, steps, sample_every):
+    """The amplification runs stepped one after the other, each a state
+    without run axes: the oracle of the stacked ``simulator._evolve``."""
+    series, inconclusive = [], False
+    for coef, (lo, hi) in zip(state.coef, bands):
+        run = replace(state, coef=coef)
+        times, energies = [run.t], [band_energy(run, lo, hi, species=species)]
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(1, steps + 1):
+                    run = step(run, dt, coeffs, scheme=scheme)
+                    if k % sample_every == 0 or k == steps:
+                        times.append(run.t)
+                        energies.append(band_energy(run, lo, hi, species=species))
+        except BlowUpError:
+            inconclusive = True
+        series.append((times, energies))
+    return series, inconclusive
+
+
+def simulate_outputs(config, prefix):
+    result = run_cli("simulate", "--config", config, "--output", prefix)
+    files = [prefix.with_suffix(suffix).read_bytes() for suffix in (".json", ".csv")]
+    return result.returncode, result.stderr, files
+
+
+ALL_SIX = "alpha = 0.3\nbeta = -0.2\ngamma = 0.25\ndelta = 1.1\neps = -0.35\nzeta = 0.15\n"
+
+
+@pytest.mark.parametrize(
+    "config, lengths",
+    [
+        (None, (61, 61)),
+        (f"c = 7.3\n{ALL_SIX}n = 1024\nt_final = 20.0\nsample_every = 8\n", (11, 11)),
+        (f"c = 5.0\n{ALL_SIX}n = 4096\nt_final = 6.0\nsample_every = 5\n", (6, 6)),
+        # the resonant run trips in the step after t = 41.25, the detuned run goes on
+        ("c = 5.0\nalpha = 1.0\ndelta = 1.0\namplitude = 20.0\nn = 128\nt_final = 60.0\n"
+         "sample_every = 5\n", (34, 49)),
+        # both trip: the resonant run in the step after t = 3, the detuned run after t = 4
+        ("c = 5.0\nalpha = 1.0\nbeta = 1.0\ngamma = 1.0\ndelta = 1.0\neps = 1.0\nzeta = 1.0\n"
+         "amplitude = 20.0\nn = 128\nt_final = 10.0\nsample_every = 1\n", (13, 17)),
+    ],
+    ids=["bundled", "n1024-all-six", "n4096-all-six", "resonant-trips", "both-trip"],
+)
+def test_stacked_runs_write_the_sequential_record(tmp_path, monkeypatch, config, lengths):
+    if config is None:
+        path = resources.files("kgpair.configs").joinpath("resonant_c5.cfg")
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_text(config, encoding="utf-8")
+    stacked = simulate_outputs(path, tmp_path / "stacked")
+    monkeypatch.setattr(simulator, "_evolve", sequential_evolve)
+    assert simulate_outputs(path, tmp_path / "sequential") == stacked
+    doc = json.loads(stacked[2][0])
+    assert tuple(len(doc["runs"][label]["times"]) for label in ("resonant", "detuned")) == lengths
+    assert doc["inconclusive"] == (stacked[0] == 3)
+
+
+def test_amplification_steps_both_runs_in_each_call(report5, monkeypatch):
+    # one step call per time step for the two runs, 16 transforms in each,
+    # the counts the benchmark reads as simulator.fft_calls_per_step
+    calls, transforms = [], []
+    original_step = simulator.step
+    to_physical = SpectralField.to_physical
+    from_physical = SpectralField.from_physical.__func__
+
+    def counted_step(state, *args, **kwargs):
+        calls.append(state.runs)
+        transforms.append(0)
+        return original_step(state, *args, **kwargs)
+
+    def counted_to(self):
+        transforms[-1] += 1
+        return to_physical(self)
+
+    def counted_from(cls, values, box_length, dims=None):
+        transforms[-1] += 1
+        return from_physical(cls, values, box_length, dims)
+
+    monkeypatch.setattr(simulator, "step", counted_step)
+    monkeypatch.setattr(SpectralField, "to_physical", counted_to)
+    monkeypatch.setattr(SpectralField, "from_physical", classmethod(counted_from))
+    steps = 12
+    run_resonant_amplification(report5, MIXED, t_final=steps * 0.25, dt=0.25, sample_every=5)
+    assert calls == [(2,)] * steps
+    assert transforms == [16] * steps
