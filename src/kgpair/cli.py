@@ -182,14 +182,17 @@ def _parse_segment(text: str):
     return start, stop
 
 
-def _evaluate_in_chunks(family: CutoffFamily, name: str, xi, eta, rho: float) -> np.ndarray:
-    """``family.evaluate`` over consecutive chunks of the points, which gives
-    the same values: the cut-offs act point by point. It keeps the partition's
-    temporaries small; on 1e5 points the 6-D theta input alone is 4.8 MB."""
+def _evaluate_in_chunks(family: CutoffFamily, name: str, points, count: int,
+                        rho: float) -> np.ndarray:
+    """``family.evaluate`` at `count` points, built and evaluated in
+    consecutive chunks: ``points(part)`` gives the (xi, eta) of the points in
+    slice `part`. The cut-offs act point by point, so the values are those of
+    one evaluation; the chunks keep the partition's temporaries small, and no
+    6-D array of all the points is held while the CSV is written (1e5 points
+    take 4.8 MB)."""
     return np.concatenate([
-        family.evaluate(name, xi[start:start + _CHUNK_POINTS], eta[start:start + _CHUNK_POINTS],
-                        rho=rho)
-        for start in range(0, len(xi), _CHUNK_POINTS)
+        family.evaluate(name, *points(slice(start, start + _CHUNK_POINTS)), rho=rho)
+        for start in range(0, count, _CHUNK_POINTS)
     ])
 
 
@@ -219,8 +222,12 @@ def cmd_cutoff_export(args) -> int:
     elif args.line is not None:
         start, stop = _parse_segment(args.line)
         t = np.linspace(0.0, 1.0, args.points)
-        pts = start[None, :] + t[:, None] * (stop - start)[None, :]
-        values = _evaluate_in_chunks(family, name, pts[:, :3], pts[:, 3:], args.rho)
+
+        def segment(part):
+            pts = start[None, :] + t[part, None] * (stop - start)[None, :]
+            return pts[:, :3], pts[:, 3:]
+
+        values = _evaluate_in_chunks(family, name, segment, t.size, args.rho)
         blocks = csv_blocks({"t": t, "value": values})
         doc["grid"] = {
             "kind": "segment",
@@ -241,10 +248,13 @@ def cmd_cutoff_export(args) -> int:
                              f"{MAX_COORD:g}; lower --rho or --radius-max")
         r = comp.R + np.linspace(-half, half, args.points)
         r = r[r > 0.0]
-        eta = np.zeros((r.size, 3))
-        eta[:, 0] = r
-        xi = comp.lam * eta
-        values = _evaluate_in_chunks(family, name, xi, eta, args.rho)
+
+        def component_line(part):
+            eta = np.zeros((r[part].size, 3))
+            eta[:, 0] = r[part]
+            return comp.lam * eta, eta
+
+        values = _evaluate_in_chunks(family, name, component_line, r.size, args.rho)
         blocks = csv_blocks({"eta_radius": r, "value": values})
         doc["grid"] = {
             "kind": "component-line",

@@ -5,6 +5,15 @@ round trip) and dictionary keys are emitted in sorted order, so identical
 inputs produce byte-identical documents.  Infinities and NaN, which strict
 JSON cannot carry, serialize as null in JSON; CSV cells print them as nan,
 inf and -inf.
+
+CSV cells hold the exact text of ``"%.17g" % value``.  `csv_blocks` formats
+a block of rows at once: numpy finds each value's decimal exponent and 17
+digits from one longdouble product with a table of powers of ten, and lays
+out the text, sign, exponent and separators as bytes.  A value whose digits
+that product cannot prove, and NaN and the infinities, are formatted by
+Python instead, and so is a block of fewer than 512 values.  That kernel is
+`kgpair.format17g`: it is imported, and its tables built, on the first
+block that needs it, not on import.
 """
 
 from __future__ import annotations
@@ -15,7 +24,15 @@ from importlib import resources
 
 import numpy as np
 
-_BLOCK_ROWS = 4096  # rows per formatted block of csv_blocks
+_BLOCK_ROWS = 4096  # rows per piece of csv_blocks
+# values per _format_block call: its temporaries take up to about 240 bytes
+# a value, so 8192 values stay near 2 MiB, below the 4 MiB at which numpy
+# asks for huge pages
+_BLOCK_VALUES = 8192
+# a smaller block is formatted by Python: the kernel's fixed cost, about 0.1 ms
+# of numpy calls, is more than it saves there (measured crossover near 500
+# values), and a process that writes only small CSVs never builds its tables
+_KERNEL_MIN_VALUES = 512
 
 
 def _format_float(value: float) -> str:
@@ -83,12 +100,23 @@ def sweep_csv(entries, tau_sep: float) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _format_block(table: np.ndarray) -> str:
+    """`table` (rows, columns) of float64 as CSV rows, each value as %.17g."""
+    if table.size < _KERNEL_MIN_VALUES:
+        row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+        return row * len(table) % tuple(table.ravel().tolist())
+    # imported here, so that importing the package does not compile the kernel
+    from kgpair.format17g import format_block
+
+    return format_block(table)
+
+
 def csv_blocks(columns: dict):
     """CSV text of equal-length named columns, as an iterator of pieces: the
     header line, then blocks of at most ``_BLOCK_ROWS`` rows.
 
     Every value is converted to float and printed as ``%.17g`` (the same text
-    as ``format(value, ".17g")``); one ``%`` operation formats a whole block.
+    as ``format(value, ".17g")``); ``_format_block`` formats a whole block.
     The columns are checked and copied into one table before the iterator is
     returned, so a caller may stream the pieces to a file.
     """
@@ -101,13 +129,15 @@ def csv_blocks(columns: dict):
     if len(set(lengths.values())) > 1:
         raise ValueError(f"CSV columns have unequal lengths: {lengths}")
     table = np.stack(arrays, axis=1) if arrays else np.empty((0, 0))
-    row = ",".join(["%.17g"] * len(names)) + "\n"
+
+    step = max(1, _BLOCK_VALUES // max(1, len(names)))  # rows per _format_block call
 
     def blocks():
         yield ",".join(names) + "\n"
         for start in range(0, len(table), _BLOCK_ROWS):
             block = table[start:start + _BLOCK_ROWS]
-            yield row * len(block) % tuple(block.ravel().tolist())
+            yield "".join(_format_block(block[row:row + step])
+                          for row in range(0, len(block), step))
 
     return blocks()
 

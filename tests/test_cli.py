@@ -308,8 +308,20 @@ def test_cutoff_export_chi_t_golden(tmp_path):
           "--line=-0.91,-0.65,-0.62,0.07,-0.1,0.91:2.27,1.48,0.86,1.73,2.19,-2.39"],
          "f37ddcae804a6fcc750059cd07694276f8533c22aaf9deacaa7a1edf1fe973bf",
          "619f7ac70397f57013d85895c1b7d95e27a84d7c43b574b7d9b2a0c66bcf0333"),
+        # the radial grid, as written by the per-value %.17g formatter; the
+        # chi-o radii below 1e-4 take the exponent layout (1.000010000100001e-05)
+        (["--c", "5", "--cutoff", "chi-o", "--points", "100000"],
+         "9c62f7da9c1fadb55d0af244543772dbc562525b2cbde36c46362b69e5418810",
+         "f5fcb9faac8ae53be90f377c00da392b1b09813d47cd7ecb7d8ec10715e502c4"),
+        (["--c", "5", "--cutoff", "chi-o-tilde", "--points", "100000"],
+         "e00d7570e5e3f67338c1c69f604d95b1cb65869bcc960ca6239646372959086c",
+         "690c9792d37143c7eed38a676efdc7fae4851c3b06021d5462d24a693a15f1c4"),
+        (["--c", "5", "--cutoff", "theta", "--points", "100000"],
+         "b598e56c6db68b417eecfe807fc400b7f894150f794d89cc559b09c947921a91",
+         "975dc47de6ce815f90a1afdaa41e899133ac6c9244c5c091a114ab77c9278ffa"),
     ],
-    ids=["chi-s-c0.5", "chi-r-c0.5", "chi-s-c11", "chi-r-c11", "chi-t-line-c5"],
+    ids=["chi-s-c0.5", "chi-r-c0.5", "chi-s-c11", "chi-r-c11", "chi-t-line-c5",
+         "chi-o-radial-c5", "chi-o-tilde-radial-c5", "theta-radial-c5"],
 )
 def test_cutoff_export_golden(tmp_path, args, csv_digest, json_digest):
     # sha256 of both outputs, pinning the cut-off arithmetic byte for byte

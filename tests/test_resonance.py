@@ -5,6 +5,8 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from kgpair.dispersion import PhaseIndex, SpeedPair, all_phase_indices, canonical_phase_indices
@@ -538,3 +540,16 @@ def test_large_speeds_find_both_families(c):
     assert report.warnings == ()
     (c11,) = [comp for comp in report.components if comp.idx.serialize() == "c11+--"]
     assert c11.R == pytest.approx(math.sqrt(3.0 / (4.0 * (c * c - 1.0))), rel=1e-10)
+
+
+@example(c=1.05)
+@example(c=90.0)
+@given(c=st.floats(1.05, 90.0))
+def test_inverse_speed_scales_the_radii(c):
+    # xi -> xi / c swaps the two species: the report at 1/c is the report at
+    # c with every radius, and so the gap, multiplied by c
+    report, inverse = scan_all(c), scan_all(1.0 / c)
+    assert len(inverse.outcome_radii) == len(report.outcome_radii) > 0
+    assert list(inverse.outcome_radii) == pytest.approx([c * r for r in report.outcome_radii],
+                                                         rel=1e-10)
+    assert inverse.min_gap == pytest.approx(c * report.min_gap, rel=1e-10)
