@@ -15,7 +15,9 @@ exact, which pins every other convention.  Separable symbols are applied as
 two multipliers and a physical-space product.  Any other symbol is applied
 by summing over its nonzero support, built once per (symbol, grid) and then
 O(nnz) per call: from the n^2 table for a callable, and straight from the
-sheared band for a cyclic ridge g[(a - lam*b) mod n].  The sharp discrete
+sheared band for a cyclic ridge g[(a - lam*b) mod n], whose per-entry
+indices are int32 up to n = 2^15.  A call takes the support in blocks of
+whole rows, so it holds one block of terms at a time.  The sharp discrete
 operator bound is then ||T_m(f,g)||_r <= l1(m^) ||f||_p ||g||_q for Hoelder
 exponents, where l1(m^) is the plain inverse-DFT coefficient sum computed by
 ``symbol_l1_norm``; for a cyclic ridge it is the 1-D sum of g's coefficients.
@@ -37,6 +39,7 @@ from kgpair.reporting import curve_csv
 MAX_GRID_3D = 64
 MAX_GRID_1D = MAX_GRID_3D**3  # as many points as the largest 3-D grid
 MAX_DENSE_SYMBOL = 4096
+_CHUNK_POINTS = 8192  # support entries per block of pseudo_product (whole rows)
 PROFILE_N = 1 << 16  # fine lattice of profile_l1_constant
 # holder_bound_probe: its 1-D grid (points, box length) and Hoelder exponents (p, q, r)
 HOLDER_N = 128
@@ -91,14 +94,19 @@ class SpectralField:
     def from_physical(cls, values, box_length: float, dims: int | None = None) -> "SpectralField":
         """The field of physical ``values``; ``dims`` counts the trailing grid
         axes and defaults to all of them."""
-        values = np.asarray(values, dtype=complex)
-        dims = values.ndim if dims is None else dims
-        n = values.shape[-1]
+        # one fresh complex copy, transformed and scaled in place; the
+        # caller's array is never written
+        coef = np.array(values, dtype=complex)
+        dims = coef.ndim if dims is None else dims
+        n = coef.shape[-1]
         _check_grid(n, dims)
         h = box_length / n
         # the 1-D transform skips fftn's axis bookkeeping; the bits are the same
-        transformed = np.fft.fft(values) if dims == 1 else np.fft.fftn(values, axes=(-3, -2, -1))
-        coef = transformed * (h**dims / (2.0 * math.pi) ** (dims / 2.0))
+        if dims == 1:
+            np.fft.fft(coef, out=coef)
+        else:
+            np.fft.fftn(coef, axes=(-3, -2, -1), out=coef)
+        coef *= h**dims / (2.0 * math.pi) ** (dims / 2.0)
         return cls(dims, n, box_length, coef)
 
     # -- geometry -------------------------------------------------------------
@@ -359,29 +367,53 @@ class SymbolGrid:
         Returns ``(rows, starts, cols, diffs, vals)``: the nonempty row ids
         (xi indices), the start of each row's segment, and per entry the eta
         index, the cyclic difference index (xi - eta) mod n and the value.
-        Built once per grid: from the dense table, or for a cyclic ridge from
-        its band alone, with real values and no n x n array.
+        Built once per grid: from the dense table (intp indices), or for a
+        cyclic ridge from its band alone, with real values, no n x n array,
+        and int32 per-entry indices up to n = 2^15 (int64 above).
         """
         key = ("support", grid.n, grid.box_length)
         if key not in self._cache:
-            if self.ridge_profile is not None:
+            n = grid.n
+            mask, shift = n - 1, n.bit_length() - 1
+            ridge = self.ridge_profile is not None
+            if ridge:
                 # column b holds the rows a = (k + lam*b) mod n, k in supp g;
                 # sorting the keys a*n + b puts the entries in row order with
-                # ascending columns (n is a power of two: & and shifts are exact)
-                n = grid.n
+                # ascending columns (n is a power of two: & and shifts are
+                # exact).  One key array, updated in place, becomes the row
+                # ids and then the differences; up to n = 2^15 every key and
+                # every lam*b stays below 2^30, so int32 holds them
                 lam = self.ridge_lambda % n
                 g = self._ridge_samples(grid)
-                mask, shift = n - 1, n.bit_length() - 1
-                b = np.arange(n)[:, None]
-                keys = np.sort((((np.flatnonzero(g) + lam * b) & mask) << shift | b).ravel())
-                entries, cols = keys >> shift, keys & mask
-                vals = g[(entries - lam * cols) & mask]
+                dtype = np.int32 if n <= 1 << 15 else np.int64
+                b = np.arange(n, dtype=dtype)[:, None]
+                entries = np.empty((n, np.count_nonzero(g)), dtype=dtype)
+                entries[:] = np.flatnonzero(g)
+                entries += lam * b
+                entries &= mask
+                entries <<= shift
+                entries |= b
+                entries = entries.ravel()
+                entries.sort()
+                cols = entries & mask
+                entries >>= shift
             else:
                 table = self.materialize(grid)
                 entries, cols = np.nonzero(table)
                 vals = table[entries, cols]
-            starts = np.flatnonzero(np.diff(entries, prepend=-1))
-            self._cache[key] = (entries[starts], starts, cols, (entries - cols) % grid.n, vals)
+            counts = np.bincount(entries, minlength=n)
+            rows = np.flatnonzero(counts)
+            starts = (np.cumsum(counts) - counts)[rows]
+            diffs = entries
+            diffs -= cols
+            diffs &= mask
+            if ridge:
+                # the profile index a - lam*b is the difference minus (lam - 1)*b
+                profile_idx = cols * (lam - 1)
+                np.subtract(diffs, profile_idx, out=profile_idx)
+                profile_idx &= mask
+                vals = g[profile_idx]
+            self._cache[key] = (rows, starts, cols, diffs, vals)
         return self._cache[key]
 
     @staticmethod
@@ -396,9 +428,11 @@ def pseudo_product(symbol: SymbolGrid, f: SpectralField, g: SpectralField) -> Sp
 
     Separable symbols go through two multipliers and one physical-space
     product.  Other symbols (1-D only) sum over the symbol's nonzero support
-    (``SymbolGrid.support``): O(nnz) work per call after one O(n^2) build per
-    (symbol, grid).  Output modes outside the support are exactly zero, so a
-    NaN or inf in f or g reaches only the rows of the support.
+    (``SymbolGrid.support``): O(nnz) work per call after one build per
+    (symbol, grid), taken in blocks of whole rows of about _CHUNK_POINTS
+    entries, so a call holds one block of terms at a time.  Output modes
+    outside the support are exactly zero, so a NaN or inf in f or g reaches
+    only the rows of the support.
     """
     f._check_same_grid(g)
     d = f.dims
@@ -410,10 +444,22 @@ def pseudo_product(symbol: SymbolGrid, f: SpectralField, g: SpectralField) -> Sp
     if d != 1:
         raise ValueError("non-separable symbols are only supported on 1-D grids")
     rows, starts, cols, diffs, vals = symbol.support(f)
-    terms = vals * f.coef[cols]
-    terms *= g.coef[diffs]
     out = np.zeros(f.n, dtype=complex)
-    out[rows] = np.add.reduceat(terms, starts)
+    s0 = 0
+    while s0 < rows.size:
+        # rows s0 .. s1-1: every row that starts within _CHUNK_POINTS of e0
+        e0 = starts[s0]
+        s1 = int(np.searchsorted(starts, e0 + _CHUNK_POINTS))
+        e1 = starts[s1] if s1 < rows.size else vals.size
+        # f first, then the values, in place: the one-pass product's numpy
+        # elided its temporary (>= 256 KiB) as f.coef[cols] * vals, and the
+        # other operand order rounds complex values differently (FMA).
+        # np.take gathers with int32 indices as they are; [] converts them
+        terms = np.take(f.coef, cols[e0:e1])
+        terms *= vals[e0:e1]
+        terms *= np.take(g.coef, diffs[e0:e1])
+        out[rows[s0:s1]] = np.add.reduceat(terms, starts[s0:s1] - e0)
+        s0 = s1
     return f.with_coef(out * const)
 
 
@@ -605,12 +651,24 @@ def shell_weighted_ratio(R: float, pairs) -> list:
     f = SpectralField.from_physical(values, SHELL_BOX)
     density = np.abs(values) ** 2
     del values
-    norms = f.frequency_norms()
     # the weighted norm depends on s alone: one 64^3 pass per distinct s
     weighted = {s: float(math.sqrt(np.sum(r2**s * density) * h**3))
                 for s in dict.fromkeys(s for _, s in pairs)}
-    return [f.apply_multiplier(bump((norms - R) / rho)).spectral_l2() / weighted[s]
-            for rho, s in pairs]
+    del r2, density
+    norms = f.frequency_norms()
+    # f.apply_multiplier(weights).spectral_l2() for each pair, with the same
+    # operations and bits: one product buffer serves every pair, and each
+    # pair's weights array takes the squared moduli; it is freed before the
+    # next pair's weights are built
+    product = np.empty_like(f.coef)
+    ratios = []
+    for rho, s in pairs:
+        weights = bump((norms - R) / rho)
+        np.multiply(f.coef, weights, out=product)
+        np.square(np.abs(product, out=weights), out=weights)
+        ratios.append(float(math.sqrt(np.sum(weights) * f.dxi**f.dims)) / weighted[s])
+        del weights
+    return ratios
 
 
 def holder_bound_probe(pairs: int = 100, seed: int = 0) -> dict:

@@ -38,12 +38,13 @@ def bump(x):
     """Compactly supported mollifier exp(1 - 1/(1-x^2)) on (-1, 1), peak 1."""
     x = np.asarray(x, dtype=float)
     inside = np.abs(x) < 1.0
-    # square the masked copy: x * x overflows for |x| > 1e154
-    x2 = np.where(inside, x, 0.0)
+    out = np.zeros(x.shape)
+    # exp only on the inside points, which also keeps x * x from overflowing
+    x2 = x[inside]
     x2 *= x2
     with np.errstate(under="ignore"):
-        vals = np.exp(1.0 - 1.0 / (1.0 - x2))
-    return np.where(inside, vals, 0.0)
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - x2))
+    return out
 
 
 def _half_exp(t):

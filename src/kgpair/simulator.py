@@ -83,10 +83,15 @@ class NonlinearityCoefficients:
                      ("1", "c"): self.zeta / 2.0, ("c", "1"): self.zeta / 2.0}
         return table[(l, m)]
 
-    def evaluate(self, u1, uc, species: str):
+    def species_coefficients(self, species: str) -> tuple:
+        """The (u1^2, uc^2, u1*uc) coefficients of species' quadratic form."""
         if species == "1":
-            return self.alpha * u1 * u1 + self.beta * uc * uc + self.gamma * u1 * uc
-        return self.delta * u1 * u1 + self.eps * uc * uc + self.zeta * u1 * uc
+            return self.alpha, self.beta, self.gamma
+        return self.delta, self.eps, self.zeta
+
+    def evaluate(self, u1, uc, species: str):
+        a, b, g = self.species_coefficients(species)
+        return a * u1 * u1 + b * uc * uc + g * u1 * uc
 
 
 @dataclass(frozen=True)
@@ -249,9 +254,20 @@ def _sources(grid: SpectralField, coef: np.ndarray, inverse: np.ndarray,
     u1, uc = (np.ascontiguousarray(grid.with_coef(coef[row] * inv).to_physical().imag)
               for row, inv in zip(rows, inverse))
     out = np.empty_like(coef)
+    # coeffs.evaluate's sum, taken left to right in two buffers: the real
+    # products and sums round the same way, so the bits are the same
+    total, term = np.empty_like(u1), np.empty_like(u1)
     for row, species in zip(rows, SPECIES):
-        values = coeffs.evaluate(u1, uc, species)
-        out[row] = SpectralField.from_physical(values, grid.box_length, dims).coef
+        a, b, g = coeffs.species_coefficients(species)
+        np.multiply(u1, a, out=total)
+        total *= u1
+        np.multiply(uc, b, out=term)
+        term *= uc
+        total += term
+        np.multiply(u1, g, out=term)
+        term *= uc
+        total += term
+        out[row] = SpectralField.from_physical(total, grid.box_length, dims).coef
     return out
 
 

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kgpair import bilinear
 from kgpair.bilinear import (
+    HOLDER_BOX,
+    HOLDER_N,
     SHELL_BOX,
     SHELL_N,
     SpectralField,
@@ -97,6 +100,17 @@ def test_one_dimensional_transforms_are_the_fftn_formulas_bit_for_bit(n):
     g = random_field(f, rng)
     expected = np.fft.ifftn(g.coef) * (n * dxi / (2.0 * math.pi) ** 0.5)
     assert np.array_equal(g.to_physical(), expected)
+
+
+@pytest.mark.parametrize("dims, shape", [(1, (256,)), (1, (3, 64)), (3, (8, 8, 8))])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_from_physical_leaves_its_input_alone(dims, shape, dtype):
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=shape).astype(dtype)
+    kept = values.copy()
+    f = SpectralField.from_physical(values, 6.0, dims)
+    assert values.tobytes() == kept.tobytes()
+    assert not np.shares_memory(f.coef, values)
 
 
 @given(
@@ -424,7 +438,7 @@ def test_cyclic_ridge_band_matches_dense_table(n, rho):
     symbol = SymbolGrid.cyclic_ridge(lambda k: bump(k / rho), 2.0)
     table = cyclic_table(bump(grid.frequency_axis() / rho), 2)
     support = symbol.support(grid)
-    assert support[4].dtype == np.float64
+    assert [a.dtype for a in support[2:]] == [np.int32, np.int32, np.float64]
     for got, expected in zip(support, table_nonzeros(table)):
         assert np.array_equal(got, expected)
     assert np.array_equal(symbol.materialize(grid), table)
@@ -458,27 +472,117 @@ def test_cyclic_ridge_matches_dense_table_property(n, box, lam, rho, seed):
     assert np.abs(out - oracle).max() <= 2.0 * n * np.finfo(float).eps * scale
 
 
+def sorted_ridge_support(g, lam):
+    """The cyclic ridge's support built as one int64 sort of the keys
+    a*n + b with a modulo and a diff for the segments: the oracle of the
+    in-place build of ``SymbolGrid.support``."""
+    n = g.size
+    lam %= n
+    mask, shift = n - 1, n.bit_length() - 1
+    b = np.arange(n)[:, None]
+    keys = np.sort((((np.flatnonzero(g) + lam * b) & mask) << shift | b).ravel())
+    entries, cols = keys >> shift, keys & mask
+    vals = g[(entries - lam * cols) & mask]
+    starts = np.flatnonzero(np.diff(entries, prepend=-1))
+    return entries[starts], starts, cols, (entries - cols) % n, vals
+
+
+@given(
+    st.sampled_from([2**k for k in range(3, 13)]),
+    st.sampled_from([*range(-4, 5), "n-1"]),
+    st.floats(2.0, 500.0),
+    st.floats(0.3, 48.0),
+)
+def test_ridge_support_matches_the_sorted_int64_build(n, lam, box, half_width):
+    # rho spans up to 48 lattice spacings: at most 97 entries per column
+    grid = SpectralField.zeros(1, n, box)
+    lam = n - 1 if lam == "n-1" else lam
+    rho = half_width * grid.dxi
+    symbol = SymbolGrid.cyclic_ridge(lambda k: bump(k / rho), lam)
+    support = symbol.support(grid)
+    assert [a.dtype for a in support[2:]] == [np.int32, np.int32, np.float64]
+    for got, expected in zip(support, sorted_ridge_support(bump(grid.frequency_axis() / rho), lam)):
+        assert np.array_equal(got, expected)
+
+
+def test_ridge_support_takes_int64_keys_above_2_to_the_15():
+    n = 2**16
+    grid = SpectralField.zeros(1, n, 7.5 * n)
+    rho = 2.5 * grid.dxi  # five nonzero profile samples
+    for lam in (3, -2, n - 1):
+        symbol = SymbolGrid.cyclic_ridge(lambda k: bump(k / rho), lam)
+        support = symbol.support(grid)
+        assert support[4].size == 5 * n
+        assert [a.dtype for a in support[2:]] == [np.int64, np.int64, np.float64]
+        for got, expected in zip(support, sorted_ridge_support(bump(grid.frequency_axis() / rho), lam)):
+            assert np.array_equal(got, expected)
+
+
+def one_pass_product(symbol, f, g):
+    """``pseudo_product`` of a non-separable symbol over its whole support at
+    once, with the operand order of the blocks: the oracle of the blocking."""
+    rows, starts, cols, diffs, vals = symbol.support(f)
+    terms = f.coef[cols]
+    terms *= vals
+    terms *= g.coef[diffs]
+    out = np.zeros(f.n, dtype=complex)
+    out[rows] = np.add.reduceat(terms, starts)
+    return out * (f.dxi / (2.0 * math.pi) ** 0.5)
+
+
+BLOCKED_CASES = {
+    # 427008 entries in rows of 417: 52 blocks
+    "ridge_rho1_n1024": (SymbolGrid.cyclic_ridge(bump, 2), 1024, 1310.72),
+    # lam = 0: each nonempty row holds all 16384 columns, two blocks' worth
+    "ridge_rows_longer_than_a_block": (
+        SymbolGrid.cyclic_ridge(lambda k: bump(k / 0.002), 0), 2**14, 2**14 * 0.6),
+    # the 16384-entry complex holder tables: two blocks of 64 rows
+    **{name: (default_probe_symbols()[name], HOLDER_N, HOLDER_BOX)
+       for name in ("gaussian_joint", "random_trig")},
+    "table_with_empty_rows": (table_symbol(table_with_empty_rows(N)), N, L),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 100])
+@pytest.mark.parametrize("name", BLOCKED_CASES)
+def test_blocked_product_is_the_one_pass_product_bit_for_bit(monkeypatch, name, chunk):
+    symbol, n, box = BLOCKED_CASES[name]
+    if chunk is not None:
+        monkeypatch.setattr(bilinear, "_CHUNK_POINTS", chunk)
+    grid = SpectralField.zeros(1, n, box)
+    rng = np.random.default_rng(17)
+    f, g = random_field(grid, rng), random_field(grid, rng)
+    assert pseudo_product(symbol, f, g).coef.tobytes() == one_pass_product(symbol, f, g).tobytes()
+
+
 @pytest.mark.parametrize("lam", [2.5, -0.5, math.nan, math.inf])
 def test_cyclic_ridge_needs_an_integer_lambda(lam):
     with pytest.raises(ValueError, match="ridge lambda must be an integer"):
         SymbolGrid.cyclic_ridge(bump, lam)
 
 
-@pytest.mark.parametrize("rho", [0.1, 0.01])
+@pytest.mark.parametrize("rho", [1.0, 0.1, 0.01])
 def test_cyclic_ridge_memory_scales_with_its_band(rho):
-    # the band and one product take about 60 bytes per entry; one complex
-    # n x n table alone would take 16 n^2 bytes
+    # the build peaks near 20 bytes per entry (int32 keys, columns and
+    # profile indices, float64 values) and keeps 16; a product holds one
+    # block of terms at a time.  One complex n x n table would take 16 n^2
+    # bytes: 16.8 MB here
     grid = SpectralField.zeros(1, 1024, 1310.72)
     rng = np.random.default_rng(4)
     f, g = random_field(grid, rng), random_field(grid, rng)
     symbol = SymbolGrid.cyclic_ridge(lambda k: bump(k / rho), 2)
     tracemalloc.start()
     try:
+        support = symbol.support(grid)
+        build_kept, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         pseudo_product(symbol, f, g)
-        peak = tracemalloc.get_traced_memory()[1]
+        # the kept support is still traced: count only what the product added
+        product_peak = tracemalloc.get_traced_memory()[1] - build_kept
     finally:
         tracemalloc.stop()
-    assert peak < 64 * symbol.support(grid)[4].size + 256 * grid.n < 16 * grid.n**2 / 4
+    assert build_peak < min(10e6, 24 * support[4].size + 256 * grid.n)
+    assert product_peak < 2e6
 
 
 def test_ridge_probe_is_sharp_and_bounded():

@@ -42,6 +42,30 @@ def test_bump_profile():
     assert np.all(np.diff(v[x >= 0.0]) <= 0.0)
 
 
+def where_bump(x):
+    """``bump`` as written with exp over every point and a masked square:
+    the oracle of the bits of the inside-only evaluation."""
+    x = np.asarray(x, dtype=float)
+    inside = np.abs(x) < 1.0
+    x2 = np.where(inside, x, 0.0)
+    x2 *= x2
+    with np.errstate(under="ignore"):
+        vals = np.exp(1.0 - 1.0 / (1.0 - x2))
+    return np.where(inside, vals, 0.0)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (4096,), (3, 5, 64)])
+@pytest.mark.parametrize("scale", [0.5, 1.2, 40.0, 1e300])
+def test_bump_is_the_masked_exp_bit_for_bit(shape, scale):
+    rng = np.random.default_rng(len(shape))
+    x = scale * rng.uniform(-1.0, 1.0, size=shape)
+    if x.size > 8:
+        x.flat[:8] = [1.0, -1.0, np.nextafter(1.0, 0.0), 0.0, -0.0, np.nan, np.inf, 1e-160]
+    got = bump(x)
+    assert got.shape == x.shape and got.dtype == np.float64
+    assert got.tobytes() == where_bump(x).tobytes()
+
+
 def test_smooth_step_endpoints_and_monotone():
     assert smooth_step(-1.0) == 0.0
     assert smooth_step(1.0) == 1.0

@@ -201,6 +201,33 @@ def test_reassembled_source_matches_direct(grid):
         assert np.abs(rebuilt[s] - direct).max() < 1e-10 * scale
 
 
+def evaluate_sources(grid, coef, inverse, coeffs):
+    """``simulator._sources`` with each species' source formed by
+    ``coeffs.evaluate``: the oracle of its two-buffer sum."""
+    dims = grid.dims
+    rows = [(Ellipsis, k) + (slice(None),) * dims for k in range(len(SPECIES))]
+    u1, uc = (np.ascontiguousarray(grid.with_coef(coef[row] * inv).to_physical().imag)
+              for row, inv in zip(rows, inverse))
+    out = np.empty_like(coef)
+    for row, species in zip(rows, SPECIES):
+        values = coeffs.evaluate(u1, uc, species)
+        out[row] = SpectralField.from_physical(values, grid.box_length, dims).coef
+    return out
+
+
+@pytest.mark.parametrize("runs", [(), (2,)])
+@pytest.mark.parametrize("n", [256, 4096])
+def test_sources_are_the_evaluate_sum_bit_for_bit(n, runs):
+    grid = SpectralField.zeros(1, n, 64.0)
+    rng = np.random.default_rng(n)
+    shape = (*runs, len(SPECIES), n)
+    coef = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    inverse, _, _ = simulator._step_tables(grid, SpeedPair(5.0), 0.01)
+    coeffs = NonlinearityCoefficients(*rng.normal(size=6))
+    got = simulator._sources(grid, coef, inverse, coeffs)
+    assert got.tobytes() == evaluate_sources(grid, coef, inverse, coeffs).tobytes()
+
+
 def test_reality_preserved_through_nonlinear_run(grid):
     state, _, _ = random_state(grid, np.random.default_rng(3))
     for _ in range(40):
