@@ -94,8 +94,8 @@ class SpectralField:
     def from_physical(cls, values, box_length: float, dims: int | None = None) -> "SpectralField":
         """The field of physical ``values``; ``dims`` counts the trailing grid
         axes and defaults to all of them."""
-        # one fresh complex copy, transformed and scaled in place; the
-        # caller's array is never written
+        # one fresh complex copy, transformed (out= needs numpy 2.0) and
+        # scaled in place; the caller's array is never written
         coef = np.array(values, dtype=complex)
         dims = coef.ndim if dims is None else dims
         n = coef.shape[-1]
@@ -375,8 +375,7 @@ class SymbolGrid:
         if key not in self._cache:
             n = grid.n
             mask, shift = n - 1, n.bit_length() - 1
-            ridge = self.ridge_profile is not None
-            if ridge:
+            if self.ridge_profile is not None:
                 # column b holds the rows a = (k + lam*b) mod n, k in supp g;
                 # sorting the keys a*n + b puts the entries in row order with
                 # ascending columns (n is a power of two: & and shifts are
@@ -397,22 +396,24 @@ class SymbolGrid:
                 entries.sort()
                 cols = entries & mask
                 entries >>= shift
+                # each entry's profile index (a - lam*b) mod n
+                idx = cols * -lam
+                idx += entries
+                idx &= mask
+                vals = g[idx]
+                del idx
             else:
                 table = self.materialize(grid)
                 entries, cols = np.nonzero(table)
                 vals = table[entries, cols]
-            counts = np.bincount(entries, minlength=n)
-            rows = np.flatnonzero(counts)
-            starts = (np.cumsum(counts) - counts)[rows]
+            # row k spans bounds[k]:bounds[k+1] of the sorted row ids; unlike
+            # np.bincount, searchsorted takes int32 ids without an intp copy
+            bounds = np.searchsorted(entries, np.arange(n + 1, dtype=entries.dtype))
+            rows = np.flatnonzero(np.diff(bounds))
+            starts = bounds[rows]
             diffs = entries
             diffs -= cols
             diffs &= mask
-            if ridge:
-                # the profile index a - lam*b is the difference minus (lam - 1)*b
-                profile_idx = cols * (lam - 1)
-                np.subtract(diffs, profile_idx, out=profile_idx)
-                profile_idx &= mask
-                vals = g[profile_idx]
             self._cache[key] = (rows, starts, cols, diffs, vals)
         return self._cache[key]
 
@@ -451,11 +452,14 @@ def pseudo_product(symbol: SymbolGrid, f: SpectralField, g: SpectralField) -> Sp
         e0 = starts[s0]
         s1 = int(np.searchsorted(starts, e0 + _CHUNK_POINTS))
         e1 = starts[s1] if s1 < rows.size else vals.size
-        # f first, then the values, in place: the one-pass product's numpy
-        # elided its temporary (>= 256 KiB) as f.coef[cols] * vals, and the
-        # other operand order rounds complex values differently (FMA).
-        # np.take gathers with int32 indices as they are; [] converts them
-        terms = np.take(f.coef, cols[e0:e1])
+        # f's terms (complex, so real fields promote), then in place the
+        # values and g's terms.  f first: on supports of 16384 entries or
+        # more numpy elided the former one-pass product's 256 KiB temporary
+        # as f.coef[cols] * vals, and the other operand order rounds complex
+        # values differently (FMA); on smaller complex supports, which it
+        # took as vals * f.coef[cols], a term may differ in the last bit.
+        # np.take gathers with int32 indices faster than [] does
+        terms = np.take(f.coef, cols[e0:e1]).astype(complex, copy=False)
         terms *= vals[e0:e1]
         terms *= np.take(g.coef, diffs[e0:e1])
         out[rows[s0:s1]] = np.add.reduceat(terms, starts[s0:s1] - e0)
