@@ -26,8 +26,10 @@ import numpy as np
 
 SPEED_TAGS = ("c", "1")
 SIGNS = (1, -1)
-# largest fast speed c and largest 1/c: scan_all solves without a numpy
-# warning for 1e-19 <= c <= 1e19 and overflows at 1e-20 and 1e20
+# largest fast speed c and largest 1/c: the closed forms of scan_all give
+# finite radii for 1e-153 <= c <= 1e51 (c^2 underflows at 1e-154, and the
+# product under the square root of R overflows at 1e52), and the tests check
+# the radii against 50-digit values up to 1e16
 SPEED_MAX = 1e16
 _FLOAT_MAX = sys.float_info.max
 _BUILTIN_REAL = (float, int)

@@ -6,18 +6,20 @@ r*omega).  Restricting the phase to that parameterization gives a scalar
 analytic function Z(r) whose zeros are the space-time resonances: each zero R
 contributes a sphere-and-ray component {|eta| = R, xi = lambda*eta}.
 
-The zeros are solved for exactly.  With w = v^2 for the common group speed
-v = c_l^2 r / <r>_l, D = (c_l^2 - w)(c_m^2 - w) and
-PD = c_l^2 (c_m^2 - w) + c_m^2 (c_l^2 - w) - D - c_k^2 w ((c_m^2 - w)/c_l^2
-+ (c_l^2 - w)/c_m^2), two squarings turn Z = 0 into the quartic
-q(w) = PD^2 - 4 (c_l c_m - c_k^2 w/(c_l c_m))^2 D on (0, min(c_l, c_m)^2),
-and r = v / (c_l sqrt(c_l^2 - w)).  Solved in w, the roots crowd towards
-w = 1 as c -> 1 and towards w = 0 as c grows, and rounding loses them; so q
-is solved in y = (1/w - 1)/delta, with speeds scaled to 1 (slower species)
-and sqrt(1 + delta) (faster), where the factor delta^4 of q is divided out by
-construction.  The squarings admit the roots of the phases with other signs
-too, so each candidate is polished by Newton steps on the unsquared Z and
-kept only when Z confirms it.  The zero order is the root's multiplicity in q.
+The zeros are known in closed form.  With w = v^2 for the common group
+speed v = c_l^2 r / <r>_l, two squarings turn Z = 0 into a quartic q in
+y = (1/w - 1)/delta, where the speeds are scaled to 1 (slower species) and
+sqrt(1 + delta) (faster); then r = 1/(min(c, 1) sqrt(c_l^2 delta a)) with the
+scaled c_l^2 and a = (c_l^2 - w)/(delta w).  The signs do not enter q.  For
+every delta > 0, q factors over Q(delta), and it has a root where c_l^2 - w
+and c_m^2 - w are positive for two patterns of tags only, a simple one:
+y = 4/3 when k alone is faster, and the one positive root of
+(3 delta + 3) y^3 + (2 delta + 1) y^2 + (1 - delta) y - 1 when k and exactly
+one of l, m are faster.  The unsquared Z vanishes there for the signs +--
+and -++ only.  ``tests/test_resonance_certificate.py`` proves the algebra
+with sympy for a symbolic delta and checks the signs with mpmath at sampled
+speeds; ``tests/test_resonance.py`` keeps the numerical quartic solver as
+the oracle.
 
 A report collects the components of all canonical phases together with the
 outcome and source radius sets and the separation verdict.
@@ -35,18 +37,15 @@ import numpy as np
 from kgpair.dispersion import (PhaseIndex, SpeedPair, _require_count, _require_positive,
                                canonical_phase_indices, sum_of_squares)
 
-ROOT_TOL = 1e-12
 # relative tolerance between a report read back and the one solved at its
 # parameters: a report written on another numpy build still reads
 REPORT_TOL = 1e-10
 DEFAULT_TAU_SEP = 1e-6
 _RADIUS_MERGE_TOL = 1e-9
-# quartic roots closer than this (relative) are one multiple root; rounding
-# splits a double root into a pair about 1e-8 apart
-_MULTIPLICITY_TOL = 1e-6
+_RESONANT_SIGNS = ((1, -1, -1), (-1, 1, 1))
 _NUMBER = (int, float)
 _MISSING = object()
-MAX_SWEEP_STEPS = 10_000  # speeds per sweep, one scan_all (about 5 ms) each
+MAX_SWEEP_STEPS = 10_000  # speeds per sweep, one scan_all (about 1 ms) each
 # largest intersection order n of a budget, which only records it: larger
 # integers do not survive a JSON reader that parses numbers as doubles
 MAX_ORDER = 2**53
@@ -151,100 +150,45 @@ def dist_to_component(xi, eta, comp: ResonantComponent):
     return np.sqrt(np.maximum(d2, 0.0))
 
 
-def resonance_quartic(speeds: SpeedPair, idx: PhaseIndex):
-    """Coefficients (highest power first) of q in y, and the map from y to r.
+def _cubic_root(delta: float) -> float:
+    """The one positive root of (3d+3) y^3 + (2d+1) y^2 + (1-d) y - 1 for d = delta > 0.
 
-    The coefficients are those of a positive multiple of q on the domain.
-    e_a = 1 marks the faster tag, whose scaled squared speed is 1 + delta;
-    the comments give each polynomial in the scaled speeds.  ``radius_of`` is
-    NaN off the domain, where c_l^2 - w or c_m^2 - w is not positive.
+    The cubic is -1 at y = 0 and 4(d+1) at y = 1.  Bisection halves [0, 1]
+    until its ends are adjacent doubles and returns the end where the cubic is
+    smaller in modulus.
     """
-    c = speeds.c_fast
-    delta = (c - 1.0) * (c + 1.0) if c > 1.0 else (1.0 - c) * (1.0 + c) / (c * c)
-    ek, el, em = (float((tag == "c") == (c > 1.0)) for tag in (idx.k, idx.l, idx.m))
-    L, M, K = 1.0 + delta * el, 1.0 + delta * em, 1.0 + delta * ek
-    a = np.array([L, el])  # (c_l^2 - w) / (delta w)
-    b = np.array([M, em])  # (c_m^2 - w) / (delta w)
-    g = np.array([L * M, el + em - ek + delta * el * em])  # (c_l^2 c_m^2 - c_k^2 w) / (delta w)
-    mul = np.convolve  # product of coefficient arrays, leading zeros kept
-    h = (  # c_l^2 c_m^2 PD / (delta w)^2
-        mul(a + b, g) + L * M * mul(el * b + em * a, [delta, 1.0])
-        - K * mul(em * b + el * a, [0.0, 1.0]) - L * M * mul(a, b)
-    )
+    def cubic(y):
+        return (((3.0 * delta + 3.0) * y + 2.0 * delta + 1.0) * y + 1.0 - delta) * y - 1.0
 
-    def radius_of(y: float) -> float:
-        if min(np.polyval(a, y), np.polyval(b, y)) <= 0.0:
-            return math.nan
-        return 1.0 / (min(c, 1.0) * math.sqrt(L * delta * np.polyval(a, y)))
-
-    return mul(h, h) - 4.0 * L * M * mul(mul(g, g), mul(a, b)), radius_of
-
-
-def root_multiplicities(coefficients) -> list[tuple[float, int]]:
-    """Distinct real roots of a polynomial with their multiplicities, ascending.
-
-    Roots of ``np.roots`` within ``_MULTIPLICITY_TOL`` (relative) of each
-    other form one root, so a double root that rounding split into a complex
-    pair counts as one real root of multiplicity 2.
-    """
-    roots = np.roots(coefficients)
-    tol = _MULTIPLICITY_TOL
-    out: list[tuple[float, int]] = []
-    for y in np.sort(roots[np.abs(roots.imag) <= tol * np.abs(roots)].real):
-        if not out or y - out[-1][0] > tol * abs(y):
-            out.append((float(y), int(np.count_nonzero(np.abs(roots - y) <= tol * abs(y)))))
-    return out
-
-
-def _bracket_sum(speeds: SpeedPair, idx: PhaseIndex, r: float) -> float:
-    """Sum of the three brackets of Z at r, the size its rounding error scales with."""
-    lam = abs(float(space_resonance_lambda(speeds, idx, r)))
-    return (speeds.bracket_radial(idx.k, lam * r) + speeds.bracket_radial(idx.l, r)
-            + speeds.bracket_radial(idx.m, abs(lam - 1.0) * r))
-
-
-def _polish(speeds: SpeedPair, idx: PhaseIndex, r: float, order: int) -> tuple[float, bool]:
-    """Newton steps on the unsquared Z from r, scaled by the zero order.
-
-    Steps stop when |Z| is down to the rounding level of its three brackets or
-    stops shrinking.  Returns the radius and whether |Z| there is within
-    ROOT_TOL of the brackets' sum, which confirms the root.
-    """
-    def gap(x):
-        return float(time_resonance_gap(speeds, idx, x))
-
-    scale = _bracket_sum(speeds, idx, r)
-    z = gap(r)
-    for _ in range(8):
-        if abs(z) <= 8.0 * np.finfo(float).eps * scale:
-            break
-        rise = gap(1.000001 * r) - gap(0.999999 * r)
-        r_new = r - order * z * 2e-6 * r / rise if rise else math.nan
-        z_new = gap(r_new) if r_new > 0.0 else math.nan
-        if not abs(z_new) < abs(z):
-            break
-        r, z = r_new, z_new
-    return r, abs(z) <= ROOT_TOL * scale
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if cubic(mid) < 0.0 else (lo, mid)
+    return min(lo, hi, key=lambda y: abs(cubic(y)))
 
 
 def find_resonant_components(
     speeds: SpeedPair, idx: PhaseIndex, r_max: float = 100.0
 ) -> list[ResonantComponent]:
-    """All zeros of Z on (0, r_max]: the Z-confirmed real roots of the quartic.
+    """All zeros of Z on (0, r_max], built from their closed forms.
 
-    ``order`` is the root's multiplicity and ``tangent`` marks an even order.
+    Z has a zero only when k is the faster tag and the signs are +-- or -++:
+    at y = 4/3 when l and m are both slower, at the cubic's positive root
+    when exactly one of them is faster.  Each zero is simple, so ``order`` is 1.
     """
     _require_positive("r_max", r_max)
-    quartic, radius_of = resonance_quartic(speeds, idx)
-    components = []
-    for y, order in root_multiplicities(quartic):
-        r = radius_of(y)
-        if not math.isnan(r):
-            r, confirmed = _polish(speeds, idx, r, order)
-            if confirmed and r <= r_max:
-                lam = float(space_resonance_lambda(speeds, idx, r))
-                components.append(ResonantComponent(idx, r, lam, order))
-    return sorted(components, key=lambda comp: comp.R)
+    c = speeds.c_fast
+    fast = "c" if c > 1.0 else "1"
+    el, em = (float(tag == fast) for tag in (idx.l, idx.m))
+    if idx.k != fast or el + em == 2.0 or (idx.s0, idx.s1, idx.s2) not in _RESONANT_SIGNS:
+        return []
+    delta = (c - 1.0) * (c + 1.0) if c > 1.0 else (1.0 - c) * (1.0 + c) / (c * c)
+    y = 4.0 / 3.0 if el + em == 0.0 else _cubic_root(delta)
+    L = 1.0 + delta * el  # c_l^2 in the scaled speeds
+    # L * y + el is (c_l^2 - w) / (delta w) at the root
+    R = 1.0 / (min(c, 1.0) * math.sqrt(L * delta * (L * y + el)))
+    if R > r_max:
+        return []
+    return [ResonantComponent(idx, R, float(space_resonance_lambda(speeds, idx, R)), 1)]
 
 
 def _merge_radii(values, tol: float = _RADIUS_MERGE_TOL) -> list[float]:
@@ -262,7 +206,7 @@ class ResonanceReport:
     The radius sets and the separation verdict (``separated``, ``min_gap``,
     ``delta0``) are derived from ``components`` and ``tau_sep``.
     ``grid_step`` is recorded for the ``resonance-report/1`` schema only; the
-    exact solver has no grid.  ``warnings`` is always empty, kept for the same
+    closed forms have no grid.  ``warnings`` is always empty, kept for the same
     schema.
     """
 

@@ -281,8 +281,8 @@ def test_cutoff_export_chi_t_golden(tmp_path):
     digests = {suffix: hashlib.sha256(prefix.with_suffix(suffix).read_bytes()).hexdigest()
                for suffix in (".csv", ".json")}
     assert digests == {
-        ".csv": "ca7fd6efb1462c94cbed7ccec2fa449cf89a9cc68751cb1d7170bc25316511f4",
-        ".json": "e0c39bf50331806c7fad30c7477c88ec815669a0337d624180bdeb5d31b52344",
+        ".csv": "263c65122f0f16bb4b1faf05d6583451b20b5bccf4b881a22eb988f5180b5cc5",
+        ".json": "d0b3a8466c335115dba0c3728bd274b689f96e0c2877331f197f89a496f2226c",
     }
 
 
@@ -290,35 +290,35 @@ def test_cutoff_export_chi_t_golden(tmp_path):
     "args, csv_digest, json_digest",
     [
         (["--c", "0.5", "--cutoff", "chi-s", "--points", "100000"],
-         "15dd697519004ffbc913e61cd7b954854270cc7cd957b5055be8794d0ec6226b",
-         "b3c170d380d448d9a8ab87342257f29462699ec87f2865f7b6fba7113955615c"),
+         "eb20944575ef23cd743eaa366372b7526ce3ebeeb141d0ded3d9cd3115ae9a59",
+         "9ab41b430b551a955369c181b513ec9bdb3f4778229cdf409fb358bbf1e81cea"),
         (["--c", "0.5", "--cutoff", "chi-r", "--points", "100000"],
-         "5ed6807ec4eacd6daace1dcac55632555d08396284f66dd48d314ea13ad28435",
-         "30041858ca7ca5a45c17cf46d886d2444c160aeb6a62aa969d14b66905f24631"),
+         "90c2d4e2931e99d27db716adb318cf1978aecb315986165380f64c9f19a42feb",
+         "79bcd3776cf14999a2559bb468acf2e4492dbfa9ce0d78c2d9185350ff4d00f3"),
         (["--c", "11", "--cutoff", "chi-s", "--points", "100000"],
-         "9fe829e6c5ef73fcabebd7254c0ce72af25c7a9cf29e73aea3fc4ab1e085e4f9",
-         "367be22d6047f0dbe38febc2ff096f9a9a87a17978fe792047368f07100b5036"),
+         "2e36fd6a64043dfaa38de763d4a4cc430700da82f84db54b50cc9613da05b526",
+         "752e3eab434a02081193963efb9f658551d2cd367cf6908d929cb9498c8fe726"),
         (["--c", "11", "--cutoff", "chi-r", "--points", "100000"],
-         "99ef7a23aeb727bd01520f40271a80bba9afe44e7395ea3f860559627b8152f8",
-         "f11fc0a42648a772403c3d84dbd74e0803bcede6ad045ee5850a5b525cfabe55"),
+         "6cf2d1e63aa76607cdb62b2af06da98f18e9d328e6496834fa57f16fc7e9fc15",
+         "402b84a8e98b30a0fd67c5c0485d14a04b663ac62db09197f18b37f11d02fd18"),
         # a segment away from the component, through the low branch, the
         # theta blend (|p| from M = 2 to 3) and the high branch: 3285 values
         # strictly between 0 and 1
         (["--c", "5", "--cutoff", "chi-t", "--points", "20001",
           "--line=-0.91,-0.65,-0.62,0.07,-0.1,0.91:2.27,1.48,0.86,1.73,2.19,-2.39"],
-         "f37ddcae804a6fcc750059cd07694276f8533c22aaf9deacaa7a1edf1fe973bf",
-         "619f7ac70397f57013d85895c1b7d95e27a84d7c43b574b7d9b2a0c66bcf0333"),
+         "c5e2946ac08a3692b41dc13fd5f1358d4a60496c82eabd3aa3bdabf25b3f79b5",
+         "70a93e49cd8f65af0b14ed3eca414d5ed3e31bd2d2f0eb40cb529c158eb63819"),
         # the radial grid, as written by the per-value %.17g formatter; the
         # chi-o radii below 1e-4 take the exponent layout (1.000010000100001e-05)
         (["--c", "5", "--cutoff", "chi-o", "--points", "100000"],
-         "9c62f7da9c1fadb55d0af244543772dbc562525b2cbde36c46362b69e5418810",
-         "f5fcb9faac8ae53be90f377c00da392b1b09813d47cd7ecb7d8ec10715e502c4"),
+         "ea4835d89342e980ced7919dd571be3a1d4b3845cbc68a30b2f1b7a479c5a35b",
+         "c388e7fccd3aa28b9d4bc9662a8b04eb91de68bd84a87cba82136ecf961d2c8e"),
         (["--c", "5", "--cutoff", "chi-o-tilde", "--points", "100000"],
-         "e00d7570e5e3f67338c1c69f604d95b1cb65869bcc960ca6239646372959086c",
-         "690c9792d37143c7eed38a676efdc7fae4851c3b06021d5462d24a693a15f1c4"),
+         "599772fc8120187332b576652427780a6d7e160b6f131d10498339c21882484c",
+         "912647d7e5e78d9903a27469ceba7b56684505f8386b2d1f4fcfccbcfa6ef7af"),
         (["--c", "5", "--cutoff", "theta", "--points", "100000"],
          "b598e56c6db68b417eecfe807fc400b7f894150f794d89cc559b09c947921a91",
-         "975dc47de6ce815f90a1afdaa41e899133ac6c9244c5c091a114ab77c9278ffa"),
+         "d418fbcb549d56293247ea1831641191b96242f5bc603c4b083f36f2e49dc50b"),
     ],
     ids=["chi-s-c0.5", "chi-r-c0.5", "chi-s-c11", "chi-r-c11", "chi-t-line-c5",
          "chi-o-radial-c5", "chi-o-tilde-radial-c5", "theta-radial-c5"],
@@ -640,23 +640,23 @@ def test_in_process_runs_match_a_child_process(tmp_path, subcommand_runs, comman
     "args, digest, without_ridge",
     [
         (["--seed", "0", "--c", "5"],
-         "3b41ffeb4243507445f33baa065b672f3179006e879e3f7a517c70b13b01da62",
-         "75ba3f8792e9715c80202a96d9ce6e7dcc9b296ac7c2e9b70e747c3487ef49db"),
+         "52bb6467eafb9aa8c06121864dd02b8855ebb61a2c755ae30ea024233d393b70",
+         "471c50413898a0c46b9404bf79e98df3523b133325eba5841bfd14925061caa0"),
         (["--seed", "3", "--c", "3.3", "--trials", "16"],
          "6db787a95b307cf6fab4af638cdc4c2fb56a88037393cc8773f24002dc3f971d",
          "33b3bf361c4ede212c819a378c20df0cbb6379bcd029015005642f3123cd4f0c"),
         # its holder rows change in the last digit if a complex support value
         # multiplies the gathered f coefficients instead of the other way round
         (["--seed", "123456", "--c", "1.6"],
-         "cd89d5d4e6fc969e4decac0f7fd6ac6e75b7e125f451e251257733fae8720ce7",
-         "1329f6f811025017fdcbe5e6172f80553ddff4708e4fac503fbac77ad8295bd9"),
+         "a107309afe21e8e9330e9d34efced4880b7697137e2a30a7850f8e6f0b38a0c5",
+         "49c475c371ebd1dcb5f05bea6b35a4d58bdc8cacbf2ec413fffe090e083058e7"),
     ],
     ids=["seed0-c5", "seed3-c3.3-trials16", "seed123456-c1.6"],
 )
 def test_operator_probe_golden(tmp_path, args, digest, without_ridge):
     # sha256 of the output with the cyclic ridge probe, and of the output with
-    # its "ridge" entry removed, which is the digest of the same document as
-    # written before the ridge became cyclic: no other section moved
+    # its "ridge" entry removed, so that a change to the ridge alone moves the
+    # first digest only
     out = tmp_path / "probe.json"
     result = run_cli("operator-probe", *args, "--output", str(out))
     assert result.returncode == 0, result.stderr

@@ -18,13 +18,10 @@ from kgpair.resonance import (
     ResonanceReport,
     ResonantComponent,
     _merge_radii,
-    _polish,
     _separation,
     check_separation,
     dist_to_component,
     find_resonant_components,
-    resonance_quartic,
-    root_multiplicities,
     scan_all,
     space_resonance_lambda,
     sweep_speed,
@@ -362,6 +359,120 @@ def test_c5_components_are_simple_roots(report5):
     assert [(comp.order, comp.tangent) for comp in report5.components] == [(1, False)] * 2
 
 
+# --- the numerical quartic solver, kept as the oracle of the closed forms
+#
+# With w = v^2 for the common group speed v = c_l^2 r / <r>_l,
+# D = (c_l^2 - w)(c_m^2 - w) and PD = c_l^2 (c_m^2 - w) + c_m^2 (c_l^2 - w) - D
+# - c_k^2 w ((c_m^2 - w)/c_l^2 + (c_l^2 - w)/c_m^2), two squarings turn Z = 0
+# into q(w) = PD^2 - 4 (c_l c_m - c_k^2 w/(c_l c_m))^2 D on (0, min(c_l, c_m)^2),
+# and r = v / (c_l sqrt(c_l^2 - w)).  Solved in w, the roots crowd towards
+# w = 1 as c -> 1 and towards w = 0 as c grows, and rounding loses them; so q
+# is solved in y = (1/w - 1)/delta, with speeds scaled to 1 (slower species)
+# and sqrt(1 + delta) (faster), where the factor delta^4 of q is divided out by
+# construction.  The squarings admit the roots of the phases with other signs
+# too, so each candidate is polished by Newton steps on the unsquared Z and
+# kept only when Z confirms it.  The zero order is the root's multiplicity in q.
+
+ROOT_TOL = 1e-12
+# quartic roots closer than this (relative) are one multiple root; rounding
+# splits a double root into a pair about 1e-8 apart
+_MULTIPLICITY_TOL = 1e-6
+
+
+def resonance_quartic(speeds: SpeedPair, idx: PhaseIndex):
+    """Coefficients (highest power first) of q in y, and the map from y to r.
+
+    The coefficients are those of a positive multiple of q on the domain.
+    e_a = 1 marks the faster tag, whose scaled squared speed is 1 + delta;
+    the comments give each polynomial in the scaled speeds.  ``radius_of`` is
+    NaN off the domain, where c_l^2 - w or c_m^2 - w is not positive.
+    """
+    c = speeds.c_fast
+    delta = (c - 1.0) * (c + 1.0) if c > 1.0 else (1.0 - c) * (1.0 + c) / (c * c)
+    ek, el, em = (float((tag == "c") == (c > 1.0)) for tag in (idx.k, idx.l, idx.m))
+    L, M, K = 1.0 + delta * el, 1.0 + delta * em, 1.0 + delta * ek
+    a = np.array([L, el])  # (c_l^2 - w) / (delta w)
+    b = np.array([M, em])  # (c_m^2 - w) / (delta w)
+    g = np.array([L * M, el + em - ek + delta * el * em])  # (c_l^2 c_m^2 - c_k^2 w) / (delta w)
+    mul = np.convolve  # product of coefficient arrays, leading zeros kept
+    h = (  # c_l^2 c_m^2 PD / (delta w)^2
+        mul(a + b, g) + L * M * mul(el * b + em * a, [delta, 1.0])
+        - K * mul(em * b + el * a, [0.0, 1.0]) - L * M * mul(a, b)
+    )
+
+    def radius_of(y: float) -> float:
+        if min(np.polyval(a, y), np.polyval(b, y)) <= 0.0:
+            return math.nan
+        return 1.0 / (min(c, 1.0) * math.sqrt(L * delta * np.polyval(a, y)))
+
+    return mul(h, h) - 4.0 * L * M * mul(mul(g, g), mul(a, b)), radius_of
+
+
+def root_multiplicities(coefficients) -> list[tuple[float, int]]:
+    """Distinct real roots of a polynomial with their multiplicities, ascending.
+
+    Roots of ``np.roots`` within ``_MULTIPLICITY_TOL`` (relative) of each
+    other form one root, so a double root that rounding split into a complex
+    pair counts as one real root of multiplicity 2.
+    """
+    roots = np.roots(coefficients)
+    tol = _MULTIPLICITY_TOL
+    out: list[tuple[float, int]] = []
+    for y in np.sort(roots[np.abs(roots.imag) <= tol * np.abs(roots)].real):
+        if not out or y - out[-1][0] > tol * abs(y):
+            out.append((float(y), int(np.count_nonzero(np.abs(roots - y) <= tol * abs(y)))))
+    return out
+
+
+def _bracket_sum(speeds: SpeedPair, idx: PhaseIndex, r: float) -> float:
+    """Sum of the three brackets of Z at r, the size its rounding error scales with."""
+    lam = abs(float(space_resonance_lambda(speeds, idx, r)))
+    return (speeds.bracket_radial(idx.k, lam * r) + speeds.bracket_radial(idx.l, r)
+            + speeds.bracket_radial(idx.m, abs(lam - 1.0) * r))
+
+
+def _polish(speeds: SpeedPair, idx: PhaseIndex, r: float, order: int) -> tuple[float, bool]:
+    """Newton steps on the unsquared Z from r, scaled by the zero order.
+
+    Steps stop when |Z| is down to the rounding level of its three brackets or
+    stops shrinking.  Returns the radius and whether |Z| there is within
+    ROOT_TOL of the brackets' sum, which confirms the root.
+    """
+    def gap(x):
+        return float(time_resonance_gap(speeds, idx, x))
+
+    scale = _bracket_sum(speeds, idx, r)
+    z = gap(r)
+    for _ in range(8):
+        if abs(z) <= 8.0 * np.finfo(float).eps * scale:
+            break
+        rise = gap(1.000001 * r) - gap(0.999999 * r)
+        r_new = r - order * z * 2e-6 * r / rise if rise else math.nan
+        z_new = gap(r_new) if r_new > 0.0 else math.nan
+        if not abs(z_new) < abs(z):
+            break
+        r, z = r_new, z_new
+    return r, abs(z) <= ROOT_TOL * scale
+
+
+def oracle_components(speeds: SpeedPair, idx: PhaseIndex,
+                      r_max: float = 100.0) -> list[ResonantComponent]:
+    """All zeros of Z on (0, r_max]: the Z-confirmed real roots of the quartic.
+
+    ``order`` is the root's multiplicity and ``tangent`` marks an even order.
+    """
+    quartic, radius_of = resonance_quartic(speeds, idx)
+    components = []
+    for y, order in root_multiplicities(quartic):
+        r = radius_of(y)
+        if not math.isnan(r):
+            r, confirmed = _polish(speeds, idx, r, order)
+            if confirmed and r <= r_max:
+                lam = float(space_resonance_lambda(speeds, idx, r))
+                components.append(ResonantComponent(idx, r, lam, order))
+    return sorted(components, key=lambda comp: comp.R)
+
+
 def test_polish_recovers_perturbed_root(report5):
     sp = SpeedPair(5.0)
     for comp in report5.components:
@@ -542,14 +653,95 @@ def test_large_speeds_find_both_families(c):
     assert c11.R == pytest.approx(math.sqrt(3.0 / (4.0 * (c * c - 1.0))), rel=1e-10)
 
 
+@example(c=1.0001)
+@example(c=1.001)
 @example(c=1.05)
 @example(c=90.0)
-@given(c=st.floats(1.05, 90.0))
+@given(c=st.floats(1.0001, 90.0))
 def test_inverse_speed_scales_the_radii(c):
     # xi -> xi / c swaps the two species: the report at 1/c is the report at
-    # c with every radius, and so the gap, multiplied by c
-    report, inverse = scan_all(c), scan_all(1.0 / c)
+    # c with every radius, and so the gap, multiplied by c; r_max = 1000 keeps
+    # the component at R ~ 103 that c = 1/1.0001 has
+    report, inverse = scan_all(c, r_max=1000.0), scan_all(1.0 / c, r_max=1000.0)
     assert len(inverse.outcome_radii) == len(report.outcome_radii) > 0
     assert list(inverse.outcome_radii) == pytest.approx([c * r for r in report.outcome_radii],
                                                          rel=1e-10)
     assert inverse.min_gap == pytest.approx(c * report.min_gap, rel=1e-10)
+
+
+# log-spaced on both sides of c = 1, from 1 +- 1e-4 (where the largest R is
+# about 103, above the default r_max) out to 1e4 and 1e-4, and the two ends
+# of the speed range
+CLOSED_FORM_SPEEDS = sorted(
+    {float(c) for c in np.geomspace(1.0001, 1e4, 500)}
+    | {float(c) for c in np.geomspace(1e-4, 0.9999, 500)}
+    | {1e-16, 1e16}
+)
+
+
+def test_closed_forms_match_the_quartic_oracle():
+    for c in CLOSED_FORM_SPEEDS:
+        speeds = SpeedPair(c)
+        found = 0
+        for idx in all_phase_indices():
+            got = find_resonant_components(speeds, idx, r_max=1000.0)
+            want = oracle_components(speeds, idx, r_max=1000.0)
+            where = f"c = {c!r}, {idx.serialize()}"
+            assert [comp.order for comp in got] == [comp.order for comp in want], where
+            assert [comp.R for comp in got] == pytest.approx([comp.R for comp in want],
+                                                             rel=1e-12), where
+            assert [comp.lam for comp in got] == pytest.approx([comp.lam for comp in want],
+                                                               rel=1e-12), where
+            found += len(got)
+        # two components with their images: the sign flip of the one with
+        # both l, m slower (its own swap), and the sign flip, swap and
+        # swapped sign flip of the other
+        assert found == 6, c
+
+
+def _cubic_root_mp(delta):
+    """The positive root of the resonance cubic at 50 digits.
+
+    The cubic is positive and convex on y >= 1, so Newton steps from y = 1
+    descend to the root monotonically.
+    """
+    cubic = [3 * delta + 3, 2 * delta + 1, 1 - delta, -1]
+    y = mpmath.mpf(1)
+    while True:
+        value, slope = mpmath.polyval(cubic, y, derivative=True)
+        y -= value / slope
+        if abs(value / slope) < mpmath.mpf(10) ** -45:
+            return y
+
+
+def _radius_mp(c, idx):
+    """R of the component of ``idx`` at speed c, from the closed forms at 50 digits."""
+    c = mpmath.mpf(c)
+    delta = c * c - 1 if c > 1 else 1 / (c * c) - 1
+    fast = "c" if c > 1 else "1"
+    el, em = int(idx.l == fast), int(idx.m == fast)
+    y = mpmath.mpf(4) / 3 if el + em == 0 else _cubic_root_mp(delta)
+    L = 1 + delta * el
+    return 1 / (min(c, 1) * mpmath.sqrt(L * delta * (L * y + el)))
+
+
+def test_radii_within_four_eps_of_their_exact_values():
+    eps = np.finfo(float).eps
+    for c in CLOSED_FORM_SPEEDS:
+        speeds = SpeedPair(c)
+        for idx in all_phase_indices():
+            for comp in find_resonant_components(speeds, idx, r_max=1000.0):
+                exact = _radius_mp(c, idx)
+                assert abs(comp.R - exact) <= 4 * eps * exact, (c, idx.serialize())
+
+
+@pytest.mark.parametrize("c", [100.0, 1e3, 1e4])
+def test_gap_times_speed_cubed_tends_to_half_sqrt3(c):
+    # min_gap c^3 = sqrt(3)/2 - (5 sqrt(3)/4)/c^2 + ..., where the whole
+    # correction stays below its leading term in size (mpmath, c = 10..1e6);
+    # the gap is a difference of two radii near sqrt(3)/c, each within 4 eps,
+    # so rounding adds up to 8 sqrt(3) eps c^2
+    report = scan_all(c)
+    eps = np.finfo(float).eps
+    tolerance = 5.0 * math.sqrt(3.0) / (4.0 * c * c) + 8.0 * math.sqrt(3.0) * eps * c * c
+    assert abs(report.min_gap * c**3 - math.sqrt(3.0) / 2.0) <= tolerance
