@@ -96,14 +96,11 @@ def chi_R_rho(xi, eta, comp: ResonantComponent, rho: float, support_radius: floa
     return bump(radial) * bump(offset)
 
 
-def _frobenius_bracket_jacobian(speeds: SpeedPair, tag: str, w):
-    # Frobenius norm of d/dw [c^2 w / <w>] = (c^2/<w>) (I - c^2 w w^T / <w>^2)
-    ca = speeds.speed_of(tag)
-    t = sum_of_squares(w)
+def _frobenius_bracket_jacobian(ca: float, t):
+    # Frobenius norm of d/dw [ca^2 w/<w>] = (ca^2/<w>)(I - ca^2 w w^T/<w>^2) at |w|^2 = t
     b2 = 1.0 + ca * ca * t
     alpha = ca * ca / b2
-    frob2 = (ca**4 / b2) * (3.0 - 2.0 * alpha * t + alpha * alpha * t * t)
-    return np.sqrt(frob2)
+    return np.sqrt((ca**4 / b2) * (3.0 - 2.0 * alpha * t + alpha * alpha * t * t))
 
 
 @dataclass(frozen=True)
@@ -190,45 +187,47 @@ class CutoffFamily:
         dists = [dist_to_component(xi, eta, comp) for comp in self.components]
         return np.min(np.stack(dists, axis=0), axis=0)
 
-    def _chi_S_low(self, xi, eta):
-        """Step comparing first-order distances to the time- and space-resonant
-        sets, |phi| / |grad phi| and |d_eta phi| / (curvature proxy); returns
-        the step together with |phi| and |d_eta phi|."""
-        phi = np.abs(self.speeds.phase(self.idx, xi, eta))
-        # squared gradient moduli: the square root of the eta one is |d_eta phi|
-        # bit for bit, and no (..., 3) gradient array outlives its line
-        gx2 = sum_of_squares(self.speeds.grad_xi_phase(self.idx, xi, eta))
-        ge = sum_of_squares(self.speeds.grad_eta_phase(self.idx, xi, eta))
-        d_time = np.minimum(phi / np.maximum(np.sqrt(gx2 + ge), GRAD_FLOOR), TRUST_RADIUS)
-        ge = np.sqrt(ge)  # rebinding frees the square: one array fewer at the peak
-        hess = (_frobenius_bracket_jacobian(self.speeds, self.idx.l, eta)
-                + 2.0 * _frobenius_bracket_jacobian(self.speeds, self.idx.m, xi - eta))
-        d_space = np.minimum(ge / np.maximum(hess, GRAD_FLOOR), TRUST_RADIUS)
-        d_res = np.minimum(self.dist_to_resonant_set(xi, eta), TRUST_RADIUS)
-        denom = np.maximum(d_res ** (self.n + 1), 1e-300)
-        with np.errstate(over="ignore"):
-            arg = COMPARISON_GAIN * (d_time - d_space) / denom
-        return smooth_step(arg), phi, ge
-
-    def _chi_S_high(self, xi, eta):
-        gap = np.sqrt(sum_of_squares(np.asarray(xi) - np.asarray(eta)))
-        width = 0.5 * self.high_freq_offset
-        return bump((gap - self.high_freq_offset) / width)
-
     def partition(self, xi, eta, rho: float):
         """(chi_R, chi_S, chi_T) at scale rho in one pass: chi_S is (1 - chi_R)
         times the theta blend of the low and high branches, chi_T the rest."""
         return self._partition_and_moduli(xi, eta, rho)[:3]
 
     def _partition_and_moduli(self, xi, eta, rho: float):
-        """``partition`` followed by |phi| and |d_eta phi|, which its low
-        branch computes anyway: (chi_R, chi_S, chi_T, |phi|, |d_eta phi|)."""
+        """``partition`` followed by |phi| and |d_eta phi|, from one pass over
+        the geometry: xi - eta, the squared moduli of xi, eta and xi - eta, one
+        bracket per vector.  The low branch steps on |phi| / |grad phi| against
+        |d_eta phi| / (curvature proxy), first-order distances to the time- and
+        space-resonant sets; the high branch is a bump in |xi - eta|."""
         xi = np.asarray(xi, dtype=float)
         eta = np.asarray(eta, dtype=float)
-        low, phi, ge = self._chi_S_low(xi, eta)
+        sp, idx = self.speeds, self.idx
+        diff = xi - eta
+        t_eta, t_diff = sum_of_squares(eta), sum_of_squares(diff)
+        hess = (_frobenius_bracket_jacobian(sp.speed_of(idx.l), t_eta)
+                + 2.0 * _frobenius_bracket_jacobian(sp.speed_of(idx.m), t_diff))
+        r_xi, r_eta, r_diff = np.sqrt(sum_of_squares(xi)), np.sqrt(t_eta), np.sqrt(t_diff)
+        del t_eta, t_diff
+        high = bump((r_diff - self.high_freq_offset) / (0.5 * self.high_freq_offset))
+        phi = np.abs(sp.phase_radial(idx, r_xi, r_eta, r_diff))
+        # squared gradient moduli; no (..., 3) array outlives the two sums
+        slope = sp.momentum_slope(idx.m, diff, sp.bracket_radial(idx.m, r_diff))
+        del diff, r_diff
+        gx2 = sum_of_squares(idx.s0 * sp.momentum_slope(idx.k, xi, sp.bracket_radial(idx.k, r_xi))
+                             + idx.s2 * slope)
+        ge = sum_of_squares(idx.s1 * sp.momentum_slope(idx.l, eta, sp.bracket_radial(idx.l, r_eta))
+                            - idx.s2 * slope)
+        del slope, r_xi, r_eta
+        d_time = np.minimum(phi / np.maximum(np.sqrt(gx2 + ge), GRAD_FLOOR), TRUST_RADIUS)
+        del gx2
+        ge = np.sqrt(ge)  # rebinding frees the square: one array fewer at the peak
+        d_space = np.minimum(ge / np.maximum(hess, GRAD_FLOOR), TRUST_RADIUS)
+        d_res = np.minimum(self.dist_to_resonant_set(xi, eta), TRUST_RADIUS)
+        denom = np.maximum(d_res ** (self.n + 1), 1e-300)
+        with np.errstate(over="ignore"):
+            arg = COMPARISON_GAIN * (d_time - d_space) / denom
         # theta of the 6-vector (xi, eta), its squares summed in that order
         blend = theta_radial(np.sqrt(sum_of_squares(xi, eta)), self.M)
-        away = blend * low + (1.0 - blend) * self._chi_S_high(xi, eta)
+        away = blend * smooth_step(arg) + (1.0 - blend) * high
         chi_r = self.chi_R(xi, eta, rho)
         chi_s = (1.0 - chi_r) * away
         return chi_r, chi_s, 1.0 - chi_r - chi_s, phi, ge

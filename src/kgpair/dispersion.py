@@ -20,6 +20,7 @@ from __future__ import annotations
 import numbers
 import sys
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -144,28 +145,26 @@ class SpeedPair:
             + idx.s2 * self.bracket_radial(idx.m, np.abs(r_diff))
         )
 
-    def momentum_slope(self, tag: str, x) -> np.ndarray:
-        """Gradient of the bracket: c_tag^2 * x / <x>_tag (vector valued)."""
+    def momentum_slope(self, tag: str, x, bracket) -> np.ndarray:
+        """Gradient c_tag^2 * x / <x>_tag of the bracket (vector valued), given
+        the bracket <x>_tag of the same vectors, so that no modulus is retaken."""
         x = np.asarray(x, dtype=float)
         ca = self.speed_of(tag)
-        norm = np.asarray(self.bracket(tag, x))
-        return ca * ca * x / norm[..., np.newaxis]
+        return ca * ca * x / np.asarray(bracket)[..., np.newaxis]
 
     def grad_eta_phase(self, idx: "PhaseIndex", xi, eta) -> np.ndarray:
         """d(phi)/d(eta) = s1*c_l^2*eta/<eta>_l - s2*c_m^2*(xi-eta)/<xi-eta>_m."""
-        xi = np.asarray(xi, dtype=float)
         eta = np.asarray(eta, dtype=float)
-        return idx.s1 * self.momentum_slope(idx.l, eta) - idx.s2 * self.momentum_slope(
-            idx.m, xi - eta
-        )
+        diff = np.asarray(xi, dtype=float) - eta
+        return (idx.s1 * self.momentum_slope(idx.l, eta, self.bracket(idx.l, eta))
+                - idx.s2 * self.momentum_slope(idx.m, diff, self.bracket(idx.m, diff)))
 
     def grad_xi_phase(self, idx: "PhaseIndex", xi, eta) -> np.ndarray:
         """d(phi)/d(xi) = s0*c_k^2*xi/<xi>_k + s2*c_m^2*(xi-eta)/<xi-eta>_m."""
         xi = np.asarray(xi, dtype=float)
-        eta = np.asarray(eta, dtype=float)
-        return idx.s0 * self.momentum_slope(idx.k, xi) + idx.s2 * self.momentum_slope(
-            idx.m, xi - eta
-        )
+        diff = xi - np.asarray(eta, dtype=float)
+        return (idx.s0 * self.momentum_slope(idx.k, xi, self.bracket(idx.k, xi))
+                + idx.s2 * self.momentum_slope(idx.m, diff, self.bracket(idx.m, diff)))
 
 
 @dataclass(frozen=True, order=False)
@@ -265,7 +264,8 @@ def all_phase_indices() -> list[PhaseIndex]:
     return [PhaseIndex(*label) for label in product(*[SPEED_TAGS] * 3, *[SIGNS] * 3)]
 
 
-def canonical_phase_indices() -> list[PhaseIndex]:
-    """The canonical representatives (20 of them), sorted."""
+@cache
+def canonical_phase_indices() -> tuple[PhaseIndex, ...]:
+    """The 20 canonical representatives, sorted; built once, shared as a tuple."""
     reps = {symmetry_reduce(idx)[0] for idx in all_phase_indices()}
-    return sorted(reps, key=PhaseIndex.sort_key)
+    return tuple(sorted(reps, key=PhaseIndex.sort_key))

@@ -308,6 +308,14 @@ def test_cutoff_export_chi_t_golden(tmp_path):
           "--line=-0.91,-0.65,-0.62,0.07,-0.1,0.91:2.27,1.48,0.86,1.73,2.19,-2.39"],
          "c5e2946ac08a3692b41dc13fd5f1358d4a60496c82eabd3aa3bdabf25b3f79b5",
          "70a93e49cd8f65af0b14ed3eca414d5ed3e31bd2d2f0eb40cb529c158eb63819"),
+        # c < 1 swaps the tags (the family is 1cc+--): a segment through the
+        # low branch, the theta blend (|p| from M = 6.44 to 7.44) and the high
+        # branch around |xi - eta| = 3.49, with 8865 values strictly between 0
+        # and 1
+        (["--c", "0.3", "--cutoff", "chi-s", "--rho", "0.01", "--points", "20001",
+          "--line=0.5,0.2,-0.3,0.1,0.4,0.2:7.5,3,3,4,3,3"],
+         "b0422149aa126d5dc62c25c21a791ddb0721d27b5b178f4eea1022b95e0419ef",
+         "e95db3c9ce310e07c8d9c3a491e06ca13a0a04c3a6fad2780d4f2405f03695cb"),
         # the radial grid, as written by the per-value %.17g formatter; the
         # chi-o radii below 1e-4 take the exponent layout (1.000010000100001e-05)
         (["--c", "5", "--cutoff", "chi-o", "--points", "100000"],
@@ -321,7 +329,7 @@ def test_cutoff_export_chi_t_golden(tmp_path):
          "d418fbcb549d56293247ea1831641191b96242f5bc603c4b083f36f2e49dc50b"),
     ],
     ids=["chi-s-c0.5", "chi-r-c0.5", "chi-s-c11", "chi-r-c11", "chi-t-line-c5",
-         "chi-o-radial-c5", "chi-o-tilde-radial-c5", "theta-radial-c5"],
+         "chi-s-line-c0.3", "chi-o-radial-c5", "chi-o-tilde-radial-c5", "theta-radial-c5"],
 )
 def test_cutoff_export_golden(tmp_path, args, csv_digest, json_digest):
     # sha256 of both outputs, pinning the cut-off arithmetic byte for byte

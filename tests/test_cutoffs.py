@@ -7,8 +7,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from kgpair import cutoffs, dispersion, resonance
 from kgpair.cutoffs import (
+    COMPARISON_GAIN,
+    GRAD_FLOOR,
     PROBE_RHOS,
+    TRUST_RADIUS,
     CutoffFamily,
     _near_component_points,
     bound_probe,
@@ -19,7 +23,7 @@ from kgpair.cutoffs import (
     theta,
     theta_radial,
 )
-from kgpair.dispersion import SpeedPair
+from kgpair.dispersion import SpeedPair, all_phase_indices, sum_of_squares
 from kgpair.resonance import scan_all
 
 
@@ -308,23 +312,40 @@ def test_partition_evaluates_chi_r_once(family, monkeypatch):
     assert calls == list(PROBE_RHOS) + [PROBE_RHOS[0]] * len(probe["high_frequency"])
 
 
-def test_bound_probe_evaluates_phase_once_per_point(family, monkeypatch):
-    points = {"phase": 0, "grad_eta_phase": 0}
+def test_partition_takes_its_geometry_once(family, monkeypatch):
+    calls = []
+    points = {"phase_radial": 0}
 
-    def counting(name):
-        method = getattr(SpeedPair, name)
+    def counted_squares(*vectors):
+        calls.append(len(vectors))
+        return sum_of_squares(*vectors)
 
-        def counted(self, idx, xi, eta):
-            points[name] += np.broadcast_shapes(np.shape(xi)[:-1], np.shape(eta)[:-1])[0]
-            return method(self, idx, xi, eta)
-        return counted
+    def counted_radial(self, idx, r_xi, r_eta, r_diff):
+        points["phase_radial"] += np.broadcast(r_xi, r_eta, r_diff).size
+        return phase_radial(self, idx, r_xi, r_eta, r_diff)
 
-    for name in points:
-        monkeypatch.setattr(SpeedPair, name, counting(name))
+    def forbidden(*args):
+        raise AssertionError("the partition takes the phase from its moduli")
+
+    phase_radial = SpeedPair.phase_radial
+    for module in (dispersion, cutoffs, resonance):
+        monkeypatch.setattr(module, "sum_of_squares", counted_squares)
+    monkeypatch.setattr(SpeedPair, "phase_radial", counted_radial)
+    for name in ("phase", "grad_xi_phase", "grad_eta_phase"):
+        monkeypatch.setattr(SpeedPair, name, forbidden)
+    xi, eta = sample_interaction_points(family, np.random.default_rng(47), 4096)
+    calls.clear()
+    family.chi_T(xi, eta, 0.1)
+    # |xi|^2, |eta|^2, |xi - eta|^2, the two gradients and theta's 6-vector,
+    # then chi_R's two moduli and dist_to_component's three for the one
+    # component: 18 calls when every helper took its own moduli
+    assert len(family.components) == 1
+    assert len(calls) == 11
+    points["phase_radial"] = 0
     probe = bound_probe(family, sample_count=1_000, seed=4)
-    # 1000 + 500 points per rho, 2000 per high-frequency shell
+    # each point once: 1000 + 500 points per rho, 2000 per high-frequency shell
     expected = len(PROBE_RHOS) * 1_500 + len(probe["high_frequency"]) * 2_000
-    assert points == {"phase": expected, "grad_eta_phase": expected}
+    assert points == {"phase_radial": expected}
 
 
 def test_partition_moduli_are_phase_and_eta_gradient(family):
@@ -429,3 +450,76 @@ def test_partition_of_unity_property(case):
     assert abs(sum(parts) - 1.0) <= 1e-12
     for part in parts:
         assert -1e-12 <= part <= 1.0 + 1e-12
+
+
+def vector_frobenius_term(speeds, tag, w):
+    """The curvature term of the eta gradient taken from the vectors w."""
+    ca = speeds.speed_of(tag)
+    t = sum_of_squares(w)
+    b2 = 1.0 + ca * ca * t
+    alpha = ca * ca / b2
+    frob2 = (ca**4 / b2) * (3.0 - 2.0 * alpha * t + alpha * alpha * t * t)
+    return np.sqrt(frob2)
+
+
+def composed_partition_and_moduli(family, xi, eta, rho):
+    """(chi_R, chi_S, chi_T, |phi|, |d_eta phi|) composed from ``phase``,
+    both phase gradients, the vector Frobenius term and a separate high
+    branch, each taking its own moduli: the oracle of the one-pass bits."""
+    sp, idx = family.speeds, family.idx
+    xi = np.asarray(xi, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    phi = np.abs(sp.phase(idx, xi, eta))
+    gx2 = sum_of_squares(sp.grad_xi_phase(idx, xi, eta))
+    ge2 = sum_of_squares(sp.grad_eta_phase(idx, xi, eta))
+    d_time = np.minimum(phi / np.maximum(np.sqrt(gx2 + ge2), GRAD_FLOOR), TRUST_RADIUS)
+    ge = np.sqrt(ge2)
+    hess = (vector_frobenius_term(sp, idx.l, eta)
+            + 2.0 * vector_frobenius_term(sp, idx.m, xi - eta))
+    d_space = np.minimum(ge / np.maximum(hess, GRAD_FLOOR), TRUST_RADIUS)
+    d_res = np.minimum(family.dist_to_resonant_set(xi, eta), TRUST_RADIUS)
+    denom = np.maximum(d_res ** (family.n + 1), 1e-300)
+    with np.errstate(over="ignore"):
+        arg = COMPARISON_GAIN * (d_time - d_space) / denom
+    low = smooth_step(arg)
+    gap = np.sqrt(sum_of_squares(xi - eta))
+    high = bump((gap - family.high_freq_offset) / (0.5 * family.high_freq_offset))
+    blend = theta_radial(np.sqrt(sum_of_squares(xi, eta)), family.M)
+    away = blend * low + (1.0 - blend) * high
+    chi_r = family.chi_R(xi, eta, rho)
+    chi_s = (1.0 - chi_r) * away
+    return chi_r, chi_s, 1.0 - chi_r - chi_s, phi, ge
+
+
+@st.composite
+def geometry_case(draw):
+    """(family, xi, eta, rho) for c off the equal speeds and any of the 64
+    indices, resonance-free ones included: eight points around the origin or
+    a component point, then rows with xi = eta, with xi = 0, and on the
+    high-frequency ridge |xi - eta| = high_freq_offset."""
+    c = draw(st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 20.0)))
+    family = CutoffFamily.build(scan_all(c), idx=draw(st.sampled_from(all_phase_indices())))
+    rho = draw(st.sampled_from([1.0, 0.1, 0.01]))
+    polar, azimuth = draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, 2.0 * math.pi))
+    omega = np.array([math.sin(polar) * math.cos(azimuth),
+                      math.sin(polar) * math.sin(azimuth), math.cos(polar)])
+    center = np.zeros(6)
+    if family.components and draw(st.booleans()):
+        comp = draw(st.sampled_from(family.components))
+        center = np.concatenate([comp.lam * comp.R * omega, comp.R * omega])
+    spread = draw(st.sampled_from([family.support_radius * rho, 0.1, family.M, 3.0 * family.M]))
+    unit = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=48, max_size=48)))
+    points = center + spread * unit.reshape(8, 6)
+    ridge_eta = (family.M + 2.0) * omega
+    xi = np.vstack([points[:, :3], points[:1, 3:], np.zeros(3),
+                    ridge_eta + family.high_freq_offset * unit[:3]])
+    eta = np.vstack([points[:, 3:], points[:1, 3:], points[1:2, 3:], ridge_eta])
+    return family, xi, eta, rho
+
+
+@given(geometry_case())
+def test_one_pass_partition_matches_the_composed_oracle(case):
+    family, xi, eta, rho = case
+    got = family._partition_and_moduli(xi, eta, rho)
+    want = composed_partition_and_moduli(family, xi, eta, rho)
+    assert [part.tobytes() for part in got] == [part.tobytes() for part in want]

@@ -200,6 +200,14 @@ def test_canonical_representative_count():
     assert all(symmetry_reduce(idx)[0] == idx for idx in reps)
 
 
+def test_canonical_representatives_are_built_once():
+    reps = canonical_phase_indices()
+    # one shared tuple, which no caller can change for the next
+    assert isinstance(reps, tuple) and canonical_phase_indices() is reps
+    rebuilt = {symmetry_reduce(idx)[0] for idx in all_phase_indices()}
+    assert list(reps) == sorted(rebuilt, key=PhaseIndex.sort_key)
+
+
 def test_serialization_round_trip():
     for idx in all_phase_indices():
         assert PhaseIndex.parse(idx.serialize()) == idx
