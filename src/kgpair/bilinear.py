@@ -17,7 +17,8 @@ by summing over its nonzero support, built once per (symbol, grid) and then
 O(nnz) per call: from the n^2 table for a callable, and straight from the
 sheared band for a cyclic ridge g[(a - lam*b) mod n], whose per-entry
 indices are int32 up to n = 2^15.  A call takes the support in blocks of
-whole rows, so it holds one block of terms at a time.  The sharp discrete
+whole rows, so it holds one block of terms at a time; a stack of fields
+(leading axes) shares each block.  The sharp discrete
 operator bound is then ||T_m(f,g)||_r <= l1(m^) ||f||_p ||g||_q for Hoelder
 exponents, where l1(m^) is the plain inverse-DFT coefficient sum computed by
 ``symbol_l1_norm``; for a cyclic ridge it is the 1-D sum of g's coefficients.
@@ -40,6 +41,7 @@ MAX_GRID_3D = 64
 MAX_GRID_1D = MAX_GRID_3D**3  # as many points as the largest 3-D grid
 MAX_DENSE_SYMBOL = 4096
 _CHUNK_POINTS = 8192  # support entries per block of pseudo_product (whole rows)
+_STACK_TRIALS = 16  # trials per stack of fields in the operator probes
 PROFILE_N = 1 << 16  # fine lattice of profile_l1_constant
 # holder_bound_probe: its 1-D grid (points, box length) and Hoelder exponents (p, q, r)
 HOLDER_N = 128
@@ -67,8 +69,10 @@ class SpectralField:
     """Periodic grid function stored as Fourier coefficients.
 
     The grid axes are the trailing ``dims`` axes of ``coef``. Leading axes,
-    if any, index independent fields on the same grid: the transforms act on
-    each of them, while the norms treat ``coef`` as one field.
+    if any, index a stack of independent fields on the same grid: the
+    transforms and ``pseudo_product`` act on each of them, ``row_lp_norms``
+    gives the norms of each, and ``lp_norms`` and ``spectral_l2`` treat
+    ``coef`` as one field.
     """
 
     dims: int
@@ -144,15 +148,29 @@ class SpectralField:
     def lp_norms(self, *ps: float) -> tuple:
         """The L^p norms for each exponent of ``ps`` from one physical-space
         transform; every exponent must be >= 1 or +inf."""
+        return self._norms_of_rows((1, -1), ps)[0]  # the whole stack as one row
+
+    def row_lp_norms(self, *ps: float) -> list:
+        """``lp_norms(*ps)`` of each field of the stack, with the same bits:
+        one tuple per field, the leading axes taken in C order, from one
+        transform of the whole stack."""
+        return self._norms_of_rows((-1, self.n**self.dims), ps)
+
+    def _norms_of_rows(self, shape: tuple, ps) -> list:
         for p in ps:
             if not p >= 1:  # also rejects nan
                 raise ValueError(f"p must be >= 1 or +inf, got {p}")
-        values = np.abs(self.to_physical())
-        return tuple(
-            float(values.max()) if p == math.inf
-            else float((np.sum(values**p) * self.h**self.dims) ** (1.0 / p))
-            for p in ps
-        )
+        values = np.abs(self.to_physical()).reshape(shape)
+        columns = []
+        for p in ps:
+            if p == math.inf:
+                columns.append(values.max(axis=-1).tolist())
+            else:
+                sums = np.sum(values**p, axis=-1) * self.h**self.dims
+                # each root a scalar power: numpy's array power takes a SIMD
+                # path that rounds some roots differently
+                columns.append([float(total ** (1.0 / p)) for total in sums])
+        return [tuple(column[row] for column in columns) for row in range(values.shape[0])]
 
     def spectral_l2(self) -> float:
         return float(
@@ -431,26 +449,34 @@ def pseudo_product(symbol: SymbolGrid, f: SpectralField, g: SpectralField) -> Sp
     product.  Other symbols (1-D only) sum over the symbol's nonzero support
     (``SymbolGrid.support``): O(nnz) work per call after one build per
     (symbol, grid), taken in blocks of whole rows of about _CHUNK_POINTS
-    entries, so a call holds one block of terms at a time.  Output modes
+    terms, so a call holds one block of terms at a time.  Output modes
     outside the support are exactly zero, so a NaN or inf in f or g reaches
     only the rows of the support.
+
+    ``f`` and ``g`` may be stacks of fields (leading axes, see
+    ``SpectralField``) whose leading shapes broadcast; each field of the
+    result is the product of the matching fields, with the bits of one call
+    per pair.
     """
     f._check_same_grid(g)
     d = f.dims
-    const = f.dxi**d / (2.0 * math.pi) ** (d / 2.0)
     if symbol.is_separable:
         af = f.apply_multiplier(lambda v: SymbolGrid._eval_factor(symbol.factor_eta, v))
         bg = g.apply_multiplier(lambda v: SymbolGrid._eval_factor(symbol.factor_diff, v))
-        return SpectralField.from_physical(af.to_physical() * bg.to_physical(), f.box_length)
+        return SpectralField.from_physical(af.to_physical() * bg.to_physical(), f.box_length, d)
     if d != 1:
         raise ValueError("non-separable symbols are only supported on 1-D grids")
     rows, starts, cols, diffs, vals = symbol.support(f)
-    out = np.zeros(f.n, dtype=complex)
+    shape = np.broadcast_shapes(f.coef.shape, g.coef.shape)
+    fc, gc = np.broadcast_to(f.coef, shape), np.broadcast_to(g.coef, shape)
+    out = np.zeros(shape, dtype=complex)
+    # a block spans this many entries of each field, so about _CHUNK_POINTS in all
+    window = max(1, _CHUNK_POINTS // math.prod(shape[:-1]))
     s0 = 0
     while s0 < rows.size:
-        # rows s0 .. s1-1: every row that starts within _CHUNK_POINTS of e0
+        # rows s0 .. s1-1: every row that starts within the window of e0
         e0 = starts[s0]
-        s1 = int(np.searchsorted(starts, e0 + _CHUNK_POINTS))
+        s1 = int(np.searchsorted(starts, e0 + window))
         e1 = starts[s1] if s1 < rows.size else vals.size
         # f's terms (complex, so real fields promote), then in place the
         # values and g's terms.  f first: on supports of 16384 entries or
@@ -459,12 +485,17 @@ def pseudo_product(symbol: SymbolGrid, f: SpectralField, g: SpectralField) -> Sp
         # values differently (FMA); on smaller complex supports, which it
         # took as vals * f.coef[cols], a term may differ in the last bit.
         # np.take gathers with int32 indices faster than [] does
-        terms = np.take(f.coef, cols[e0:e1]).astype(complex, copy=False)
+        terms = np.take(fc, cols[e0:e1], axis=-1).astype(complex, copy=False)
         terms *= vals[e0:e1]
-        terms *= np.take(g.coef, diffs[e0:e1])
-        out[rows[s0:s1]] = np.add.reduceat(terms, starts[s0:s1] - e0)
+        terms *= np.take(gc, diffs[e0:e1], axis=-1)
+        out[..., rows[s0:s1]] = np.add.reduceat(terms, starts[s0:s1] - e0, axis=-1)
         s0 = s1
-    return f.with_coef(out * const)
+    return f.with_coef(out * _quadrature_constant(f))
+
+
+def _quadrature_constant(grid: SpectralField) -> float:
+    # (2 pi)^{-d/2} dxi^d of the lattice quadrature in the module docstring
+    return grid.dxi**grid.dims / (2.0 * math.pi) ** (grid.dims / 2.0)
 
 
 def symbol_l1_norm(symbol: SymbolGrid, grid: SpectralField) -> float:
@@ -529,12 +560,20 @@ def snap_lambda(lam: float) -> tuple[float, float]:
 # Probes
 # ---------------------------------------------------------------------------
 
+def _stacks(trials: int):
+    """The trial numbers 0 .. trials-1 in consecutive ranges of at most
+    _STACK_TRIALS, one per stack of fields."""
+    return (range(t, min(t + _STACK_TRIALS, trials)) for t in range(0, trials, _STACK_TRIALS))
+
+
 def bernstein_check(j: int, p: float, q: float, trials: int = 100, seed: int = 0) -> float:
     """Max over random band fields of ||P_j f||_p / (2^{j (1/q - 1/p)} ||P_j f||_q).
 
     The fields live on the 1-D grid of 2048 points on a box of length 64.
     Trial fields are random superpositions of wave packets at scale 2^j,
-    drawn self-similarly so that ratios are comparable across j.
+    drawn self-similarly so that ratios are comparable across j.  Trial t
+    draws from its own generator, seeded (seed, t); the trials are
+    transformed in stacks of up to _STACK_TRIALS fields.
     """
     if not (1 <= q <= p):
         raise ValueError("need 1 <= q <= p")
@@ -546,29 +585,40 @@ def bernstein_check(j: int, p: float, q: float, trials: int = 100, seed: int = 0
     positive = slice(1, base.n // 2)  # the packets carry positive frequencies only
     axis = base.frequency_axis()[positive]
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        coef = np.zeros(base.n, dtype=complex)
-        for _ in range(3):
-            center = 2.0**j * rng.uniform(1.05, 1.45)
-            width = 2.0**j * rng.uniform(0.05, 0.12)
-            x0 = rng.uniform(0.0, base.box_length)
-            amp = rng.uniform(0.3, 1.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-            envelope = np.exp(-((axis - center) ** 2) / (2.0 * width**2))
-            coef[positive] += amp * envelope * np.exp(-1j * axis * x0)
-        f = base.with_coef(coef * band)
-        denom, numer = f.lp_norms(q, p)
-        if denom == 0.0:
-            continue
-        ratio = numer / (2.0 ** (j * (1.0 / q - inv_p)) * denom)
-        best = max(best, ratio)
+    for stack in _stacks(trials):
+        coef = np.zeros((len(stack), base.n), dtype=complex)
+        for row, t in zip(coef, stack):
+            rng = np.random.default_rng((seed, t))
+            for _ in range(3):
+                center = 2.0**j * rng.uniform(1.05, 1.45)
+                width = 2.0**j * rng.uniform(0.05, 0.12)
+                x0 = rng.uniform(0.0, base.box_length)
+                amp = rng.uniform(0.3, 1.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+                envelope = np.exp(-((axis - center) ** 2) / (2.0 * width**2))
+                row[positive] += amp * envelope * np.exp(-1j * axis * x0)
+        for denom, numer in base.with_coef(coef * band).row_lp_norms(q, p):
+            if denom == 0.0:
+                continue
+            ratio = numer / (2.0 ** (j * (1.0 / q - inv_p)) * denom)
+            best = max(best, ratio)
     return best
 
 
-def _packet_field(grid: SpectralField, center: float, width: float, x0: float) -> SpectralField:
-    xi = grid.frequency_axis()
-    coef = np.exp(-((xi - center) ** 2) / (2.0 * width**2)) * np.exp(-1j * xi * x0)
-    return grid.with_coef(coef.astype(complex))
+def _packet(xi: np.ndarray, center: float, width: float, x0: float) -> np.ndarray:
+    return np.exp(-((xi - center) ** 2) / (2.0 * width**2)) * np.exp(-1j * xi * x0)
+
+
+def _ridge_carrier_products(symbol: SymbolGrid, grid: SpectralField, b, d) -> np.ndarray:
+    """``pseudo_product(symbol, e_b, e_d).coef`` of a cyclic ridge for the
+    one-hot pairs of the index arrays ``b`` and ``d``, one row each, from the
+    one term const * m(b + d, b) at mode b + d.  The product sums that term
+    with +0 terms, so the bits are the same."""
+    n = grid.n
+    a = (b + d) % n
+    values = symbol._ridge_samples(grid)[(a - symbol.ridge_lambda * b) % n]
+    out = np.zeros((len(a), n), dtype=complex)
+    out[np.arange(len(a)), a] = values * _quadrature_constant(grid)
+    return out
 
 
 def ridge_bound_probe(trials: int = 12, seed: int = 0) -> dict:
@@ -583,47 +633,64 @@ def ridge_bound_probe(trials: int = 12, seed: int = 0) -> dict:
     measured L^4 x L^4 -> L^2 operator ratio over ridge-adapted carrier and
     packet pairs and over random fields.  Every ratio is at most the grid
     constant; the continuum bound is rho-independent, and the adapted
-    ratios inherit that uniformity.
+    ratios inherit that uniformity.  Trial t draws from its own generator,
+    seeded (seed, t).  The trials run in stacks of up to _STACK_TRIALS: per
+    stack and rho, one product of the packet and random pairs and one
+    transform each of the f, g and product stacks; the carrier products
+    are built from their one term.
     """
     lam, lam_err = snap_lambda(2.0)
     p, q, r = 4.0, 4.0, 2.0
     grid = SpectralField.zeros(1, 1024, 1310.72)
     n, dxi = grid.n, grid.dxi
+    xi = grid.frequency_axis()
     rows = []
     for rho in (1.0, 1e-1, 1e-2):
         profile = lambda k, rho=rho: bump(k / rho)
         symbol = SymbolGrid.cyclic_ridge(profile, lam)
         k_fine = profile_l1_constant(bump, rho)
-        k_grid = _coefficient_l1(profile(grid.frequency_axis()))
+        k_grid = _coefficient_l1(profile(xi))
         adapted = 0.0
         packet = math.nan
         randomized = 0.0
         width = rho / 8.0
-        for t in range(trials):
-            rng = np.random.default_rng((seed, t))
-            mode = 80 + int(rng.integers(0, 40))
-            eta0 = mode * dxi
-            # exact ridge-aligned carrier pair: the extremal input at any rho
-            fc = np.zeros(n, dtype=complex)
-            gc = np.zeros(n, dtype=complex)
-            fc[mode] = 1.0
-            gc[int(round((lam - 1.0) * mode)) % n] = 1.0
-            f1, g1 = grid.with_coef(fc), grid.with_coef(gc)
-            t1 = pseudo_product(symbol, f1, g1)
-            adapted = max(adapted, t1.lp_norm(r) / (f1.lp_norm(p) * g1.lp_norm(q)))
-            if width >= 2.0 * dxi:
-                # rho-scaled packet pair, co-located so the packets interact
-                x0 = rng.uniform(0.0, grid.box_length)
-                f = _packet_field(grid, eta0, width, x0)
-                g = _packet_field(grid, (lam - 1.0) * eta0, width, x0)
-                tm = pseudo_product(symbol, f, g)
-                value = tm.lp_norm(r) / (f.lp_norm(p) * g.lp_norm(q))
-                packet = value if math.isnan(packet) else max(packet, value)
-                adapted = max(adapted, value)
-            fr = grid.with_coef(rng.normal(size=n) + 1j * rng.normal(size=n))
-            gr = grid.with_coef(rng.normal(size=n) + 1j * rng.normal(size=n))
-            tr = pseudo_product(symbol, fr, gr)
-            randomized = max(randomized, tr.lp_norm(r) / (fr.lp_norm(p) * gr.lp_norm(q)))
+        packets = width >= 2.0 * dxi
+        for stack in _stacks(trials):
+            # kinds of pair along axis 0: carriers, packets (when they fit), random
+            fs = np.zeros((3 if packets else 2, len(stack), n), dtype=complex)
+            gs = np.zeros_like(fs)
+            modes = np.empty(len(stack), dtype=int)
+            partners = np.empty_like(modes)
+            for i, t in enumerate(stack):
+                rng = np.random.default_rng((seed, t))
+                mode = 80 + int(rng.integers(0, 40))
+                eta0 = mode * dxi
+                # exact ridge-aligned carrier pair: the extremal input at any rho
+                modes[i], partners[i] = mode, int(round((lam - 1.0) * mode)) % n
+                fs[0, i, mode] = 1.0
+                gs[0, i, partners[i]] = 1.0
+                if packets:
+                    # rho-scaled packet pair, co-located so the packets interact
+                    x0 = rng.uniform(0.0, grid.box_length)
+                    fs[1, i] = _packet(xi, eta0, width, x0)
+                    gs[1, i] = _packet(xi, (lam - 1.0) * eta0, width, x0)
+                fs[-1, i] = rng.normal(size=n) + 1j * rng.normal(size=n)
+                gs[-1, i] = rng.normal(size=n) + 1j * rng.normal(size=n)
+            ts = np.empty_like(fs)
+            ts[0] = _ridge_carrier_products(symbol, grid, modes, partners)
+            ts[1:] = pseudo_product(symbol, grid.with_coef(fs[1:]), grid.with_coef(gs[1:])).coef
+            norms = zip(grid.with_coef(ts).row_lp_norms(r), grid.with_coef(fs).row_lp_norms(p),
+                        grid.with_coef(gs).row_lp_norms(q))
+            ratios = [tn / (fn * gn) for (tn,), (fn,), (gn,) in norms]
+            # the maxima take the trials in order, each trial's kinds in order
+            by_kind = [ratios[k:k + len(stack)] for k in range(0, len(ratios), len(stack))]
+            for i in range(len(stack)):
+                adapted = max(adapted, by_kind[0][i])
+                if packets:
+                    value = by_kind[1][i]
+                    packet = value if math.isnan(packet) else max(packet, value)
+                    adapted = max(adapted, value)
+                randomized = max(randomized, by_kind[-1][i])
         rows.append(
             {
                 "rho": float(rho),
@@ -682,38 +749,41 @@ def holder_bound_probe(pairs: int = 100, seed: int = 0) -> dict:
     triple of HOLDER_EXPONENTS, the maximum ratio
     ||T_m(f,g)||_r / (l1(m^) ||f||_p ||g||_q) over random field pairs on the
     HOLDER_N-point grid of the HOLDER_BOX box; the discrete bound guarantees
-    the ratio stays below 1 up to roundoff.
+    the ratio stays below 1 up to roundoff.  The pairs run in stacks of up
+    to _STACK_TRIALS: per stack, one transform each of the f and g stacks,
+    and one product and one transform of it per symbol.
     """
     grid = SpectralField.zeros(1, HOLDER_N, HOLDER_BOX)
     symbols = default_probe_symbols(seed)
+    constants = {name: symbol_l1_norm(symbol, grid) for name, symbol in symbols.items()}
     rng = np.random.default_rng(seed)
-    fields = []
-    for _ in range(pairs):
-        f = grid.with_coef(rng.normal(size=HOLDER_N) + 1j * rng.normal(size=HOLDER_N))
-        g = grid.with_coef(rng.normal(size=HOLDER_N) + 1j * rng.normal(size=HOLDER_N))
-        fields.append((f, g))
-    # every norm of one field comes from a single transform of it
     ps, qs, rs = (sorted({t[k] for t in HOLDER_EXPONENTS}) for k in range(3))
-    f_norms = [dict(zip(ps, f.lp_norms(*ps))) for f, _ in fields]
-    g_norms = [dict(zip(qs, g.lp_norms(*qs))) for _, g in fields]
-    results = []
-    for name, symbol in symbols.items():
-        constant = symbol_l1_norm(symbol, grid)
-        t_norms = [dict(zip(rs, pseudo_product(symbol, f, g).lp_norms(*rs))) for f, g in fields]
-        for p, q, r in HOLDER_EXPONENTS:
-            worst = 0.0
-            for tm, fm, gm in zip(t_norms, f_norms, g_norms):
-                worst = max(worst, tm[r] / (constant * fm[p] * gm[q]))
-            results.append(
-                {
-                    "symbol": name,
-                    "p": p,
-                    "q": q,
-                    "r": r,
-                    "bound_constant": constant,
-                    "max_normalized_ratio": worst,
-                }
-            )
+    worst = dict.fromkeys(((name, triple) for name in symbols for triple in HOLDER_EXPONENTS), 0.0)
+    for stack in _stacks(pairs):
+        # each pair draws f.re, f.im, g.re and g.im in turn
+        draws = rng.normal(size=(len(stack), 4, HOLDER_N))
+        f = grid.with_coef(draws[:, 0] + 1j * draws[:, 1])
+        g = grid.with_coef(draws[:, 2] + 1j * draws[:, 3])
+        # every norm of one field comes from a single transform of its stack
+        f_norms = [dict(zip(ps, row)) for row in f.row_lp_norms(*ps)]
+        g_norms = [dict(zip(qs, row)) for row in g.row_lp_norms(*qs)]
+        for name, symbol in symbols.items():
+            t_norms = [dict(zip(rs, row)) for row in pseudo_product(symbol, f, g).row_lp_norms(*rs)]
+            for p, q, r in HOLDER_EXPONENTS:
+                key = (name, (p, q, r))
+                for tm, fm, gm in zip(t_norms, f_norms, g_norms):
+                    worst[key] = max(worst[key], tm[r] / (constants[name] * fm[p] * gm[q]))
+    results = [
+        {
+            "symbol": name,
+            "p": p,
+            "q": q,
+            "r": r,
+            "bound_constant": constants[name],
+            "max_normalized_ratio": worst[name, (p, q, r)],
+        }
+        for name, (p, q, r) in worst
+    ]
     return {"schema": "holder-probe/1", "pairs": pairs, "seed": seed, "rows": results}
 
 

@@ -897,11 +897,12 @@ def test_lp_norms_reject_exponents_before_transforming(grid, monkeypatch, p):
 
 
 def count_to_physical(monkeypatch) -> list:
+    """Record, per to_physical call, how many fields its stack holds."""
     calls = []
     original = SpectralField.to_physical
 
     def counted(self):
-        calls.append(self.dims)
+        calls.append(math.prod(self.coef.shape[:-self.dims]))
         return original(self)
 
     monkeypatch.setattr(SpectralField, "to_physical", counted)
@@ -909,15 +910,164 @@ def count_to_physical(monkeypatch) -> list:
 
 
 def test_bernstein_check_transforms_each_trial_once(monkeypatch):
+    # every trial field is transformed once, in one call per stack
+    cap = bilinear._STACK_TRIALS
     calls = count_to_physical(monkeypatch)
-    bernstein_check(2, 6.0, 2.0, trials=7, seed=3)
-    assert len(calls) == 7
+    bernstein_check(2, 6.0, 2.0, trials=2 * cap + 3, seed=3)
+    assert calls == [cap, cap, 3]
 
 
 def test_holder_probe_transforms_each_field_and_product_once(monkeypatch):
+    cap = bilinear._STACK_TRIALS
     calls = count_to_physical(monkeypatch)
-    pairs = 6
+    pairs = cap + 6
     holder_bound_probe(pairs=pairs, seed=2)
     # one transform per f, per g and per product of each of the four symbols,
     # plus the two that each of the two separable products takes inside
-    assert len(calls) == pairs * (2 + 4) + 2 * 2 * pairs
+    assert sum(calls) == pairs * (2 + 4) + 2 * 2 * pairs
+    # in one call per stack each: f, g, then per symbol its product's
+    # transform (two more inside each separable product)
+    per_stack = 2 + 4 + 2 * 2
+    assert calls == [cap] * per_stack + [6] * per_stack
+
+
+def test_ridge_probe_transforms_each_stack_once(monkeypatch):
+    cap = bilinear._STACK_TRIALS
+    calls = count_to_physical(monkeypatch)
+    trials = cap + 2
+    ridge_bound_probe(trials=trials, seed=1)
+    # per stack and rho: the product, f and g stacks of every kind of pair
+    # (carriers, packets at rho = 1 and 0.1, random); the carriers' product
+    # is built without a product call or a transform
+    kinds = (3, 3, 2)
+    assert calls == [k * size for k in kinds for size in (cap, 2) for _ in range(3)]
+
+
+# ---------------------------------------------------------------------------
+# Stacked fields against one call per field
+# ---------------------------------------------------------------------------
+
+def _stacked_symbols():
+    rng = np.random.default_rng(31)
+    dense = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    dense[rng.random((N, N)) < 0.5] = 0.0
+    symbols = {f"ridge_lam{lam}": (SymbolGrid.cyclic_ridge(lambda k: bump(k / 0.3), lam), N, L)
+               for lam in (*range(-3, 4), N - 1)}
+    symbols["ridge_lam2_n1024"] = (SymbolGrid.cyclic_ridge(bump, 2), 1024, 1310.72)
+    symbols["complex_table"] = (table_symbol(dense), N, L)
+    symbols["separable"] = (default_probe_symbols()["separable_bumps"], N, L)
+    symbols["constant"] = (SymbolGrid.constant(1.0), N, L)
+    return symbols
+
+
+STACKED_SYMBOLS = _stacked_symbols()
+
+
+@pytest.mark.parametrize("real", [None, "f", "g"])
+@pytest.mark.parametrize("leading", [(), (1,), (5,), (2, 3)])
+@pytest.mark.parametrize("name", STACKED_SYMBOLS)
+def test_stacked_product_is_the_per_row_product_bit_for_bit(name, leading, real):
+    symbol, n, box = STACKED_SYMBOLS[name]
+    rng = np.random.default_rng(41)
+    shape = (*leading, n)
+    f_coef = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    g_coef = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # float64 coefficients, built directly: with_coef makes them complex
+    f = SpectralField(1, n, box, f_coef.real.copy() if real == "f" else f_coef)
+    g = SpectralField(1, n, box, g_coef.real.copy() if real == "g" else g_coef)
+    stacked = pseudo_product(symbol, f, g)
+    assert stacked.coef.shape == shape
+    for index in np.ndindex(*leading):
+        row = pseudo_product(symbol, SpectralField(1, n, box, f.coef[index]),
+                             SpectralField(1, n, box, g.coef[index]))
+        assert stacked.coef[index].tobytes() == row.coef.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 100])
+def test_stacked_blocks_are_the_per_row_product_bit_for_bit(monkeypatch, chunk):
+    # windows narrower than one row's entries still take each row whole
+    monkeypatch.setattr(bilinear, "_CHUNK_POINTS", chunk)
+    symbol, n, box = STACKED_SYMBOLS["complex_table"]
+    grid = SpectralField.zeros(1, n, box)
+    rng = np.random.default_rng(43)
+    f, g = random_field(grid.with_coef(np.zeros((7, n))), rng), random_field(grid, rng)
+    stacked = pseudo_product(symbol, f, g)  # g broadcasts against the 7 rows of f
+    for row in range(7):
+        expected = pseudo_product(symbol, grid.with_coef(f.coef[row]), g)
+        assert stacked.coef[row].tobytes() == expected.coef.tobytes()
+
+
+def test_three_d_stacked_separable_product():
+    rng = np.random.default_rng(47)
+    grid = SpectralField.zeros(3, 8, 8.0)
+    f, g = random_field(grid.with_coef(np.zeros((2, 8, 8, 8))), rng), random_field(grid, rng)
+    stacked = pseudo_product(SymbolGrid.constant(1.0), f, g)
+    assert stacked.coef.shape == (2, 8, 8, 8)
+    for row in range(2):
+        expected = pseudo_product(SymbolGrid.constant(1.0), grid.with_coef(f.coef[row]), g)
+        assert stacked.coef[row].tobytes() == expected.coef.tobytes()
+
+
+@pytest.mark.parametrize("dims, n, leading", [(1, 128, (1000,)), (1, 2048, (3, 5)), (3, 8, (4,))])
+def test_row_lp_norms_are_the_per_row_lp_norms(dims, n, leading):
+    # 1000 rows of sixth roots: an array power in place of the scalar
+    # one rounds some of them differently
+    rng = np.random.default_rng(53)
+    shape = (*leading, *(n,) * dims)
+    stack = SpectralField.from_physical(rng.normal(size=shape) + 1j * rng.normal(size=shape), 9.5, dims)
+    ps = (1, 2, 3, 4, 6, math.inf)
+    rows = stack.row_lp_norms(*ps)
+    assert len(rows) == math.prod(leading)
+    for got, index in zip(rows, np.ndindex(*leading)):
+        row = stack.with_coef(stack.coef[index])
+        assert got == row.lp_norms(*ps) == tuple(old_lp_norm(row, p) for p in ps)
+    # lp_norms still takes the whole stack as one field
+    assert stack.lp_norms(*ps) == tuple(old_lp_norm(stack, p) for p in ps)
+
+
+def test_row_lp_norms_of_an_empty_stack():
+    empty = SpectralField(1, 16, 2.0, np.zeros((0, 16), dtype=complex))
+    assert empty.row_lp_norms(2.0, math.inf) == []
+    assert SpectralField.zeros(1, 16, 2.0).row_lp_norms() == [()]
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.1, 0.01])
+def test_ridge_carrier_products_are_the_one_hot_products(rho):
+    grid = SpectralField.zeros(1, 1024, 1310.72)
+    symbol = SymbolGrid.cyclic_ridge(lambda k: bump(k / rho), 2)
+    modes = np.arange(80, 120)
+    partners = modes % grid.n  # round((lam - 1) * mode) at lam = 2
+    got = bilinear._ridge_carrier_products(symbol, grid, modes, partners)
+    for row, (b, d) in enumerate(zip(modes, partners)):
+        fc, gc = np.zeros(grid.n, dtype=complex), np.zeros(grid.n, dtype=complex)
+        fc[b] = gc[d] = 1.0
+        expected = pseudo_product(symbol, grid.with_coef(fc), grid.with_coef(gc))
+        assert got[row].tobytes() == expected.coef.tobytes()
+
+
+def test_probes_without_trials_keep_their_empty_results():
+    holder = holder_bound_probe(0, 1)
+    assert [row["max_normalized_ratio"] for row in holder["rows"]] == [0.0] * 12
+    ridge = ridge_bound_probe(0, 1)
+    for row in ridge["rows"]:
+        assert row["adapted_ratio"] == row["random_ratio"] == 0.0
+        assert math.isnan(row["packet_ratio"])
+    assert bernstein_check(2, 6.0, 2.0, trials=0) == 0.0
+
+
+# the --trials 1000 counts of operator-probe; each bound is the parent
+# implementation's tracemalloc peak (one trial per product and transform)
+# plus 4 MB
+@pytest.mark.parametrize("stage, run, bound_mb", [
+    ("bernstein", lambda: bernstein_check(3, 6.0, 2.0, trials=500, seed=0), 5.2),
+    ("holder", lambda: holder_bound_probe(pairs=1000, seed=0), 12.0),
+    ("ridge", lambda: ridge_bound_probe(trials=125, seed=0), 12.3),
+])
+def test_stacked_probes_hold_bounded_memory(stage, run, bound_mb):
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 1e6, f"{stage}: {peak / 1e6:.2f} MB"

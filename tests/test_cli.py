@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from conftest import run_cli, run_cli_subprocess
 
+from kgpair import bilinear
 from kgpair.bilinear import SpectralField
 from kgpair.cli import _CONFIG_TYPES, _HANDLERS
 from kgpair.cutoffs import CutoffFamily
@@ -658,8 +659,14 @@ def test_in_process_runs_match_a_child_process(tmp_path, subcommand_runs, comman
         (["--seed", "123456", "--c", "1.6"],
          "a107309afe21e8e9330e9d34efced4880b7697137e2a30a7850f8e6f0b38a0c5",
          "49c475c371ebd1dcb5f05bea6b35a4d58bdc8cacbf2ec413fffe090e083058e7"),
+        # 137 holder pairs, 68 Bernstein and 17 ridge trials: each count
+        # crosses the 16-trial stack, and none is a multiple of it; digests
+        # taken with one product and one transform per trial
+        (["--seed", "5", "--c", "0.7", "--trials", "137"],
+         "dc7345acf4592e6a9adb9adfc815a587b74306c3022387ebfdb8a725ae7e70ed",
+         "1d60c94f13f580e0e294c5b813245786c0ef75a8f7553cfcc9c895b22603cb83"),
     ],
-    ids=["seed0-c5", "seed3-c3.3-trials16", "seed123456-c1.6"],
+    ids=["seed0-c5", "seed3-c3.3-trials16", "seed123456-c1.6", "seed5-c0.7-trials137"],
 )
 def test_operator_probe_golden(tmp_path, args, digest, without_ridge):
     # sha256 of the output with the cyclic ridge probe, and of the output with
@@ -674,13 +681,20 @@ def test_operator_probe_golden(tmp_path, args, digest, without_ridge):
     assert hashlib.sha256(to_canonical_json(doc).encode()).hexdigest() == without_ridge
 
 
+def test_operator_probe_golden_trials_cross_the_stack():
+    # holder pairs, Bernstein trials and ridge trials of --trials 137
+    cap = bilinear._STACK_TRIALS
+    for count in (137, 137 // 2, 137 // 8):
+        assert count > cap and count % cap
+
+
 def test_operator_probe_transforms_the_shell_field_once(monkeypatch, tmp_path):
     calls = []
     original = SpectralField.from_physical.__func__
 
-    def counted(cls, values, box_length):
+    def counted(cls, values, box_length, dims=None):
         calls.append(np.shape(values))
-        return original(cls, values, box_length)
+        return original(cls, values, box_length, dims)
 
     monkeypatch.setattr(SpectralField, "from_physical", classmethod(counted))
     result = run_cli("operator-probe", "--seed", "1", "--trials", "8",
