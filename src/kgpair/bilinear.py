@@ -40,7 +40,7 @@ from kgpair.reporting import curve_csv
 MAX_GRID_3D = 64
 MAX_GRID_1D = MAX_GRID_3D**3  # as many points as the largest 3-D grid
 MAX_DENSE_SYMBOL = 4096
-_CHUNK_POINTS = 8192  # support entries per block of pseudo_product (whole rows)
+_CHUNK_POINTS = 32768  # support entries per block of pseudo_product (whole rows)
 _STACK_TRIALS = 16  # trials per stack of fields in the operator probes
 PROFILE_N = 1 << 16  # fine lattice of profile_l1_constant
 # holder_bound_probe: its 1-D grid (points, box length) and Hoelder exponents (p, q, r)
@@ -50,6 +50,20 @@ HOLDER_EXPONENTS = ((2.0, 2.0, 1.0), (4.0, 4.0, 2.0), (6.0, 3.0, 2.0))
 # localized 3-D field of shell_weighted_ratio: points per axis and box length
 SHELL_N = 64
 SHELL_BOX = 128.0
+# exp(x) rounds to +0.0 for every x below -745.133 (subnormal results reach
+# down to there), so no argument below this floor needs evaluating
+_EXP_FLOOR = -746.0
+
+
+def _exp_above_floor(arg: np.ndarray) -> np.ndarray:
+    """``np.exp(arg)`` with its bits, evaluated only where arg is not below
+    _EXP_FLOOR: numpy takes a slow path for arguments that underflow, and
+    each of those gives +0.0.  A NaN argument fails the comparison, so it is
+    evaluated and stays NaN."""
+    out = np.zeros(arg.shape)
+    live = ~(arg < _EXP_FLOOR)
+    out[live] = np.exp(arg[live])
+    return out
 
 
 class TruncationWarning(UserWarning):
@@ -594,8 +608,11 @@ def bernstein_check(j: int, p: float, q: float, trials: int = 100, seed: int = 0
                 width = 2.0**j * rng.uniform(0.05, 0.12)
                 x0 = rng.uniform(0.0, base.box_length)
                 amp = rng.uniform(0.3, 1.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-                envelope = np.exp(-((axis - center) ** 2) / (2.0 * width**2))
-                row[positive] += amp * envelope * np.exp(-1j * axis * x0)
+                # the packet on the envelope's live modes only: elsewhere it
+                # is a signed zero, and +0 plus a signed zero is +0
+                arg = -((axis - center) ** 2) / (2.0 * width**2)
+                live = np.flatnonzero(~(arg < _EXP_FLOOR))
+                row[positive][live] += amp * np.exp(arg[live]) * np.exp(-1j * axis[live] * x0)
         for denom, numer in base.with_coef(coef * band).row_lp_norms(q, p):
             if denom == 0.0:
                 continue
@@ -605,7 +622,13 @@ def bernstein_check(j: int, p: float, q: float, trials: int = 100, seed: int = 0
 
 
 def _packet(xi: np.ndarray, center: float, width: float, x0: float) -> np.ndarray:
-    return np.exp(-((xi - center) ** 2) / (2.0 * width**2)) * np.exp(-1j * xi * x0)
+    # envelope times phase on the envelope's live modes, +0 elsewhere (where
+    # the full product is a signed zero)
+    arg = -((xi - center) ** 2) / (2.0 * width**2)
+    live = np.flatnonzero(~(arg < _EXP_FLOOR))
+    out = np.zeros(xi.shape, dtype=complex)
+    out[live] = np.exp(arg[live]) * np.exp(-1j * xi[live] * x0)
+    return out
 
 
 def _ridge_carrier_products(symbol: SymbolGrid, grid: SpectralField, b, d) -> np.ndarray:
@@ -713,33 +736,35 @@ def ridge_bound_probe(trials: int = 12, seed: int = 0) -> dict:
 def shell_weighted_ratio(R: float, pairs) -> list:
     """Measured ||chi((|D|-R)/rho) f||_2 / || |x|^s f ||_2 for each (rho, s)
     of ``pairs``, on one localized 3-D field: a Gaussian of width 1.5 on the
-    SHELL_N^3 grid of the SHELL_BOX box, built and transformed once per call."""
+    SHELL_N^3 grid of the SHELL_BOX box, built and transformed once per call.
+    The numerator depends on rho alone and the denominator on s alone: each
+    is taken once per distinct value."""
     h = SHELL_BOX / SHELL_N
     grid_x = (np.arange(SHELL_N) - SHELL_N / 2.0) * h
     xg, yg, zg = np.meshgrid(grid_x, grid_x, grid_x, indexing="ij", sparse=True)
     r2 = xg**2 + yg**2 + zg**2
-    values = np.exp(-r2 / (2.0 * 1.5**2))
+    values = _exp_above_floor(-r2 / (2.0 * 1.5**2))  # most of the box underflows
     f = SpectralField.from_physical(values, SHELL_BOX)
     density = np.abs(values) ** 2
     del values
-    # the weighted norm depends on s alone: one 64^3 pass per distinct s
     weighted = {s: float(math.sqrt(np.sum(r2**s * density) * h**3))
                 for s in dict.fromkeys(s for _, s in pairs)}
     del r2, density
-    norms = f.frequency_norms()
-    # f.apply_multiplier(weights).spectral_l2() for each pair, with the same
-    # operations and bits: one product buffer serves every pair, and each
-    # pair's weights array takes the squared moduli; it is freed before the
-    # next pair's weights are built
+    offsets = f.frequency_norms()
+    offsets -= R  # |xi| - R, the same for every rho
+    # f.apply_multiplier(weights).spectral_l2() for each rho, with the same
+    # operations and bits: one product buffer serves every rho, and each
+    # rho's weights array takes the squared moduli; it is freed before the
+    # next rho's weights are built
     product = np.empty_like(f.coef)
-    ratios = []
-    for rho, s in pairs:
-        weights = bump((norms - R) / rho)
+    numerators = {}
+    for rho in dict.fromkeys(rho for rho, _ in pairs):
+        weights = bump(offsets / rho)
         np.multiply(f.coef, weights, out=product)
         np.square(np.abs(product, out=weights), out=weights)
-        ratios.append(float(math.sqrt(np.sum(weights) * f.dxi**f.dims)) / weighted[s])
+        numerators[rho] = float(math.sqrt(np.sum(weights) * f.dxi**f.dims))
         del weights
-    return ratios
+    return [numerators[rho] / weighted[s] for rho, s in pairs]
 
 
 def holder_bound_probe(pairs: int = 100, seed: int = 0) -> dict:

@@ -190,11 +190,19 @@ class CutoffFamily:
     def partition(self, xi, eta, rho: float):
         """(chi_R, chi_S, chi_T) at scale rho in one pass: chi_S is (1 - chi_R)
         times the theta blend of the low and high branches, chi_T the rest."""
-        return self._partition_and_moduli(xi, eta, rho)[:3]
+        return self._partition_at(xi, eta, rho, self._away_and_moduli(xi, eta)[0])
 
-    def _partition_and_moduli(self, xi, eta, rho: float):
-        """``partition`` followed by |phi| and |d_eta phi|, from one pass over
-        the geometry: xi - eta, the squared moduli of xi, eta and xi - eta, one
+    def _partition_at(self, xi, eta, rho: float, away):
+        """``partition`` at scale rho from the rho-free ``away`` of the same
+        points (the first value of ``_away_and_moduli``)."""
+        chi_r = self.chi_R(xi, eta, rho)
+        chi_s = (1.0 - chi_r) * away
+        return chi_r, chi_s, 1.0 - chi_r - chi_s
+
+    def _away_and_moduli(self, xi, eta):
+        """The rho-free part of the partition: the theta blend ``away`` of the
+        low and high branches, |phi| and |d_eta phi|, from one pass over the
+        geometry: xi - eta, the squared moduli of xi, eta and xi - eta, one
         bracket per vector.  The low branch steps on |phi| / |grad phi| against
         |d_eta phi| / (curvature proxy), first-order distances to the time- and
         space-resonant sets; the high branch is a bump in |xi - eta|."""
@@ -228,9 +236,7 @@ class CutoffFamily:
         # theta of the 6-vector (xi, eta), its squares summed in that order
         blend = theta_radial(np.sqrt(sum_of_squares(xi, eta)), self.M)
         away = blend * smooth_step(arg) + (1.0 - blend) * high
-        chi_r = self.chi_R(xi, eta, rho)
-        chi_s = (1.0 - chi_r) * away
-        return chi_r, chi_s, 1.0 - chi_r - chi_s, phi, ge
+        return away, phi, ge
 
     def chi_S(self, xi, eta, rho: float):
         """Cutoff localizing away from the time-resonant set."""
@@ -312,6 +318,9 @@ def bound_probe(family: CutoffFamily, sample_count: int = 10_000, seed: int = 0)
     """
     rng = np.random.default_rng(seed)
     xi, eta = sample_interaction_points(family, rng, sample_count)
+    # the partition acts point by point: the rho-free pass over the base
+    # points is taken once and each rho adds only its extra points
+    base = family._away_and_moduli(xi, eta)
     rows = []
     for rho in PROBE_RHOS:
         # extra samples at the rho-adapted scale, where the symbols peak
@@ -321,7 +330,9 @@ def bound_probe(family: CutoffFamily, sample_count: int = 10_000, seed: int = 0)
         )
         xs = np.concatenate([xi, extra[:, :3]], axis=0)
         es = np.concatenate([eta, extra[:, 3:]], axis=0)
-        _, chi_s, chi_t, phi, ge = family._partition_and_moduli(xs, es, rho)
+        away, phi, ge = (np.concatenate(pair) for pair in
+                         zip(base, family._away_and_moduli(extra[:, :3], extra[:, 3:])))
+        _, chi_s, chi_t = family._partition_at(xs, es, rho, away)
         ok_phi = phi > 1e-12
         ok_ge = ge > 1e-12
         rows.append(
@@ -338,8 +349,9 @@ def bound_probe(family: CutoffFamily, sample_count: int = 10_000, seed: int = 0)
     # high-frequency shells: the ratio against (1 + |p|)^n stays bounded.
     # half the samples sit on the near-diagonal ridge where the high branch
     # of chi_S is supported, the rest are generic directions.
+    # All six shells are drawn in turn and evaluated as one set of points.
     shells = np.geomspace(family.M + 1.0, 1e3, 6)
-    hf_rows = []
+    pts = []
     for radius in shells:
         direction = rng.normal(size=(1000, 6))
         direction /= np.sqrt(sum_of_squares(direction))[:, None]
@@ -350,9 +362,15 @@ def bound_probe(family: CutoffFamily, sample_count: int = 10_000, seed: int = 0)
         ez /= np.sqrt(sum_of_squares(ez))[:, None]
         heta = ez * radius / math.sqrt(2.0)
         ridge = np.concatenate([heta + w, heta], axis=1)
-        pts = np.concatenate([generic, ridge], axis=0)
-        hxi, heta = pts[:, :3], pts[:, 3:]
-        _, chi_s, _, hphi, _ = family._partition_and_moduli(hxi, heta, PROBE_RHOS[0])
+        pts += [generic, ridge]
+    pts = np.concatenate(pts, axis=0)
+    hxi, heta = pts[:, :3], pts[:, 3:]
+    away, all_phi, _ = family._away_and_moduli(hxi, heta)
+    all_chi_s = family._partition_at(hxi, heta, PROBE_RHOS[0], away)[1]
+    hf_rows = []
+    for k, radius in enumerate(shells):
+        shell = slice(2000 * k, 2000 * (k + 1))
+        chi_s, hphi = all_chi_s[shell], all_phi[shell]
         ok = hphi > 1e-12
         ratio = np.max(chi_s[ok] / hphi[ok]) if np.any(ok) else 0.0
         hf_rows.append(

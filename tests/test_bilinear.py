@@ -1,3 +1,4 @@
+import functools
 import math
 import struct
 import tracemalloc
@@ -370,10 +371,16 @@ def _bernstein_full_length_packets(j, p, q, trials, seed):
     return best
 
 
+@pytest.mark.parametrize("seed", [3, 5, 2024])
 @pytest.mark.parametrize("p, q", [(6.0, 2.0), (math.inf, 1.0), (4.0, 4.0)])
-def test_bernstein_positive_packets_match_full_length_packets(p, q):
+def test_bernstein_positive_packets_match_full_length_packets(p, q, seed):
+    # bit for bit, although each packet is built on its envelope's live modes
+    # only; one trial, one stack and stacks that end short of _STACK_TRIALS
     for j in range(6):
-        assert bernstein_check(j, p, q, trials=20, seed=3) == _bernstein_full_length_packets(j, p, q, 20, 3)
+        for trials in (1, 17, 20, 33):
+            got = bernstein_check(j, p, q, trials=trials, seed=seed)
+            want = _bernstein_full_length_packets(j, p, q, trials, seed)
+            assert struct.pack("<d", got) == struct.pack("<d", want), (j, trials)
 
 
 def test_bernstein_rejects_bad_exponents():
@@ -859,9 +866,33 @@ def test_shell_ratios_match_single_pair_oracle():
     dxi = 2.0 * math.pi / SHELL_BOX
     cli_pairs = [(rho, s) for s in (0.5, 1.0) for rho in (dxi, 10.0 * dxi)]
     more_pairs = [(0.5 * dxi, 0.0), (3.0 * dxi, 2.0), (40.0 * dxi, 0.25)]
-    for R, pairs in ((16 * dxi, cli_pairs + more_pairs), (5.5 * dxi, more_pairs)):
-        assert shell_weighted_ratio(R, pairs) == [single_pair_shell_ratio(R, *pair) for pair in pairs]
+    # one numerator per distinct rho: repeated, unsorted and single pairs
+    repeated = [(10.0 * dxi, 1.0), (dxi, 0.5), (10.0 * dxi, 1.0), (3.0 * dxi, 2.0), (dxi, 1.0)]
+    oracle = functools.lru_cache(maxsize=None)(single_pair_shell_ratio)
+    for R, pairs in ((16 * dxi, cli_pairs + more_pairs), (5.5 * dxi, more_pairs),
+                     (16 * dxi, repeated), (16 * dxi, [(dxi, 0.5)])):
+        want = np.array([oracle(R, *pair) for pair in pairs])
+        assert np.array(shell_weighted_ratio(R, pairs)).tobytes() == want.tobytes()
     assert shell_weighted_ratio(16 * dxi, []) == []
+
+
+def test_exp_above_floor_is_np_exp_bit_for_bit():
+    floor, edge = bilinear._EXP_FLOOR, -745.1332191019412  # exp rounds to +0.0 below edge
+    around = [np.nextafter(x, direction) for x in (floor, edge) for direction in (-np.inf, np.inf)]
+    special = [floor, edge, *around, -708.4, -720.0, -740.0, -745.0, -np.inf, np.nan, -np.nan,
+               0.0, -0.0, -1e-300, -5e-324]
+    args = np.concatenate([np.linspace(-1e4, 0.0, 20_001), special])
+    got = bilinear._exp_above_floor(args)
+    assert got.tobytes() == np.exp(args).tobytes()
+    assert np.isnan(got[-6:-4]).all()
+    subnormal = (got > 0.0) & (got < np.finfo(float).tiny)
+    assert subnormal.sum() > 10  # results in (0, 2.2e-308) are still computed
+    cube = args[:4096].reshape(16, 16, 16)
+    assert bilinear._exp_above_floor(cube).tobytes() == np.exp(cube).tobytes()
+    # every argument below the floor, -inf included, gives +0.0 with a clear sign bit
+    below = np.concatenate([np.linspace(-1e4, floor, 100_001)[:-1], around[:1], [-np.inf]])
+    assert (below < floor).all()
+    assert np.exp(below).tobytes() == np.zeros(below.size).tobytes()
 
 
 def old_lp_norm(field, p):

@@ -703,6 +703,26 @@ def test_operator_probe_transforms_the_shell_field_once(monkeypatch, tmp_path):
     assert calls.count((64, 64, 64)) == 1
 
 
+def test_operator_probe_skips_exponentials_that_underflow(monkeypatch, tmp_path):
+    # numpy takes a slow path for exp arguments that underflow to +0.0. A
+    # default item passed about 393 000 of them when the shell Gaussian and
+    # the packet envelopes were evaluated on the whole grid; bump and
+    # smooth_step still pass a few hundred
+    counts = {"args": 0, "below_floor": 0}
+    exp = np.exp
+
+    def counted(x, *args, **kwargs):
+        counts["args"] += np.size(x)
+        counts["below_floor"] += int(np.count_nonzero(np.real(x) < bilinear._EXP_FLOOR))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    result = run_cli("operator-probe", "--seed", "0", "--c", "5", "--output", str(tmp_path / "probe.json"))
+    assert result.returncode == 0, result.stderr
+    assert counts["args"] > 1_000_000
+    assert counts["below_floor"] <= 2_000
+
+
 @pytest.mark.filterwarnings("error")
 def test_cutoff_export_tiny_rho_warns_nothing(tmp_path):
     # rho = 1e-300 scales the bump's argument past 1e154, whose square overflows

@@ -24,6 +24,7 @@ from kgpair.cutoffs import (
     theta_radial,
 )
 from kgpair.dispersion import SpeedPair, all_phase_indices, sum_of_squares
+from kgpair.reporting import to_canonical_json
 from kgpair.resonance import scan_all
 
 
@@ -308,8 +309,10 @@ def test_partition_evaluates_chi_r_once(family, monkeypatch):
     assert calls == [0.1]
     calls.clear()
     probe = bound_probe(family, sample_count=1_000, seed=4)
-    # once per rho on the low-frequency points, once per high-frequency shell
-    assert calls == list(PROBE_RHOS) + [PROBE_RHOS[0]] * len(probe["high_frequency"])
+    # once per rho on the low-frequency points, once for all six
+    # high-frequency shells together
+    assert len(probe["high_frequency"]) == 6
+    assert calls == list(PROBE_RHOS) + [PROBE_RHOS[0]]
 
 
 def test_partition_takes_its_geometry_once(family, monkeypatch):
@@ -343,16 +346,18 @@ def test_partition_takes_its_geometry_once(family, monkeypatch):
     assert len(calls) == 11
     points["phase_radial"] = 0
     probe = bound_probe(family, sample_count=1_000, seed=4)
-    # each point once: 1000 + 500 points per rho, 2000 per high-frequency shell
-    expected = len(PROBE_RHOS) * 1_500 + len(probe["high_frequency"]) * 2_000
+    # each point once: the 1000 base points for every rho together, 500
+    # extra points per rho, 2000 per high-frequency shell
+    expected = 1_000 + len(PROBE_RHOS) * 500 + len(probe["high_frequency"]) * 2_000
+    assert expected == 14_500
     assert points == {"phase_radial": expected}
 
 
 def test_partition_moduli_are_phase_and_eta_gradient(family):
     rng = np.random.default_rng(43)
     xi, eta = sample_interaction_points(family, rng, 2_000)
-    *parts, phi, ge = family._partition_and_moduli(xi, eta, 0.1)
-    for got, want in zip(parts, family.partition(xi, eta, 0.1)):
+    away, phi, ge = family._away_and_moduli(xi, eta)
+    for got, want in zip(family._partition_at(xi, eta, 0.1, away), family.partition(xi, eta, 0.1)):
         assert np.array_equal(got, want)
     assert np.array_equal(phi, np.abs(family.speeds.phase(family.idx, xi, eta)))
     grad = family.speeds.grad_eta_phase(family.idx, xi, eta)
@@ -520,6 +525,56 @@ def geometry_case(draw):
 @given(geometry_case())
 def test_one_pass_partition_matches_the_composed_oracle(case):
     family, xi, eta, rho = case
-    got = family._partition_and_moduli(xi, eta, rho)
+    away, phi, ge = family._away_and_moduli(xi, eta)
+    got = (*family._partition_at(xi, eta, rho, away), phi, ge)
     want = composed_partition_and_moduli(family, xi, eta, rho)
     assert [part.tobytes() for part in got] == [part.tobytes() for part in want]
+
+
+def per_rho_bound_probe(family, sample_count, seed):
+    """``bound_probe`` as it was: every rho evaluates the composed partition
+    on all its base and extra points, and each high-frequency shell on its
+    own 2000 points."""
+    rng = np.random.default_rng(seed)
+    xi, eta = sample_interaction_points(family, rng, sample_count)
+    rows = []
+    for rho in PROBE_RHOS:
+        s = family.support_radius * rho
+        extra = _near_component_points(family, rng, sample_count // 2, [10 * s, 3 * s, s, 0.3 * s])
+        xs = np.concatenate([xi, extra[:, :3]], axis=0)
+        es = np.concatenate([eta, extra[:, 3:]], axis=0)
+        _, chi_s, chi_t, phi, ge = composed_partition_and_moduli(family, xs, es, rho)
+        ok_phi, ok_ge = phi > 1e-12, ge > 1e-12
+        rows.append({"rho": float(rho),
+                     "sup_chi_s_over_phi": float(np.max(chi_s[ok_phi] / phi[ok_phi])),
+                     "sup_chi_t_over_grad": float(np.max(chi_t[ok_ge] / ge[ok_ge]))})
+    sup_vals = np.array([row["sup_chi_s_over_phi"] for row in rows])
+    inv_rho = 1.0 / np.asarray(PROBE_RHOS, dtype=float)
+    exponent = float(np.polyfit(np.log(inv_rho), np.log(np.maximum(sup_vals, 1e-300)), 1)[0])
+    hf_rows = []
+    for radius in np.geomspace(family.M + 1.0, 1e3, 6):
+        direction = rng.normal(size=(1000, 6))
+        direction /= np.sqrt(sum_of_squares(direction))[:, None]
+        w = rng.normal(size=(1000, 3))
+        w *= (rng.uniform(0.0, 2.0 * family.high_freq_offset, 1000) / np.sqrt(sum_of_squares(w)))[:, None]
+        ez = rng.normal(size=(1000, 3))
+        ez /= np.sqrt(sum_of_squares(ez))[:, None]
+        heta = ez * radius / math.sqrt(2.0)
+        pts = np.concatenate([direction * radius, np.concatenate([heta + w, heta], axis=1)], axis=0)
+        _, chi_s, _, hphi, _ = composed_partition_and_moduli(family, pts[:, :3], pts[:, 3:], PROBE_RHOS[0])
+        ok = hphi > 1e-12
+        ratio = np.max(chi_s[ok] / hphi[ok]) if np.any(ok) else 0.0
+        hf_rows.append({"radius": float(radius), "sup_chi_s_over_phi": float(ratio),
+                        "poly_normalized": float(ratio / (1.0 + radius) ** family.n)})
+    return {"schema": "cutoff-probe/1", "n": family.n, "sample_count": sample_count, "seed": seed,
+            "low_frequency": rows, "growth_exponent_in_inv_rho": exponent, "high_frequency": hf_rows}
+
+
+@pytest.mark.parametrize("c", [5.0, 1.6, 0.7, 0.3])
+def test_bound_probe_matches_the_per_rho_loop(c):
+    # the base points' rho-free pass is shared by every rho and the six shells
+    # are one evaluation; the JSON keeps every byte of the per-rho loop
+    family = CutoffFamily.build(scan_all(c))
+    for seed in (0, 9, 2024):
+        got = bound_probe(family, sample_count=10_000, seed=seed)
+        assert to_canonical_json(got) == to_canonical_json(per_rho_bound_probe(family, 10_000, seed))
