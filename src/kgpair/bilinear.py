@@ -12,8 +12,10 @@ operator is the lattice quadrature
 
 with the difference taken cyclically; these constants make T_1(f,g) = f*g
 exact, which pins every other convention.  Separable symbols are applied as
-two multipliers and a physical-space product.  Any other symbol is applied
-by summing over its nonzero support, built once per (symbol, grid) and then
+two multipliers and a physical-space product, and a lattice-shift expansion
+sum_k c_k exp(i (a_k xi + b_k eta) h) as a sum of products of grid
+translates.  Any other symbol is applied by summing over its nonzero
+support, built once per (symbol, grid) and then
 O(nnz) per call: from the n^2 table for a callable, and straight from the
 sheared band for a cyclic ridge g[(a - lam*b) mod n], whose per-entry
 indices are int32 up to n = 2^15.  A call takes the support in blocks of
@@ -21,7 +23,8 @@ whole rows, so it holds one block of terms at a time; a stack of fields
 (leading axes) shares each block.  The sharp discrete
 operator bound is then ||T_m(f,g)||_r <= l1(m^) ||f||_p ||g||_q for Hoelder
 exponents, where l1(m^) is the plain inverse-DFT coefficient sum computed by
-``symbol_l1_norm``; for a cyclic ridge it is the 1-D sum of g's coefficients.
+``symbol_l1_norm``; for a cyclic ridge it is the 1-D sum of g's coefficients,
+and for an expansion the sum of |c_k| over its shifts merged modulo n.
 """
 
 from __future__ import annotations
@@ -323,6 +326,15 @@ class SymbolGrid:
     factors receive the frequency coordinates (signed values in 1-D, vectors
     with a trailing component axis in 3-D).  A cyclic ridge (1-D only) takes
     its real profile g = profile(frequency axis) and an integer lam.
+
+    A lattice-shift expansion (1-D only) holds terms (a, b, c) with integer
+    shifts: m(xi, eta) = sum c exp(i (a xi + b eta) h) on a grid of step h.
+    The shifts count grid points, so the terms give the same lattice
+    operator on every grid, T_m(f, g)(x) = sum c f(x + (a + b) h) g(x + a h),
+    while the symbol as a function of the frequencies scales with the step:
+    on a grid of step k h it is m(k xi, k eta) of the symbol at step h.  Its
+    bound constant is exactly the sum of |c| once terms whose shifts agree
+    modulo n are merged: no table is built for it.
     """
 
     fn: object = None
@@ -330,6 +342,7 @@ class SymbolGrid:
     factor_diff: object = None
     ridge_profile: object = None
     ridge_lambda: int = 0
+    expansion: tuple = None  # (shifts, coefficients) of a lattice-shift expansion
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
@@ -353,9 +366,37 @@ class SymbolGrid:
             raise ValueError(f"ridge lambda must be an integer, got {lam}")
         return cls(ridge_profile=profile, ridge_lambda=int(lam))
 
+    @classmethod
+    def lattice_expansion(cls, shifts, coefs) -> "SymbolGrid":
+        """The expansion sum_k coefs[k] exp(i (a_k xi + b_k eta) h) with
+        (a_k, b_k) = shifts[k], a (k, 2) array of integers (floats with an
+        integer value are taken); every coefficient must be finite."""
+        shifts, coefs = np.asarray(shifts), np.asarray(coefs, dtype=complex)
+        if coefs.ndim != 1 or shifts.shape != (coefs.size, 2):
+            raise ValueError(f"expansion needs a ({coefs.size}, 2) array of shifts, got {shifts.shape}")
+        if not np.isfinite(coefs).all():
+            raise ValueError("expansion coefficients must be finite")
+        for value in shifts.ravel().tolist():
+            if not (math.isfinite(value) and value == int(value)):
+                raise ValueError(f"lattice shifts must be integers, got {value}")
+        return cls(expansion=(tuple((int(a), int(b)) for a, b in shifts.tolist()), tuple(coefs.tolist())))
+
     @property
     def is_separable(self) -> bool:
-        return self.fn is None and self.ridge_profile is None
+        return self.fn is None and self.ridge_profile is None and self.expansion is None
+
+    def _lattice_terms(self, grid: SpectralField) -> tuple:
+        """The expansion's terms on ``grid`` as arrays (a, b, c): shifts
+        reduced modulo n, terms of equal shifts merged, sorted by (a, b)."""
+        if grid.dims != 1:
+            raise ValueError("a lattice-shift expansion lives on 1-D grids")
+        n = grid.n
+        shifts, coefs = self.expansion
+        shifts = np.array(shifts, dtype=np.int64).reshape(-1, 2) % n
+        keys, merged_at = np.unique(shifts[:, 0] * n + shifts[:, 1], return_inverse=True)
+        merged = np.zeros(keys.size, dtype=complex)
+        np.add.at(merged, merged_at, coefs)
+        return keys // n, keys % n, merged
 
     def _ridge_samples(self, grid: SpectralField) -> np.ndarray:
         """The cyclic ridge's profile g on the frequency axis of ``grid``."""
@@ -365,6 +406,8 @@ class SymbolGrid:
         """The (n, n) coefficient table used by the dense 1-D operator."""
         if grid.dims != 1:
             raise ValueError("symbol tables are only materialized on 1-D grids")
+        if self.expansion is not None:
+            raise ValueError("a lattice-shift expansion is applied without a table")
         n = grid.n
         if n > MAX_DENSE_SYMBOL:
             raise ValueError(f"dense symbol tables are limited to n <= {MAX_DENSE_SYMBOL}")
@@ -460,7 +503,10 @@ def pseudo_product(symbol: SymbolGrid, f: SpectralField, g: SpectralField) -> Sp
     """Bilinear operator with the stated lattice quadrature normalization.
 
     Separable symbols go through two multipliers and one physical-space
-    product.  Other symbols (1-D only) sum over the symbol's nonzero support
+    product.  A lattice-shift expansion (1-D only) goes through one
+    transform of each of f and g and the sum of c * F(x + (a + b) h)
+    G(x + a h) over its merged terms, as rolls of the physical values.
+    Other symbols (1-D only) sum over the symbol's nonzero support
     (``SymbolGrid.support``): O(nnz) work per call after one build per
     (symbol, grid), taken in blocks of whole rows of about _CHUNK_POINTS
     terms, so a call holds one block of terms at a time.  Output modes
@@ -480,6 +526,8 @@ def pseudo_product(symbol: SymbolGrid, f: SpectralField, g: SpectralField) -> Sp
         return SpectralField.from_physical(af.to_physical() * bg.to_physical(), f.box_length, d)
     if d != 1:
         raise ValueError("non-separable symbols are only supported on 1-D grids")
+    if symbol.expansion is not None:
+        return _expansion_product(symbol, f, g)
     rows, starts, cols, diffs, vals = symbol.support(f)
     shape = np.broadcast_shapes(f.coef.shape, g.coef.shape)
     fc, gc = np.broadcast_to(f.coef, shape), np.broadcast_to(g.coef, shape)
@@ -507,6 +555,23 @@ def pseudo_product(symbol: SymbolGrid, f: SpectralField, g: SpectralField) -> Sp
     return f.with_coef(out * _quadrature_constant(f))
 
 
+def _expansion_product(symbol: SymbolGrid, f: SpectralField, g: SpectralField) -> SpectralField:
+    # exp(i b eta h) f^(eta) is the transform of f(x + b h), and exp(i a xi h)
+    # shifts the product by a h: per distinct a, the weighted translates of F
+    # are summed first and take one product with G
+    n = f.n
+    big_f, big_g = f.to_physical(), g.to_physical()
+    wrapped = np.concatenate([big_f, big_f], axis=-1)  # F(x + b h) is wrapped[..., b:b + n]
+    total = np.zeros(np.broadcast_shapes(big_f.shape, big_g.shape), dtype=complex)
+    shifts_a, shifts_b, coefs = symbol._lattice_terms(f)
+    runs = np.flatnonzero(np.diff(shifts_a, prepend=-1, append=n)).tolist()
+    for start, stop in zip(runs[:-1], runs[1:]):
+        weighted = sum(c * wrapped[..., b:b + n]
+                       for b, c in zip(shifts_b[start:stop].tolist(), coefs[start:stop].tolist()))
+        total += np.roll(weighted * big_g, -int(shifts_a[start]), axis=-1)
+    return SpectralField.from_physical(total, f.box_length, 1)
+
+
 def _quadrature_constant(grid: SpectralField) -> float:
     # (2 pi)^{-d/2} dxi^d of the lattice quadrature in the module docstring
     return grid.dxi**grid.dims / (2.0 * math.pi) ** (grid.dims / 2.0)
@@ -519,8 +584,12 @@ def symbol_l1_norm(symbol: SymbolGrid, grid: SpectralField) -> float:
     Warns when more than 1 % of the coefficient mass sits at the edge of the
     lattice (the truncated symbol is then unreliable).  A cyclic ridge has no
     lattice cut: its sum is the exact 1-D one of its profile, with no table
-    and no warning.
+    and no warning.  Nor has a lattice-shift expansion: the inverse DFT of
+    its table is c at each merged shift (a mod n, b mod n), so its sum is
+    the sum of |c| over the merged terms, again with no table or warning.
     """
+    if symbol.expansion is not None:
+        return float(np.abs(symbol._lattice_terms(grid)[2]).sum())
     if symbol.ridge_profile is not None:
         if grid.dims != 1:
             raise ValueError("a cyclic ridge lives on 1-D grids")
@@ -813,19 +882,18 @@ def holder_bound_probe(pairs: int = 100, seed: int = 0) -> dict:
 
 
 def default_probe_symbols(seed: int = 0) -> dict:
-    """A spread of smooth test symbols for the operator-bound probe."""
+    """A spread of smooth test symbols for the operator-bound probe.
+
+    ``random_trig`` is the lattice-shift expansion with shifts a, b in
+    -2 .. 2 and coefficients c_ab / (1 + a^2 + b^2), c_ab complex normal
+    draws / 25: on the HOLDER_N grid (step 0.5) the trigonometric
+    polynomial sum c_ab exp(i (a xi + b eta) / 2) / (1 + a^2 + b^2).
+    """
     rng = np.random.default_rng((seed, 777))
     coeffs = (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))) / 25.0
-
-    def trig_polynomial(xi, eta):
-        total = np.zeros(np.broadcast_shapes(np.shape(xi), np.shape(eta)), dtype=complex)
-        for a in range(-2, 3):
-            for b in range(-2, 3):
-                total = total + coeffs[a + 2, b + 2] * np.exp(
-                    1j * (a * xi + b * eta) * 0.5
-                ) / (1.0 + a * a + b * b)
-        return total
-
+    a, b = np.meshgrid(np.arange(-2, 3), np.arange(-2, 3), indexing="ij")
+    trig = SymbolGrid.lattice_expansion(np.stack([a.ravel(), b.ravel()], axis=1),
+                                        (coeffs / (1.0 + a * a + b * b)).ravel())
     return {
         "constant": SymbolGrid.constant(1.0),
         "separable_bumps": SymbolGrid.separable(
@@ -835,5 +903,5 @@ def default_probe_symbols(seed: int = 0) -> dict:
         "gaussian_joint": SymbolGrid.from_callable(
             lambda xi, eta: np.exp(-(xi**2 + eta**2 + 0.3 * xi * eta) / 4.0)
         ),
-        "random_trig": SymbolGrid.from_callable(trig_polynomial),
+        "random_trig": trig,
     }

@@ -63,6 +63,26 @@ def table_symbol(table):
     return SymbolGrid.from_callable(lambda xi, eta: table)
 
 
+def trig_table_symbol(seed=0):
+    """The callable form of ``default_probe_symbols(seed)["random_trig"]``:
+    its trigonometric polynomial evaluated over the whole table on the
+    HOLDER_N grid (step 0.5), the dense oracle of the lattice-shift
+    expansion."""
+    rng = np.random.default_rng((seed, 777))
+    coeffs = (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))) / 25.0
+
+    def trig_polynomial(xi, eta):
+        total = np.zeros(np.broadcast_shapes(np.shape(xi), np.shape(eta)), dtype=complex)
+        for a in range(-2, 3):
+            for b in range(-2, 3):
+                total = total + coeffs[a + 2, b + 2] * np.exp(
+                    1j * (a * xi + b * eta) * 0.5
+                ) / (1.0 + a * a + b * b)
+        return total
+
+    return SymbolGrid.from_callable(trig_polynomial)
+
+
 def table_with_empty_rows(n, seed=9):
     rng = np.random.default_rng(seed)
     table = np.where(rng.random((n, n)) < 0.05, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 0.0)
@@ -74,7 +94,7 @@ ORACLE_CASES = {
     **{f"ridge_rho{rho}_n{n}": (ridge_symbol(rho), n, box)
        for rho in (1.0, 0.1, 0.01) for n, box in ((1024, 1310.72), (128, 64.0))},
     "gaussian_joint": (default_probe_symbols()["gaussian_joint"], N, L),
-    "random_trig": (default_probe_symbols()["random_trig"], N, L),
+    "random_trig": (trig_table_symbol(), N, L),
     "table_with_empty_rows": (table_symbol(table_with_empty_rows(N)), N, L),
     "zero_table": (table_symbol(np.zeros((N, N))), N, L),
 }
@@ -544,8 +564,8 @@ BLOCKED_CASES = {
     "ridge_rows_longer_than_a_block": (
         SymbolGrid.cyclic_ridge(lambda k: bump(k / 0.002), 0), 2**14, 2**14 * 0.6),
     # the 16384-entry complex holder tables: two blocks of 64 rows
-    **{name: (default_probe_symbols()[name], HOLDER_N, HOLDER_BOX)
-       for name in ("gaussian_joint", "random_trig")},
+    "gaussian_joint": (default_probe_symbols()["gaussian_joint"], HOLDER_N, HOLDER_BOX),
+    "random_trig": (trig_table_symbol(), HOLDER_N, HOLDER_BOX),
     "table_with_empty_rows": (table_symbol(table_with_empty_rows(N)), N, L),
 }
 
@@ -954,11 +974,12 @@ def test_holder_probe_transforms_each_field_and_product_once(monkeypatch):
     pairs = cap + 6
     holder_bound_probe(pairs=pairs, seed=2)
     # one transform per f, per g and per product of each of the four symbols,
-    # plus the two that each of the two separable products takes inside
-    assert sum(calls) == pairs * (2 + 4) + 2 * 2 * pairs
+    # plus the two that each of the two separable products and the
+    # expansion's product take inside
+    assert sum(calls) == pairs * (2 + 4) + 3 * 2 * pairs
     # in one call per stack each: f, g, then per symbol its product's
-    # transform (two more inside each separable product)
-    per_stack = 2 + 4 + 2 * 2
+    # transform (two more inside each separable or expansion product)
+    per_stack = 2 + 4 + 3 * 2
     assert calls == [cap] * per_stack + [6] * per_stack
 
 
@@ -988,6 +1009,7 @@ def _stacked_symbols():
     symbols["complex_table"] = (table_symbol(dense), N, L)
     symbols["separable"] = (default_probe_symbols()["separable_bumps"], N, L)
     symbols["constant"] = (SymbolGrid.constant(1.0), N, L)
+    symbols["expansion"] = (default_probe_symbols()["random_trig"], N, L)
     return symbols
 
 
@@ -1102,3 +1124,148 @@ def test_stacked_probes_hold_bounded_memory(stage, run, bound_mb):
     finally:
         tracemalloc.stop()
     assert peak <= bound_mb * 1e6, f"{stage}: {peak / 1e6:.2f} MB"
+
+
+# ---------------------------------------------------------------------------
+# Lattice-shift expansions against their dense tables
+# ---------------------------------------------------------------------------
+
+def expansion_table(shifts, coefs, n):
+    """The (n, n) table of sum c exp(i (a xi + b eta) h): each phase
+    exp(2 pi i (a k mod n) / n) is taken from an exact integer exponent, so
+    the oracle keeps its accuracy at shifts of any size."""
+    k = np.arange(n)
+    table = np.zeros((n, n), dtype=complex)
+    for (a, b), c in zip(shifts, coefs):
+        table += c * np.outer(np.exp(2j * np.pi * (a * k % n) / n), np.exp(2j * np.pi * (b * k % n) / n))
+    return table
+
+
+def merged_l1(shifts, coefs, n):
+    """The sum of |c| once the terms of equal shifts modulo n are added."""
+    merged = {}
+    for (a, b), c in zip(shifts, coefs):
+        merged[a % n, b % n] = merged.get((a % n, b % n), 0.0) + c
+    return sum(abs(c) for c in merged.values())
+
+
+@st.composite
+def expansion_case(draw):
+    """A grid, an expansion with shifts in [-n, n] that repeat modulo n, and
+    the leading shapes of a broadcasting pair of field stacks."""
+    n = draw(st.sampled_from([8, 128, 1024]))
+    shifts = draw(st.lists(st.tuples(st.integers(-n, n), st.integers(-n, n)), min_size=1, max_size=8))
+    # copies of drawn shifts, as they are or moved by n towards the other
+    # end of [-n, n]: equal to them modulo n
+    wrap = lambda s, moved: (s - n if s > 0 else s + n) if moved else s
+    copies = draw(st.lists(st.tuples(st.integers(0, len(shifts) - 1), st.booleans(), st.booleans()),
+                           max_size=4))
+    shifts += [(wrap(shifts[i][0], move_a), wrap(shifts[i][1], move_b)) for i, move_a, move_b in copies]
+    coefs = draw(st.lists(st.complex_numbers(max_magnitude=4.0), min_size=len(shifts),
+                          max_size=len(shifts)))
+    leading = draw(st.sampled_from([((), ()), ((3,), ()), ((), (2,)), ((2, 1), (1,)), ((1,), (1, 2))]))
+    return n, shifts, coefs, leading, draw(st.floats(2.0, 500.0)), draw(st.integers(0, 2**32 - 1))
+
+
+@given(expansion_case())
+def test_expansion_product_matches_its_dense_table(case):
+    n, shifts, coefs, (f_leading, g_leading), box, seed = case
+    grid = SpectralField.zeros(1, n, box)
+    rng = np.random.default_rng(seed)
+    f = random_field(grid.with_coef(np.zeros((*f_leading, n))), rng)
+    g = random_field(grid.with_coef(np.zeros((*g_leading, n))), rng)
+    symbol = SymbolGrid.lattice_expansion(shifts, coefs)
+    out = pseudo_product(symbol, f, g).coef
+    shape = np.broadcast_shapes(f.coef.shape, g.coef.shape)
+    assert out.shape == shape
+    oracle_symbol = table_symbol(expansion_table(shifts, coefs, n))
+    terms_l1 = sum(abs(c) for c in coefs)
+    fc, gc = np.broadcast_to(f.coef, shape), np.broadcast_to(g.coef, shape)
+    for index in np.ndindex(*shape[:-1]):
+        f_row, g_row = grid.with_coef(fc[index]), grid.with_coef(gc[index])
+        oracle = dense_pseudo_product(oracle_symbol, f_row, g_row)
+        # |m| <= sum |c| at every entry: the gate scales the unit symbol's size
+        scale = terms_l1 * rounding_scale(np.ones((1, 1)), np.abs(f_row.coef), np.abs(g_row.coef), grid.dxi)
+        assert np.abs(out[index] - oracle).max() <= 2.0 * n * np.finfo(float).eps * scale
+    assert symbol_l1_norm(symbol, grid) == pytest.approx(merged_l1(shifts, coefs, n), rel=1e-14, abs=0.0)
+
+
+def test_expansion_takes_float_shifts_with_integer_values():
+    grid = SpectralField.zeros(1, 16, 3.0)
+    rng = np.random.default_rng(61)
+    f, g = random_field(grid, rng), random_field(grid, rng)
+    as_ints = SymbolGrid.lattice_expansion([[2, -1], [-16, 3]], [0.5, 1j])
+    as_floats = SymbolGrid.lattice_expansion(np.array([[2.0, -1.0], [-16.0, 3.0]]), [0.5, 1j])
+    assert as_ints == as_floats
+    assert pseudo_product(as_ints, f, g).coef.tobytes() == pseudo_product(as_floats, f, g).coef.tobytes()
+    empty = SymbolGrid.lattice_expansion(np.zeros((0, 2)), [])
+    assert not np.any(pseudo_product(empty, f, g).coef)
+    assert symbol_l1_norm(empty, grid) == 0.0
+
+
+@pytest.mark.parametrize("shifts, coefs, message", [
+    ([[0, 1]], [math.nan], "coefficients must be finite"),
+    ([[0, 1]], [complex(0.0, math.inf)], "coefficients must be finite"),
+    ([[0, 1], [1, 0]], [1.0, -math.inf], "coefficients must be finite"),
+    ([[0.5, 1]], [1.0], "shifts must be integers"),
+    ([[0, math.nan]], [1.0], "shifts must be integers"),
+    ([[math.inf, 0]], [1.0], "shifts must be integers"),
+    ([[0, 1, 2]], [1.0], r"\(1, 2\) array of shifts"),
+    ([[0, 1]], [1.0, 2.0], r"\(2, 2\) array of shifts"),
+    ([0, 1], [1.0], r"\(1, 2\) array of shifts"),
+], ids=["nan", "inf_imag", "neg_inf", "half_shift", "nan_shift", "inf_shift", "three_columns",
+        "too_few_shifts", "flat_shifts"])
+def test_lattice_expansion_rejects_bad_terms(shifts, coefs, message):
+    with pytest.raises(ValueError, match=message):
+        SymbolGrid.lattice_expansion(shifts, coefs)
+
+
+def test_lattice_expansion_lives_on_one_d_grids():
+    symbol = SymbolGrid.lattice_expansion([[1, -1]], [0.5])
+    assert not symbol.is_separable
+    cube = SpectralField.zeros(3, 8, 4.0)
+    with pytest.raises(ValueError, match="1-D grids"):
+        pseudo_product(symbol, cube, cube)
+    with pytest.raises(ValueError, match="1-D grids"):
+        symbol_l1_norm(symbol, cube)
+    with pytest.raises(ValueError, match="without a table"):
+        symbol.materialize(SpectralField.zeros(1, 8, 4.0))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5, 123456])
+def test_random_trig_constant_is_its_coefficient_sum(seed):
+    # exactly the sum of |c_ab| / (1 + a^2 + b^2); a warning of any kind
+    # fails the test under the test settings
+    rng = np.random.default_rng((seed, 777))
+    coeffs = (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))) / 25.0
+    a, b = np.meshgrid(np.arange(-2, 3), np.arange(-2, 3), indexing="ij")
+    expected = float(np.sum(np.abs(coeffs) / (1.0 + a * a + b * b)))
+    grid = SpectralField.zeros(1, HOLDER_N, HOLDER_BOX)
+    symbol = default_probe_symbols(seed)["random_trig"]
+    assert symbol_l1_norm(symbol, grid) == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert not symbol._cache
+    # the inverse-DFT sum of the dense table agrees to its roundoff
+    dense = symbol_l1_norm(trig_table_symbol(seed), grid)
+    assert symbol_l1_norm(symbol, grid) == pytest.approx(dense, rel=1e-13, abs=0.0)
+
+
+def test_holder_probe_builds_no_table_for_the_expansion(monkeypatch):
+    names = {}
+    original_symbols, original_materialize = default_probe_symbols, SymbolGrid.materialize
+    calls = {}
+
+    def recorded_symbols(seed=0):
+        symbols = original_symbols(seed)
+        names.update({id(symbol): name for name, symbol in symbols.items()})
+        return symbols
+
+    def counted(self, grid):
+        calls[names[id(self)]] = calls.get(names[id(self)], 0) + 1
+        return original_materialize(self, grid)
+
+    monkeypatch.setattr("kgpair.bilinear.default_probe_symbols", recorded_symbols)
+    monkeypatch.setattr(SymbolGrid, "materialize", counted)
+    holder_bound_probe(pairs=20, seed=4)
+    # the l1 norm of each table symbol, and the support build of the
+    # callable one (a cache hit)
+    assert calls == {"constant": 1, "separable_bumps": 1, "gaussian_joint": 2}

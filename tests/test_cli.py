@@ -649,29 +649,31 @@ def test_in_process_runs_match_a_child_process(tmp_path, subcommand_runs, comman
     "args, digest, without_ridge",
     [
         (["--seed", "0", "--c", "5"],
-         "52bb6467eafb9aa8c06121864dd02b8855ebb61a2c755ae30ea024233d393b70",
-         "471c50413898a0c46b9404bf79e98df3523b133325eba5841bfd14925061caa0"),
+         "0a87b2e1aa34b667f0a600eed39e84aaec381bf0e230e93509e8640660f65263",
+         "17205c971678a15c93cbcb557a444655f20c7c69d8f01aee6c3f353935a4ea6b"),
         (["--seed", "3", "--c", "3.3", "--trials", "16"],
-         "6db787a95b307cf6fab4af638cdc4c2fb56a88037393cc8773f24002dc3f971d",
-         "33b3bf361c4ede212c819a378c20df0cbb6379bcd029015005642f3123cd4f0c"),
-        # its holder rows change in the last digit if a complex support value
-        # multiplies the gathered f coefficients instead of the other way round
+         "431b8d54118554de816806b0c6ce3fa64cb24a548711bd29486d6def7e190c79",
+         "c811b290d340dbda6a75b69889abc0d46a777213d3457cecf71dc8225ae54845"),
+        # a third seed and speed; the support kernel's operand order (the
+        # gathered f coefficients times a complex support value) is pinned by
+        # the blocked-product tests of tests/test_bilinear.py
         (["--seed", "123456", "--c", "1.6"],
-         "a107309afe21e8e9330e9d34efced4880b7697137e2a30a7850f8e6f0b38a0c5",
-         "49c475c371ebd1dcb5f05bea6b35a4d58bdc8cacbf2ec413fffe090e083058e7"),
+         "cbd403e20be2973c89e388b732f19fd59c92457e4ddb5a1607372858deb6b0cb",
+         "a518130f10094d4cd7aad6df11475e7de162a9654d49f7c5f6bc698125793fc6"),
         # 137 holder pairs, 68 Bernstein and 17 ridge trials: each count
         # crosses the 16-trial stack, and none is a multiple of it; digests
         # taken with one product and one transform per trial
         (["--seed", "5", "--c", "0.7", "--trials", "137"],
-         "dc7345acf4592e6a9adb9adfc815a587b74306c3022387ebfdb8a725ae7e70ed",
-         "1d60c94f13f580e0e294c5b813245786c0ef75a8f7553cfcc9c895b22603cb83"),
+         "b3eead04642fc60339a8408f0d27d2721a18e1625179261665e35d52410eb1b0",
+         "ee28494256287782fdace4d802c93122b216f29df870750751af20bbfd6aa836"),
     ],
     ids=["seed0-c5", "seed3-c3.3-trials16", "seed123456-c1.6", "seed5-c0.7-trials137"],
 )
 def test_operator_probe_golden(tmp_path, args, digest, without_ridge):
     # sha256 of the output with the cyclic ridge probe, and of the output with
     # its "ridge" entry removed, so that a change to the ridge alone moves the
-    # first digest only
+    # first digest only. Taken with random_trig as a lattice-shift expansion:
+    # its holder bound_constant is the exact coefficient sum
     out = tmp_path / "probe.json"
     result = run_cli("operator-probe", *args, "--output", str(out))
     assert result.returncode == 0, result.stderr
@@ -719,7 +721,8 @@ def test_operator_probe_skips_exponentials_that_underflow(monkeypatch, tmp_path)
     monkeypatch.setattr(np, "exp", counted)
     result = run_cli("operator-probe", "--seed", "0", "--c", "5", "--output", str(tmp_path / "probe.json"))
     assert result.returncode == 0, result.stderr
-    assert counts["args"] > 1_000_000
+    # the item evaluates 743 818 arguments: the counter sees its exponentials
+    assert counts["args"] > 700_000
     assert counts["below_floor"] <= 2_000
 
 
