@@ -112,12 +112,19 @@ class SpectralField:
         return cls(dims, n, box_length, np.zeros((n,) * dims, dtype=complex))
 
     @classmethod
-    def from_physical(cls, values, box_length: float, dims: int | None = None) -> "SpectralField":
+    def from_physical(cls, values, box_length: float, dims: int | None = None,
+                      out: np.ndarray | None = None) -> "SpectralField":
         """The field of physical ``values``; ``dims`` counts the trailing grid
-        axes and defaults to all of them."""
-        # one fresh complex copy, transformed (out= needs numpy 2.0) and
-        # scaled in place; the caller's array is never written
-        coef = np.array(values, dtype=complex)
+        axes and defaults to all of them.  With ``out``, a complex array of
+        the shape of ``values``, the coefficients are written there and the
+        field holds it; the bits are the same."""
+        # one complex copy, fresh or ``out``, transformed (out= needs numpy
+        # 2.0) and scaled in place; the caller's ``values`` are never written
+        if out is None:
+            coef = np.array(values, dtype=complex)
+        else:
+            coef = out
+            np.copyto(coef, values)
         dims = coef.ndim if dims is None else dims
         n = coef.shape[-1]
         _check_grid(n, dims)
@@ -153,11 +160,19 @@ class SpectralField:
 
     # -- evaluation and norms ---------------------------------------------------
 
-    def to_physical(self) -> np.ndarray:
+    def to_physical(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The physical values, in a fresh array or, with ``out`` (a complex
+        array of the shape of ``coef``, which may be ``coef`` itself), in
+        ``out``; the bits are the same."""
         scale = self.n**self.dims * self.dxi**self.dims
         coef = self.coef
-        values = np.fft.ifft(coef) if self.dims == 1 else np.fft.ifftn(coef, axes=(-3, -2, -1))
-        return values * (scale / (2.0 * math.pi) ** (self.dims / 2.0))
+        if self.dims == 1:
+            values = np.fft.ifft(coef, out=out)
+        else:
+            values = np.fft.ifftn(coef, axes=(-3, -2, -1), out=out)
+        # scaled in place: the same products as ``values * factor``
+        values *= scale / (2.0 * math.pi) ** (self.dims / 2.0)
+        return values
 
     def lp_norm(self, p: float) -> float:
         return self.lp_norms(p)[0]

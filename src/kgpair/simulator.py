@@ -10,6 +10,11 @@ Resonant amplification experiments inject narrow wave packets at the source
 radii of a scan report and watch the outcome band.  A state may stack
 several runs on one grid along leading axes, and a step then advances all of
 them with the same transforms.
+
+A step works in buffers allocated once per (grid, speeds, dt, state shape)
+and reused by every later step with the same four, so ``step`` is neither
+re-entrant nor thread-safe.  The state it returns owns its ``coef``: only
+that array is fresh, and no later step writes it.
 """
 
 from __future__ import annotations
@@ -132,8 +137,10 @@ class SystemState:
     def _energy(self) -> np.ndarray:
         # once per state: a step's incoming state was the previous step's result.
         # No BLAS call (np.vdot runs a threaded zdotc); u_- has the moduli of u_+.
-        # Each run sums its own (species, *grid) block in one pass
-        squares = self.coef.real ** 2 + self.coef.imag ** 2
+        # Each run sums its own (species, *grid) block in one pass, after the
+        # squares are added in place into one temporary
+        squares = self.coef.real ** 2
+        squares += self.coef.imag ** 2
         return 2.0 * np.sum(squares.reshape(self.runs + (-1,)), axis=-1)
 
 
@@ -155,15 +162,32 @@ def _bracket_weights(grid: SpectralField, speeds: SpeedPair) -> np.ndarray:
     return np.stack([speeds.bracket_radial(species, norms) for species in SPECIES])
 
 
-# (dims, n, box_length, c_fast, dt) -> (1/weights, dt flow, dt/2 flow) of the
-# last key a step used: a run steps on one grid with one dt. Read-only, since
-# every step with that key shares them.
+class _StepWorkspace:
+    """Scratch buffers of ``step`` on states shaped ``shape``
+    (*runs, species, *grid), overwritten by every step on such a state: the
+    four stage sources, the stage input, u*full, per species a complex field
+    and a real (*runs, *grid) buffer for its physical values, and the two
+    real buffers of the nonlinearity's sum."""
+
+    def __init__(self, grid: SpectralField, shape: tuple):
+        self.grid, self.shape = grid, shape
+        self.sources = np.empty((4,) + shape, dtype=complex)
+        self.stage = np.empty(shape, dtype=complex)
+        self.u_full = np.empty(shape, dtype=complex)
+        species_shape = shape[:len(shape) - grid.dims - 1] + shape[len(shape) - grid.dims:]
+        self.fields = [grid.with_coef(np.empty(species_shape, dtype=complex)) for _ in SPECIES]
+        self.positions = np.empty((len(SPECIES),) + species_shape)
+        self.total, self.term = np.empty(species_shape), np.empty(species_shape)
+
+
+# (dims, n, box_length, c_fast, dt) -> [tables, workspace] of the last key a
+# step used: a run steps on one grid with one dt.  The tables (1/weights, dt
+# flow, dt/2 flow) are read-only, since every step with that key shares them;
+# the workspace serves the last state shape stepped with them.
 _STEP_TABLES: dict = {}
 
 
-def _step_tables(grid: SpectralField, speeds: SpeedPair, dt: float) -> tuple:
-    """Reciprocal bracket weights and the u_+ flows over dt and dt/2, built
-    once per (grid, speeds, dt), each shaped (species, *grid)."""
+def _step_entry(grid: SpectralField, speeds: SpeedPair, dt: float) -> list:
     key = (grid.dims, grid.n, grid.box_length, speeds.c_fast, dt)
     if key not in _STEP_TABLES:
         _STEP_TABLES.clear()  # before building: never two sets of tables at once
@@ -175,8 +199,25 @@ def _step_tables(grid: SpectralField, speeds: SpeedPair, dt: float) -> tuple:
         tables = (inverse, np.exp(1j * dt * weights), np.exp(1j * (dt / 2.0) * weights))
         for table in tables:
             table.flags.writeable = False
-        _STEP_TABLES[key] = tables
+        _STEP_TABLES[key] = [tables, None]
     return _STEP_TABLES[key]
+
+
+def _step_tables(grid: SpectralField, speeds: SpeedPair, dt: float) -> tuple:
+    """Reciprocal bracket weights and the u_+ flows over dt and dt/2, built
+    once per (grid, speeds, dt), each shaped (species, *grid)."""
+    return _step_entry(grid, speeds, dt)[0]
+
+
+def _step_workspace(grid: SpectralField, speeds: SpeedPair, dt: float,
+                    shape: tuple) -> _StepWorkspace:
+    """The workspace of (grid, speeds, dt) for states shaped ``shape``,
+    built when either changes."""
+    entry = _step_entry(grid, speeds, dt)
+    if entry[1] is None or entry[1].shape != shape:
+        entry[1] = None  # before building: never two workspaces at once
+        entry[1] = _StepWorkspace(grid, shape)
+    return entry[1]
 
 
 def diagonalize(u0: dict, u1: dict, speeds: SpeedPair) -> SystemState:
@@ -242,21 +283,23 @@ def reassemble_quadratic(table: dict, state: SystemState) -> dict:
     return out
 
 
-def _sources(grid: SpectralField, coef: np.ndarray, inverse: np.ndarray,
-             coeffs: NonlinearityCoefficients) -> np.ndarray:
-    """Source spectra of u_+, shaped like ``coef`` (*runs, species, *grid),
-    from the positions u = Im(u_+/<D>) in physical space, with ``inverse``
-    the (species, *grid) table 1/<D>: one transform per species and
-    direction serves every run."""
-    dims = grid.dims
-    rows = [_species_row(k, dims) for k in range(len(SPECIES))]
-    # contiguous copies: the products below run faster on them, with the same bits
-    u1, uc = (np.ascontiguousarray(grid.with_coef(coef[row] * inv).to_physical().imag)
-              for row, inv in zip(rows, inverse))
-    out = np.empty_like(coef)
+def _sources(work: _StepWorkspace, coef: np.ndarray, inverse: np.ndarray,
+             coeffs: NonlinearityCoefficients, out: np.ndarray) -> np.ndarray:
+    """Source spectra of u_+, written into ``out`` shaped like ``coef``
+    (*runs, species, *grid), from the positions u = Im(u_+/<D>) in physical
+    space, with ``inverse`` the (species, *grid) table 1/<D>: one transform
+    per species and direction serves every run.  The work happens in the
+    buffers of ``work``; ``coef`` is only read."""
+    grid = work.grid
+    rows = [_species_row(k, grid.dims) for k in range(len(SPECIES))]
+    for row, inv, fld, u in zip(rows, inverse, work.fields, work.positions):
+        np.multiply(coef[row], inv, out=fld.coef)
+        # a contiguous copy: the products below run faster on it, with the same bits
+        np.copyto(u, fld.to_physical(out=fld.coef).imag)
+    u1, uc = work.positions
     # coeffs.evaluate's sum, taken left to right in two buffers: the real
     # products and sums round the same way, so the bits are the same
-    total, term = np.empty_like(u1), np.empty_like(u1)
+    total, term = work.total, work.term
     for row, species in zip(rows, SPECIES):
         a, b, g = coeffs.species_coefficients(species)
         np.multiply(u1, a, out=total)
@@ -267,7 +310,7 @@ def _sources(grid: SpectralField, coef: np.ndarray, inverse: np.ndarray,
         np.multiply(u1, g, out=term)
         term *= uc
         total += term
-        out[row] = SpectralField.from_physical(total, grid.box_length, dims).coef
+        SpectralField.from_physical(total, grid.box_length, grid.dims, out=out[row])
     return out
 
 
@@ -301,26 +344,39 @@ def step(
     grid, u = state.grid, state.coef
     # (species, *grid) tables: they broadcast over the run axes
     inverse, full, half = _step_tables(grid, state.speeds, dt)
-
-    def source(coef: np.ndarray) -> np.ndarray:
-        return _sources(grid, coef, inverse, coeffs)
-
-    u_full = u * full
     if coeffs.is_zero():
-        return replace(state, t=state.t + dt, coef=u_full)
-    n1 = source(u)
-    n2 = source((u + dt / 2.0 * n1) * half)
+        return replace(state, t=state.t + dt, coef=u * full)
+    work = _step_workspace(grid, state.speeds, dt, u.shape)
+    n1, n2, n3, n4 = work.sources
+    stage, u_full = work.stage, work.u_full
+
+    def source(coef: np.ndarray, out: np.ndarray):
+        _sources(work, coef, inverse, coeffs, out)
+
+    # the expressions of the classical stages, each product and sum written
+    # into a workspace buffer in the same order, so the bits are the same;
+    # only ``new`` is fresh, for the new state owns it
+    np.multiply(u, full, out=u_full)
+    source(u, n1)
+    np.multiply(n1, dt / 2.0, out=stage)
+    np.add(u, stage, out=stage)
+    stage *= half
+    source(stage, n2)  # (u + dt/2*n1)*half
     if scheme == "ifrk2":
         n2 *= half
         n2 *= dt
         new = u_full + n2
     else:
-        n3 = source(u * half + dt / 2.0 * n2)
+        np.multiply(u, half, out=n3)  # held in n3 until its source overwrites it
+        np.multiply(n2, dt / 2.0, out=stage)
+        np.add(n3, stage, out=stage)
+        source(stage, n3)  # u*half + dt/2*n2
         n3 *= half
-        n4 = source(u_full + dt * n3)
+        np.multiply(n3, dt, out=stage)
+        np.add(u_full, stage, out=stage)
+        source(stage, n4)  # u_full + dt*n3
         # n1*full + 2*(n2*half) + 2*(n3*half) + n4, added left to right in place
         new = n1 * full
-        del n1
         n2 *= half
         n2 *= 2.0
         new += n2

@@ -153,6 +153,11 @@ def test_transforms_over_leading_axes_are_the_per_row_transforms(grid_size, lead
         row = SpectralField.from_physical(values[index], box)
         assert stacked.coef[index].tobytes() == row.coef.tobytes()
         assert back[index].tobytes() == row.to_physical().tobytes()
+    # into an out= array, strided or the coefficients themselves: the same bits
+    strided = np.empty(shape + (2,), dtype=complex)[..., 0]
+    into = SpectralField.from_physical(values, box, dims, out=strided)
+    assert into.coef is strided and strided.tobytes() == stacked.coef.tobytes()
+    assert into.to_physical(out=strided) is strided and strided.tobytes() == back.tobytes()
 
 
 def test_field_shape_must_end_in_the_grid():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from importlib import resources
 
@@ -223,9 +224,161 @@ def test_sources_are_the_evaluate_sum_bit_for_bit(n, runs):
     shape = (*runs, len(SPECIES), n)
     coef = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     inverse, _, _ = simulator._step_tables(grid, SpeedPair(5.0), 0.01)
+    work = simulator._step_workspace(grid, SpeedPair(5.0), 0.01, shape)
     coeffs = NonlinearityCoefficients(*rng.normal(size=6))
-    got = simulator._sources(grid, coef, inverse, coeffs)
+    got = simulator._sources(work, coef, inverse, coeffs, np.empty_like(coef))
     assert got.tobytes() == evaluate_sources(grid, coef, inverse, coeffs).tobytes()
+
+
+def allocating_sources(grid, coef, inverse, coeffs):
+    """``simulator._sources`` with fresh arrays for every product, field
+    and transform: the oracle of its workspace buffers."""
+    dims = grid.dims
+    rows = [(Ellipsis, k) + (slice(None),) * dims for k in range(len(SPECIES))]
+    u1, uc = (np.ascontiguousarray(grid.with_coef(coef[row] * inv).to_physical().imag)
+              for row, inv in zip(rows, inverse))
+    out = np.empty_like(coef)
+    total, term = np.empty_like(u1), np.empty_like(u1)
+    for row, species in zip(rows, SPECIES):
+        a, b, g = coeffs.species_coefficients(species)
+        np.multiply(u1, a, out=total)
+        total *= u1
+        np.multiply(uc, b, out=term)
+        term *= uc
+        total += term
+        np.multiply(u1, g, out=term)
+        term *= uc
+        total += term
+        out[row] = SpectralField.from_physical(total, grid.box_length, dims).coef
+    return out
+
+
+def allocating_step(state, dt, coeffs, scheme="ifrk4"):
+    """``simulator.step`` with fresh arrays for every stage, without its
+    guard: the bit-for-bit oracle of the step on reused buffers."""
+    grid, u = state.grid, state.coef
+    inverse, full, half = simulator._step_tables(grid, state.speeds, dt)
+
+    def source(coef):
+        return allocating_sources(grid, coef, inverse, coeffs)
+
+    u_full = u * full
+    n1 = source(u)
+    n2 = source((u + dt / 2.0 * n1) * half)
+    if scheme == "ifrk2":
+        n2 *= half
+        n2 *= dt
+        new = u_full + n2
+    else:
+        n3 = source(u * half + dt / 2.0 * n2)
+        n3 *= half
+        n4 = source(u_full + dt * n3)
+        new = n1 * full
+        del n1
+        n2 *= half
+        n2 *= 2.0
+        new += n2
+        n3 *= 2.0
+        new += n3
+        new += n4
+        new *= dt / 6.0
+        new += u_full
+    return replace(state, t=state.t + dt, coef=new)
+
+
+def real_state(dims, n, box, runs, seed, scale=0.1):
+    """A state of real random data on a (dims, n, box) grid, stacked to
+    ``runs`` independent runs."""
+    rng = np.random.default_rng(seed)
+    sp = SpeedPair(5.0)
+    states = [
+        diagonalize(*({s: SpectralField.from_physical(scale * rng.normal(size=(n,) * dims), box)
+                       for s in SPECIES} for _ in range(2)), sp)
+        for _ in range(math.prod(runs))
+    ]
+    coef = np.stack([s.coef for s in states]).reshape(runs + states[0].coef.shape)
+    return replace(states[0], coef=coef)
+
+
+@pytest.mark.parametrize("runs", [(), (2,)], ids=["one-run", "two-runs"])
+@pytest.mark.parametrize("dims, n, box", [(1, 256, 64.0), (1, 4096, 256.0), (3, 8, 4.0)],
+                         ids=["n256", "n4096", "3d"])
+@pytest.mark.parametrize("scheme", ["ifrk4", "ifrk2"])
+def test_step_matches_the_allocating_step_bit_for_bit(scheme, dims, n, box, runs):
+    state = real_state(dims, n, box, runs, seed=n + len(runs))
+    oracle = state
+    for _ in range(20):
+        state = step(state, 0.05, MIXED, scheme=scheme)
+        oracle = allocating_step(oracle, 0.05, MIXED, scheme=scheme)
+        assert state.t == oracle.t
+    assert state.coef.tobytes() == oracle.coef.tobytes()
+    assert np.isfinite(state.energy()).all()
+
+
+def workspace_arrays(state, dt) -> list:
+    """Every buffer of the step workspace that ``state`` and ``dt`` use."""
+    work = simulator._step_workspace(state.grid, state.speeds, dt, state.coef.shape)
+    return [work.sources, work.stage, work.u_full, work.positions, work.total, work.term,
+            *(fld.coef for fld in work.fields)]
+
+
+def test_returned_states_own_their_coefficients(grid):
+    # a state returned by step k keeps its bytes through later steps, also
+    # steps that rebuild the workspace for another grid or run shape
+    state, _, _ = random_state(grid, np.random.default_rng(17))
+    kept = []
+    for _ in range(4):
+        state = step(state, 0.05, MIXED)
+        assert not any(np.shares_memory(state.coef, a) for a in workspace_arrays(state, 0.05))
+        kept.append((state, state.coef.tobytes()))
+    for _ in range(3):
+        state = step(state, 0.05, MIXED)
+        assert all(s.coef.tobytes() == b for s, b in kept)
+    step(replace(state, coef=np.stack([state.coef, state.coef])), 0.05, MIXED)
+    step(real_state(1, 512, 64.0, (), seed=3), 0.05, MIXED)
+    step(real_state(3, 8, 4.0, (2,), seed=3), 0.05, MIXED, scheme="ifrk2")
+    assert all(s.coef.tobytes() == b for s, b in kept)
+
+
+def test_blow_up_state_is_not_a_workspace_buffer(grid):
+    state, _, _ = random_state(grid, np.random.default_rng(8), scale=20.0)
+    harsh = NonlinearityCoefficients(alpha=5.0, delta=5.0)
+    with pytest.raises(BlowUpError) as info:
+        for _ in range(50):
+            state = step(state, 0.5, harsh)
+    failed = info.value.state
+    assert failed is state
+    before = failed.coef.tobytes()
+    assert not any(np.shares_memory(failed.coef, a) for a in workspace_arrays(failed, 0.5))
+    quiet, _, _ = random_state(grid, np.random.default_rng(9))
+    for _ in range(3):
+        quiet = step(quiet, 0.5, harsh)
+    assert failed.coef.tobytes() == before
+
+
+def test_warm_step_holds_bounded_memory():
+    # after its first step, a step on the same grid, dt and run shape
+    # allocates only the new state's coefficients and its energy's squares
+    state = real_state(1, 4096, 256.0, (2,), seed=4)
+    state = step(state, 0.05, MIXED)
+    tracemalloc.start()
+    try:
+        step(state, 0.05, MIXED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * state.coef.nbytes, f"{peak / state.coef.nbytes:.2f} x the state"
+
+
+def test_energy_is_the_sum_of_squares_bit_for_bit():
+    rng = np.random.default_rng(18)
+    for shape, dims in [((2, 256), 1), ((3, 2, 64), 1), ((2, 8, 8, 8), 3)]:
+        coef = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        grid = SpectralField.zeros(dims, shape[-1], 4.0)
+        state = SystemState(t=0.0, speeds=SpeedPair(5.0), grid=grid, coef=coef)
+        squares = coef.real ** 2 + coef.imag ** 2
+        expected = 2.0 * np.sum(squares.reshape(state.runs + (-1,)), axis=-1)
+        assert np.asarray(state._energy).tobytes() == expected.tobytes()
 
 
 def test_reality_preserved_through_nonlinear_run(grid):
@@ -618,13 +771,13 @@ def test_amplification_steps_both_runs_in_each_call(report5, monkeypatch):
         transforms.append(0)
         return original_step(state, *args, **kwargs)
 
-    def counted_to(self):
+    def counted_to(self, out=None):
         transforms[-1] += 1
-        return to_physical(self)
+        return to_physical(self, out)
 
-    def counted_from(cls, values, box_length, dims=None):
+    def counted_from(cls, values, box_length, dims=None, out=None):
         transforms[-1] += 1
-        return from_physical(cls, values, box_length, dims)
+        return from_physical(cls, values, box_length, dims, out)
 
     monkeypatch.setattr(simulator, "step", counted_step)
     monkeypatch.setattr(SpectralField, "to_physical", counted_to)
