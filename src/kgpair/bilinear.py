@@ -17,10 +17,11 @@ sum_k c_k exp(i (a_k xi + b_k eta) h) as a sum of products of grid
 translates.  Any other symbol is applied by summing over its nonzero
 support, built once per (symbol, grid) and then
 O(nnz) per call: from the n^2 table for a callable, and straight from the
-sheared band for a cyclic ridge g[(a - lam*b) mod n], whose per-entry
-indices are int32 up to n = 2^15.  A call takes the support in blocks of
-whole rows, so it holds one block of terms at a time; a stack of fields
-(leading axes) shares each block.  The sharp discrete
+sheared band for a cyclic ridge g[(a - lam*b) mod n], which keeps one int32
+column per entry up to n = 2^15.  A call takes the support in blocks of
+whole rows and derives each block's differences (and a ridge's values), so
+it holds one block of terms at a time; a stack of fields (leading axes)
+shares each block.  The sharp discrete
 operator bound is then ||T_m(f,g)||_r <= l1(m^) ||f||_p ||g||_q for Hoelder
 exponents, where l1(m^) is the plain inverse-DFT coefficient sum computed by
 ``symbol_l1_norm``; for a cyclic ridge it is the 1-D sum of g's coefficients,
@@ -53,6 +54,7 @@ HOLDER_EXPONENTS = ((2.0, 2.0, 1.0), (4.0, 4.0, 2.0), (6.0, 3.0, 2.0))
 # localized 3-D field of shell_weighted_ratio: points per axis and box length
 SHELL_N = 64
 SHELL_BOX = 128.0
+_SHELL_SLAB = 8  # x-planes per slab of shell_weighted_ratio: a power of two dividing SHELL_N
 # exp(x) rounds to +0.0 for every x below -745.133 (subnormal results reach
 # down to there), so no argument below this floor needs evaluating
 _EXP_FLOOR = -746.0
@@ -125,17 +127,17 @@ class SpectralField:
         else:
             coef = out
             np.copyto(coef, values)
-        dims = coef.ndim if dims is None else dims
-        n = coef.shape[-1]
-        _check_grid(n, dims)
-        h = box_length / n
+        # the field is built around the copy first, so its one check of the
+        # grid, box and shape runs before any transform work
+        field = cls(coef.ndim if dims is None else dims, coef.shape[-1], box_length, coef)
+        dims = field.dims
         # the 1-D transform skips fftn's axis bookkeeping; the bits are the same
         if dims == 1:
             np.fft.fft(coef, out=coef)
         else:
             np.fft.fftn(coef, axes=(-3, -2, -1), out=coef)
-        coef *= h**dims / (2.0 * math.pi) ** (dims / 2.0)
-        return cls(dims, n, box_length, coef)
+        coef *= field.h**dims / (2.0 * math.pi) ** (dims / 2.0)
+        return field
 
     # -- geometry -------------------------------------------------------------
 
@@ -454,12 +456,15 @@ class SymbolGrid:
     def support(self, grid: SpectralField) -> tuple:
         """The nonzero entries of ``materialize(grid)`` in CSR form.
 
-        Returns ``(rows, starts, cols, diffs, vals)``: the nonempty row ids
-        (xi indices), the start of each row's segment, and per entry the eta
-        index, the cyclic difference index (xi - eta) mod n and the value.
-        Built once per grid: from the dense table (intp indices), or for a
-        cyclic ridge from its band alone, with real values, no n x n array,
-        and int32 per-entry indices up to n = 2^15 (int64 above).
+        Returns ``(rows, starts, cols)``: the nonempty row ids (xi indices),
+        the start of each row's segment and per entry the eta index, in row
+        order with ascending columns.  Built once per grid: from the dense
+        table (intp indices; the entries' values are kept beside them), or
+        for a cyclic ridge from its band alone, with no n x n array and int32
+        indices up to n = 2^15 (int64 above).  Each entry's cyclic difference
+        (xi - eta) mod n and value are derived per block by
+        ``_support_blocks``; a ridge reads its values from the n-point
+        profile, so it keeps 4 bytes per entry up to n = 2^15.
         """
         key = ("support", grid.n, grid.box_length)
         if key not in self._cache:
@@ -470,14 +475,14 @@ class SymbolGrid:
                 # sorting the keys a*n + b puts the entries in row order with
                 # ascending columns (n is a power of two: & and shifts are
                 # exact).  One key array, updated in place, becomes the row
-                # ids and then the differences; up to n = 2^15 every key and
-                # every lam*b stays below 2^30, so int32 holds them
+                # ids; up to n = 2^15 every key and every lam*b stays below
+                # 2^30, so int32 holds them
                 lam = self.ridge_lambda % n
-                g = self._ridge_samples(grid)
+                values = self._ridge_samples(grid)
                 dtype = np.int32 if n <= 1 << 15 else np.int64
                 b = np.arange(n, dtype=dtype)[:, None]
-                entries = np.empty((n, np.count_nonzero(g)), dtype=dtype)
-                entries[:] = np.flatnonzero(g)
+                entries = np.empty((n, np.count_nonzero(values)), dtype=dtype)
+                entries[:] = np.flatnonzero(values)
                 entries += lam * b
                 entries &= mask
                 entries <<= shift
@@ -486,26 +491,48 @@ class SymbolGrid:
                 entries.sort()
                 cols = entries & mask
                 entries >>= shift
-                # each entry's profile index (a - lam*b) mod n
-                idx = cols * -lam
-                idx += entries
-                idx &= mask
-                vals = g[idx]
-                del idx
             else:
                 table = self.materialize(grid)
                 entries, cols = np.nonzero(table)
-                vals = table[entries, cols]
+                values = table[entries, cols]
             # row k spans bounds[k]:bounds[k+1] of the sorted row ids; unlike
             # np.bincount, searchsorted takes int32 ids without an intp copy
             bounds = np.searchsorted(entries, np.arange(n + 1, dtype=entries.dtype))
-            rows = np.flatnonzero(np.diff(bounds))
-            starts = bounds[rows]
-            diffs = entries
-            diffs -= cols
-            diffs &= mask
-            self._cache[key] = (rows, starts, cols, diffs, vals)
+            rows = np.flatnonzero(np.diff(bounds)).astype(cols.dtype, copy=False)
+            self._cache[key] = (rows, bounds[rows], cols)
+            self._cache[("values", n, grid.box_length)] = values
         return self._cache[key]
+
+    def _support_blocks(self, grid: SpectralField, window: int):
+        """The support in blocks of whole rows: each block takes every row
+        that starts within ``window`` entries of its first entry.  Yields
+        per block the row ids, each row's offset in the block, and per entry
+        the column, the cyclic difference (xi - eta) mod n and the value."""
+        rows, starts, cols = self.support(grid)
+        values = self._cache[("values", grid.n, grid.box_length)]
+        mask, lam = grid.n - 1, self.ridge_lambda % grid.n
+        counts = np.diff(starts, append=cols.size)
+        s0 = 0
+        while s0 < rows.size:
+            e0 = starts[s0]
+            s1 = int(np.searchsorted(starts, e0 + window))
+            e1 = starts[s1] if s1 < rows.size else cols.size
+            block_cols = cols[e0:e1]
+            # each entry's row id, in the dtype of the columns
+            ids = np.repeat(rows[s0:s1], counts[s0:s1])
+            if self.ridge_profile is None:
+                vals = values[e0:e1]
+            else:
+                # the profile index (a - lam*b) mod n; |lam*b| < 2^30 in int32
+                idx = block_cols * -lam
+                idx += ids
+                idx &= mask
+                vals = np.take(values, idx)
+                del idx
+            ids -= block_cols
+            ids &= mask
+            yield rows[s0:s1], starts[s0:s1] - e0, block_cols, ids, vals
+            s0 = s1
 
     @staticmethod
     def _eval_factor(factor, freqs):
@@ -524,9 +551,11 @@ def pseudo_product(symbol: SymbolGrid, f: SpectralField, g: SpectralField) -> Sp
     Other symbols (1-D only) sum over the symbol's nonzero support
     (``SymbolGrid.support``): O(nnz) work per call after one build per
     (symbol, grid), taken in blocks of whole rows of about _CHUNK_POINTS
-    terms, so a call holds one block of terms at a time.  Output modes
-    outside the support are exactly zero, so a NaN or inf in f or g reaches
-    only the rows of the support.
+    terms (``SymbolGrid._support_blocks``), each of which derives its
+    entries' row ids, differences (xi - eta) mod n and, for a cyclic ridge,
+    values g[(xi - lam*eta) mod n]; so a call holds one block of terms at a
+    time.  Output modes outside the support are exactly zero, so a NaN or
+    inf in f or g reaches only the rows of the support.
 
     ``f`` and ``g`` may be stacks of fields (leading axes, see
     ``SpectralField``) whose leading shapes broadcast; each field of the
@@ -543,18 +572,12 @@ def pseudo_product(symbol: SymbolGrid, f: SpectralField, g: SpectralField) -> Sp
         raise ValueError("non-separable symbols are only supported on 1-D grids")
     if symbol.expansion is not None:
         return _expansion_product(symbol, f, g)
-    rows, starts, cols, diffs, vals = symbol.support(f)
     shape = np.broadcast_shapes(f.coef.shape, g.coef.shape)
     fc, gc = np.broadcast_to(f.coef, shape), np.broadcast_to(g.coef, shape)
     out = np.zeros(shape, dtype=complex)
     # a block spans this many entries of each field, so about _CHUNK_POINTS in all
     window = max(1, _CHUNK_POINTS // math.prod(shape[:-1]))
-    s0 = 0
-    while s0 < rows.size:
-        # rows s0 .. s1-1: every row that starts within the window of e0
-        e0 = starts[s0]
-        s1 = int(np.searchsorted(starts, e0 + window))
-        e1 = starts[s1] if s1 < rows.size else vals.size
+    for rows, offsets, cols, diffs, vals in symbol._support_blocks(f, window):
         # f's terms (complex, so real fields promote), then in place the
         # values and g's terms.  f first: on supports of 16384 entries or
         # more numpy elided the former one-pass product's 256 KiB temporary
@@ -562,11 +585,10 @@ def pseudo_product(symbol: SymbolGrid, f: SpectralField, g: SpectralField) -> Sp
         # values differently (FMA); on smaller complex supports, which it
         # took as vals * f.coef[cols], a term may differ in the last bit.
         # np.take gathers with int32 indices faster than [] does
-        terms = np.take(fc, cols[e0:e1], axis=-1).astype(complex, copy=False)
-        terms *= vals[e0:e1]
-        terms *= np.take(gc, diffs[e0:e1], axis=-1)
-        out[..., rows[s0:s1]] = np.add.reduceat(terms, starts[s0:s1] - e0, axis=-1)
-        s0 = s1
+        terms = np.take(fc, cols, axis=-1).astype(complex, copy=False)
+        terms *= vals
+        terms *= np.take(gc, diffs, axis=-1)
+        out[..., rows] = np.add.reduceat(terms, offsets, axis=-1)
     return f.with_coef(out * _quadrature_constant(f))
 
 
@@ -817,37 +839,60 @@ def ridge_bound_probe(trials: int = 12, seed: int = 0) -> dict:
     }
 
 
+def _slab_total(slab_sums) -> float:
+    """The sum of the per-slab ``np.sum`` values in the order of np.sum over
+    all slabs at once: numpy sums a contiguous array pairwise, splitting it
+    into halves down to blocks of 128, so for a power-of-two count of equal
+    slabs of at least 128 values the halves are sums of whole slabs."""
+    while len(slab_sums) > 1:
+        slab_sums = [a + b for a, b in zip(slab_sums[0::2], slab_sums[1::2])]
+    return slab_sums[0]
+
+
 def shell_weighted_ratio(R: float, pairs) -> list:
     """Measured ||chi((|D|-R)/rho) f||_2 / || |x|^s f ||_2 for each (rho, s)
     of ``pairs``, on one localized 3-D field: a Gaussian of width 1.5 on the
     SHELL_N^3 grid of the SHELL_BOX box, built and transformed once per call.
     The numerator depends on rho alone and the denominator on s alone: each
-    is taken once per distinct value."""
+    is taken once per distinct value.
+
+    The work runs in slabs of _SHELL_SLAB x-planes: the Gaussian is written
+    slab by slab into the one complex array that is then transformed in
+    place, and the |x|^s sums, the frequency norms, the shell weights and
+    |f^ chi|^2 are taken per slab.  The slab sums are added in np.sum's
+    pairwise order, so every ratio has the bits of the whole-array sums."""
     h = SHELL_BOX / SHELL_N
     grid_x = (np.arange(SHELL_N) - SHELL_N / 2.0) * h
     xg, yg, zg = np.meshgrid(grid_x, grid_x, grid_x, indexing="ij", sparse=True)
-    r2 = xg**2 + yg**2 + zg**2
-    values = _exp_above_floor(-r2 / (2.0 * 1.5**2))  # most of the box underflows
-    f = SpectralField.from_physical(values, SHELL_BOX)
-    density = np.abs(values) ** 2
-    del values
-    weighted = {s: float(math.sqrt(np.sum(r2**s * density) * h**3))
-                for s in dict.fromkeys(s for _, s in pairs)}
-    del r2, density
-    offsets = f.frequency_norms()
-    offsets -= R  # |xi| - R, the same for every rho
+    x2, y2, z2 = xg**2, yg**2, zg**2
+    slabs = [slice(x, x + _SHELL_SLAB) for x in range(0, SHELL_N, _SHELL_SLAB)]
+    moments = {s: [] for _, s in pairs}  # per distinct s, its slab sums
+    coef = np.empty((SHELL_N,) * 3, dtype=complex)
+    for slab in slabs:
+        r2 = x2[slab] + y2 + z2
+        values = _exp_above_floor(-r2 / (2.0 * 1.5**2))  # most of the box underflows
+        coef[slab] = values
+        density = np.abs(values) ** 2
+        for s, sums in moments.items():
+            sums.append(np.sum(r2**s * density))
+    f = SpectralField.from_physical(coef, SHELL_BOX, out=coef)
+    weighted = {s: float(math.sqrt(_slab_total(sums) * h**3)) for s, sums in moments.items()}
     # f.apply_multiplier(weights).spectral_l2() for each rho, with the same
-    # operations and bits: one product buffer serves every rho, and each
-    # rho's weights array takes the squared moduli; it is freed before the
-    # next rho's weights are built
-    product = np.empty_like(f.coef)
-    numerators = {}
-    for rho in dict.fromkeys(rho for rho, _ in pairs):
-        weights = bump(offsets / rho)
-        np.multiply(f.coef, weights, out=product)
-        np.square(np.abs(product, out=weights), out=weights)
-        numerators[rho] = float(math.sqrt(np.sum(weights) * f.dxi**f.dims))
-        del weights
+    # operations and bits slab by slab: |xi| as in frequency_norms, |xi| - R
+    # once per slab, and one product buffer for every rho of a slab
+    kx, ky, kz = np.meshgrid(*([f.frequency_axis()] * 3), indexing="ij", sparse=True)
+    shells = {rho: [] for rho, _ in pairs}  # per distinct rho, its slab sums
+    product = np.empty((_SHELL_SLAB, SHELL_N, SHELL_N), dtype=complex)
+    for slab in slabs:
+        offsets = np.sqrt(sum(k * k for k in (kx[slab], ky, kz)))
+        offsets -= R
+        for rho, sums in shells.items():
+            weights = bump(offsets / rho)
+            np.multiply(coef[slab], weights, out=product)
+            np.square(np.abs(product, out=weights), out=weights)
+            sums.append(np.sum(weights))
+    numerators = {rho: float(math.sqrt(_slab_total(sums) * f.dxi**f.dims))
+                  for rho, sums in shells.items()}
     return [numerators[rho] / weighted[s] for rho, s in pairs]
 
 

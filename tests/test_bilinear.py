@@ -185,6 +185,75 @@ def test_grid_validation():
         SpectralField.zeros(3, 128, 1.0)
 
 
+FROM_PHYSICAL_ERRORS = {
+    # invalid dims, n, box_length and shape: (values, box_length, dims, message)
+    "dims2": (np.zeros(8), 1.0, 2, "dims must be 1 or 3"),
+    "dims0": (np.zeros(8), 1.0, 0, "dims must be 1 or 3"),
+    "dims4": (np.zeros((2, 2, 2, 2)), 1.0, None, "dims must be 1 or 3"),
+    "n12": (np.zeros(12), 1.0, None, "grid size must be a power of two"),
+    "n1": (np.zeros(1), 1.0, None, "grid size n is limited to integers from 2 to 262144, got 1"),
+    "n0": (np.zeros(0), 1.0, None, "grid size n is limited to integers from 2 to 262144, got 0"),
+    "n2e19": (np.zeros(2**19), 1.0, None,
+              "grid size n is limited to integers from 2 to 262144, got 524288"),
+    "n128_3d": (np.zeros((2, 2, 128)), 1.0, None, "grid size n is limited to integers from 2 to 64, got 128"),
+    "nan_box": (np.zeros(8), math.nan, None, "box_length must be finite and positive, got nan"),
+    "inf_box": (np.zeros(8), math.inf, None, "box_length must be finite and positive, got inf"),
+    "zero_box": (np.zeros(8), 0.0, None, "box_length must be finite and positive, got 0.0"),
+    "negative_box": (np.zeros(8), -1.0, None, "box_length must be finite and positive, got -1.0"),
+    "ragged": (np.zeros((8, 8, 4)), 1.0, None, "coefficient shape (8, 8, 4) does not end in (4, 4, 4)"),
+    "ragged_leading": (np.zeros((4, 8, 8)), 1.0, 3, "coefficient shape (4, 8, 8) does not end in (8, 8, 8)"),
+    # a grid of more axes than the values have: before the one check ran
+    # first, fftn raised an IndexError here
+    "dims3_of_2d": (np.zeros((8, 8)), 1.0, 3, "coefficient shape (8, 8) does not end in (8, 8, 8)"),
+}
+
+
+def counted_field_checks(monkeypatch):
+    """Record each ``_check_grid`` call and each ``SpectralField.__init__``."""
+    checks, inits = [], []
+    check_grid, init = bilinear._check_grid, SpectralField.__init__
+
+    def counted_check(n, dims):
+        checks.append((n, dims))
+        return check_grid(n, dims)
+
+    def counted_init(self, *args, **kwargs):
+        inits.append(args)
+        return init(self, *args, **kwargs)
+
+    monkeypatch.setattr(bilinear, "_check_grid", counted_check)
+    monkeypatch.setattr(SpectralField, "__init__", counted_init)
+    return checks, inits
+
+
+@pytest.mark.parametrize("name", FROM_PHYSICAL_ERRORS)
+def test_from_physical_rejects_a_bad_grid_before_transforming(monkeypatch, name):
+    # the one check of the one field it builds, before any transform work,
+    # with that check's message
+    checks, inits = counted_field_checks(monkeypatch)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("transform before the grid check")
+
+    monkeypatch.setattr(np.fft, "fft", forbidden)
+    monkeypatch.setattr(np.fft, "fftn", forbidden)
+    values, box, dims, message = FROM_PHYSICAL_ERRORS[name]
+    with pytest.raises(ValueError) as error:
+        SpectralField.from_physical(values, box, dims)
+    assert str(error.value) == message
+    assert len(checks) == 1 and len(inits) == 1
+
+
+def test_from_physical_checks_its_grid_once(monkeypatch):
+    checks, inits = counted_field_checks(monkeypatch)
+    grids = [(1, (256,)), (1, (3, 64)), (3, (8, 8, 8)), (3, (2, 4, 4, 4))]
+    for dims, shape in grids:
+        SpectralField.from_physical(np.ones(shape), 6.0, dims)
+        SpectralField.from_physical(np.ones(shape), 6.0, dims, out=np.empty(shape, dtype=complex))
+    assert checks == [(shape[-1], dims) for dims, shape in grids for _ in range(2)]
+    assert len(inits) == 2 * len(grids)
+
+
 @pytest.mark.parametrize("box", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_box_length_must_be_finite_and_positive(box):
     with pytest.raises(ValueError, match="box_length must be finite and positive"):
@@ -469,7 +538,7 @@ def test_cyclic_ridge_band_matches_dense_table(n, rho):
     grid = SpectralField.zeros(1, n, RIDGE_GRIDS[n])
     symbol = SymbolGrid.cyclic_ridge(lambda k: bump(k / rho), 2.0)
     table = cyclic_table(bump(grid.frequency_axis() / rho), 2)
-    support = symbol.support(grid)
+    support = blocked_support(symbol, grid)
     assert [a.dtype for a in support[2:]] == [np.int32, np.int32, np.float64]
     for got, expected in zip(support, table_nonzeros(table)):
         assert np.array_equal(got, expected)
@@ -494,7 +563,7 @@ def test_cyclic_ridge_matches_dense_table_property(n, box, lam, rho, seed):
     symbol = SymbolGrid.cyclic_ridge(lambda k: bump(k / rho), lam)
     samples = bump(grid.frequency_axis() / rho)
     table = cyclic_table(samples, lam)
-    for got, expected in zip(symbol.support(grid), table_nonzeros(table)):
+    for got, expected in zip(blocked_support(symbol, grid), table_nonzeros(table)):
         assert np.array_equal(got, expected)
     dense = float(np.abs(np.fft.ifft2(table)).sum())
     assert _coefficient_l1(samples) == pytest.approx(dense, rel=1e-12, abs=0.0)
@@ -502,6 +571,65 @@ def test_cyclic_ridge_matches_dense_table_property(n, box, lam, rho, seed):
     oracle = dense_pseudo_product(table_symbol(table), f, g)
     scale = rounding_scale(table, np.abs(f.coef), np.abs(g.coef), grid.dxi)
     assert np.abs(out - oracle).max() <= 2.0 * n * np.finfo(float).eps * scale
+
+
+def blocked_support(symbol, grid, window=bilinear._CHUNK_POINTS):
+    """``(rows, starts, cols, diffs, vals)`` of ``symbol.support(grid)`` with
+    the per-entry differences and values joined from the blocks of
+    ``_support_blocks``; the blocks' rows, offsets and columns must join to
+    the support's own."""
+    rows, starts, cols = symbol.support(grid)
+    blocks = list(symbol._support_blocks(grid, window))
+    firsts = np.cumsum([0] + [b[2].size for b in blocks])[:-1]
+
+    def joined(k, dtype):
+        return np.concatenate([b[k] for b in blocks]) if blocks else np.empty(0, dtype)
+
+    assert np.array_equal(joined(0, rows.dtype), rows)
+    assert np.array_equal(np.concatenate([b[1] + e0 for b, e0 in zip(blocks, firsts)] or [starts]), starts)
+    assert np.array_equal(joined(2, cols.dtype), cols)
+    return rows, starts, cols, joined(3, cols.dtype), joined(4, complex)
+
+
+def five_array_support(symbol, grid):
+    """The former ``SymbolGrid.support``, which kept per entry the column,
+    the difference index and the value: ``(rows, starts, cols, diffs,
+    vals)``, built by one in-place int32 key pass for a cyclic ridge.  The
+    bit-for-bit oracle of the support that derives diffs and values per
+    block."""
+    n = grid.n
+    mask, shift = n - 1, n.bit_length() - 1
+    if symbol.ridge_profile is not None:
+        lam = symbol.ridge_lambda % n
+        g = symbol._ridge_samples(grid)
+        dtype = np.int32 if n <= 1 << 15 else np.int64
+        b = np.arange(n, dtype=dtype)[:, None]
+        entries = np.empty((n, np.count_nonzero(g)), dtype=dtype)
+        entries[:] = np.flatnonzero(g)
+        entries += lam * b
+        entries &= mask
+        entries <<= shift
+        entries |= b
+        entries = entries.ravel()
+        entries.sort()
+        cols = entries & mask
+        entries >>= shift
+        idx = cols * -lam
+        idx += entries
+        idx &= mask
+        vals = g[idx]
+        del idx
+    else:
+        table = symbol.materialize(grid)
+        entries, cols = np.nonzero(table)
+        vals = table[entries, cols]
+    bounds = np.searchsorted(entries, np.arange(n + 1, dtype=entries.dtype))
+    rows = np.flatnonzero(np.diff(bounds))
+    starts = bounds[rows]
+    diffs = entries
+    diffs -= cols
+    diffs &= mask
+    return rows, starts, cols, diffs, vals
 
 
 def sorted_ridge_support(g, lam):
@@ -531,7 +659,10 @@ def test_ridge_support_matches_the_sorted_int64_build(n, lam, box, half_width):
     lam = n - 1 if lam == "n-1" else lam
     rho = half_width * grid.dxi
     symbol = SymbolGrid.cyclic_ridge(lambda k: bump(k / rho), lam)
-    support = symbol.support(grid)
+    # the support keeps rows, starts and int32 columns; the blocks derive
+    # int32 differences and the float64 values
+    assert [a.dtype for a in symbol.support(grid)[2:]] == [np.int32]
+    support = blocked_support(symbol, grid)
     assert [a.dtype for a in support[2:]] == [np.int32, np.int32, np.float64]
     for got, expected in zip(support, sorted_ridge_support(bump(grid.frequency_axis() / rho), lam)):
         assert np.array_equal(got, expected)
@@ -543,7 +674,8 @@ def test_ridge_support_takes_int64_keys_above_2_to_the_15():
     rho = 2.5 * grid.dxi  # five nonzero profile samples
     for lam in (3, -2, n - 1):
         symbol = SymbolGrid.cyclic_ridge(lambda k: bump(k / rho), lam)
-        support = symbol.support(grid)
+        assert [a.dtype for a in symbol.support(grid)[2:]] == [np.int64]
+        support = blocked_support(symbol, grid)
         assert support[4].size == 5 * n
         assert [a.dtype for a in support[2:]] == [np.int64, np.int64, np.float64]
         for got, expected in zip(support, sorted_ridge_support(bump(grid.frequency_axis() / rho), lam)):
@@ -552,8 +684,9 @@ def test_ridge_support_takes_int64_keys_above_2_to_the_15():
 
 def one_pass_product(symbol, f, g):
     """``pseudo_product`` of a non-separable symbol over its whole support at
-    once, with the operand order of the blocks: the oracle of the blocking."""
-    rows, starts, cols, diffs, vals = symbol.support(f)
+    once, with the operand order of the blocks and the per-entry arrays of
+    the five-array support: the oracle of the blocking."""
+    rows, starts, cols, diffs, vals = five_array_support(symbol, f)
     terms = f.coef[cols]
     terms *= vals
     terms *= g.coef[diffs]
@@ -611,10 +744,10 @@ def test_cyclic_ridge_needs_an_integer_lambda(lam):
 
 @pytest.mark.parametrize("rho", [1.0, 0.1, 0.01])
 def test_cyclic_ridge_memory_scales_with_its_band(rho):
-    # the build peaks near 20 bytes per entry (int32 keys, columns and
-    # profile indices, float64 values) and keeps 16; a product holds one
-    # block of terms at a time.  One complex n x n table would take 16 n^2
-    # bytes: 16.8 MB here
+    # the build peaks near 8 bytes per entry (int32 keys and columns) and
+    # keeps 4, the int32 columns: the differences and values are derived per
+    # block, so a product holds one block of terms at a time.  One complex
+    # n x n table would take 16 n^2 bytes: 16.8 MB here
     grid = SpectralField.zeros(1, 1024, 1310.72)
     rng = np.random.default_rng(4)
     f, g = random_field(grid, rng), random_field(grid, rng)
@@ -629,8 +762,10 @@ def test_cyclic_ridge_memory_scales_with_its_band(rho):
         product_peak = tracemalloc.get_traced_memory()[1] - build_kept
     finally:
         tracemalloc.stop()
-    assert build_peak < min(10e6, 24 * support[4].size + 256 * grid.n)
-    assert product_peak < min(2e6, 64 * support[4].size + 256 * grid.n)
+    entries = support[2].size
+    assert build_peak < min(4e6, 10 * entries + 256 * grid.n)
+    assert build_kept < 4 * entries + 256 * grid.n
+    assert product_peak < min(2e6, 64 * entries + 256 * grid.n)
 
 
 def test_ridge_probe_is_sharp_and_bounded():
@@ -754,7 +889,7 @@ def test_support_is_built_once_per_grid(grid):
     first = symbol.support(grid)
     assert symbol.support(SpectralField.zeros(1, N, L)) is first
     assert symbol.support(SpectralField.zeros(1, N, 2.0 * L)) is not first
-    rows, starts, cols, diffs, vals = first
+    rows, starts, cols, diffs, vals = blocked_support(symbol, grid)
     table = symbol.materialize(grid)
     assert np.count_nonzero(table) == vals.size < N * N
     entry_rows = np.repeat(rows, np.diff(np.append(starts, vals.size)))
@@ -899,6 +1034,71 @@ def test_shell_ratios_match_single_pair_oracle():
         want = np.array([oracle(R, *pair) for pair in pairs])
         assert np.array(shell_weighted_ratio(R, pairs)).tobytes() == want.tobytes()
     assert shell_weighted_ratio(16 * dxi, []) == []
+
+
+def whole_array_shell_ratio(R, pairs):
+    """The former ``shell_weighted_ratio``, which held the Gaussian, |x|^2,
+    the spectrum, the frequency norms, a product buffer and one rho's
+    weights as whole 64^3 arrays at once: the bit-for-bit oracle of the
+    slab-by-slab version."""
+    h = SHELL_BOX / SHELL_N
+    grid_x = (np.arange(SHELL_N) - SHELL_N / 2.0) * h
+    xg, yg, zg = np.meshgrid(grid_x, grid_x, grid_x, indexing="ij", sparse=True)
+    r2 = xg**2 + yg**2 + zg**2
+    values = bilinear._exp_above_floor(-r2 / (2.0 * 1.5**2))
+    f = SpectralField.from_physical(values, SHELL_BOX)
+    density = np.abs(values) ** 2
+    del values
+    weighted = {s: float(math.sqrt(np.sum(r2**s * density) * h**3))
+                for s in dict.fromkeys(s for _, s in pairs)}
+    del r2, density
+    offsets = f.frequency_norms()
+    offsets -= R
+    product = np.empty_like(f.coef)
+    numerators = {}
+    for rho in dict.fromkeys(rho for rho, _ in pairs):
+        weights = bump(offsets / rho)
+        np.multiply(f.coef, weights, out=product)
+        np.square(np.abs(product, out=weights), out=weights)
+        numerators[rho] = float(math.sqrt(np.sum(weights) * f.dxi**f.dims))
+        del weights
+    return [numerators[rho] / weighted[s] for rho, s in pairs]
+
+
+@pytest.mark.parametrize("R_steps, pairs", [
+    (16.0, [(1.0, 0.5), (10.0, 0.5), (1.0, 1.0), (10.0, 1.0)]),  # operator-probe's pairs
+    (5.5, [(0.5, 0.0), (3.0, 2.0), (40.0, 0.25)]),
+    (0.0, [(1.0, 3.0), (2.5, 1.0)]),
+    (30.0, [(100.0, 0.1), (1e-3, 1.7), (100.0, 0.1)]),
+    (45.5, [(0.25, 0.75)]),
+])
+def test_slab_shell_ratios_are_the_whole_array_ratios(R_steps, pairs):
+    dxi = 2.0 * math.pi / SHELL_BOX
+    pairs = [(rho * dxi, s) for rho, s in pairs]
+    want = np.array(whole_array_shell_ratio(R_steps * dxi, pairs))
+    assert np.array(shell_weighted_ratio(R_steps * dxi, pairs)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_slab_total_is_np_sum_bit_for_bit(seed):
+    # np.sum over a contiguous array splits it into halves down to blocks of
+    # 128 values; if numpy ever sums in another order, the slab ratios lose
+    # their bits and this test says why
+    rng = np.random.default_rng(seed)
+    shape = (SHELL_N,) * 3
+    values = rng.normal(size=shape) * np.exp2(rng.integers(-60, 60, size=shape))  # mixed magnitudes
+    values[rng.random(shape) < 0.2] = -0.0
+    values[rng.random(shape) < 0.2] = 0.0
+    tiny = rng.random(shape) < 0.1
+    values[tiny] = rng.normal(size=int(tiny.sum())) * 5e-320  # subnormals
+    if seed % 2:
+        values = np.abs(values) * 1e-300  # nonnegative, partly subnormal, like |f^ chi|^2
+    if seed == 4:
+        values = np.full(shape, -0.0)
+    slabs = range(0, SHELL_N, bilinear._SHELL_SLAB)
+    total = bilinear._slab_total([np.sum(values[x:x + bilinear._SHELL_SLAB]) for x in slabs])
+    assert np.float64(total).tobytes() == np.sum(values).tobytes()
+    assert SHELL_N % bilinear._SHELL_SLAB == 0 and len(slabs) & (len(slabs) - 1) == 0
 
 
 def test_exp_above_floor_is_np_exp_bit_for_bit():
@@ -1113,13 +1313,18 @@ def test_probes_without_trials_keep_their_empty_results():
     assert bernstein_check(2, 6.0, 2.0, trials=0) == 0.0
 
 
-# the --trials 1000 counts of operator-probe; each bound is the parent
-# implementation's tracemalloc peak (one trial per product and transform)
-# plus 4 MB
+# the --trials 1000 counts of operator-probe.  The Bernstein and holder
+# bounds are the unstacked implementation's tracemalloc peak (one trial per
+# product and transform) plus 4 MB.  The ridge bound holds its three-array
+# support (6.4 MB; 11.1 MB with the per-entry differences and values
+# stored), and the shell bound its slabs (7.0 MB; 15.9 MB as whole arrays)
 @pytest.mark.parametrize("stage, run, bound_mb", [
     ("bernstein", lambda: bernstein_check(3, 6.0, 2.0, trials=500, seed=0), 5.2),
     ("holder", lambda: holder_bound_probe(pairs=1000, seed=0), 12.0),
-    ("ridge", lambda: ridge_bound_probe(trials=125, seed=0), 12.3),
+    ("ridge", lambda: ridge_bound_probe(trials=125, seed=0), 7.5),
+    ("shell", lambda: shell_weighted_ratio(16 * 2.0 * math.pi / SHELL_BOX,
+                                           [(rho * 2.0 * math.pi / SHELL_BOX, s)
+                                            for s in (0.5, 1.0) for rho in (1.0, 10.0)]), 8.0),
 ])
 def test_stacked_probes_hold_bounded_memory(stage, run, bound_mb):
     tracemalloc.start()

@@ -694,9 +694,9 @@ def test_operator_probe_transforms_the_shell_field_once(monkeypatch, tmp_path):
     calls = []
     original = SpectralField.from_physical.__func__
 
-    def counted(cls, values, box_length, dims=None):
+    def counted(cls, values, box_length, dims=None, out=None):
         calls.append(np.shape(values))
-        return original(cls, values, box_length, dims)
+        return original(cls, values, box_length, dims, out)
 
     monkeypatch.setattr(SpectralField, "from_physical", classmethod(counted))
     result = run_cli("operator-probe", "--seed", "1", "--trials", "8",
