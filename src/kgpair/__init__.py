@@ -5,14 +5,13 @@ from kgpair.bilinear import (
     SymbolGrid,
     bernstein_check,
     holder_bound_probe,
-    lp_project,
     pseudo_product,
     ridge_bound_probe,
     shell_weighted_ratio,
     snap_lambda,
     symbol_l1_norm,
 )
-from kgpair.cutoffs import CutoffFamily, bound_probe, bump, smooth_step, theta
+from kgpair.cutoffs import CutoffFamily, bound_probe, bump, smooth_step
 from kgpair.dispersion import (
     IndexTransform,
     PhaseIndex,
@@ -26,7 +25,6 @@ from kgpair.resonance import (
     InfeasibleBudget,
     ResonanceReport,
     ResonantComponent,
-    check_separation,
     dist_to_component,
     find_admissible_constants,
     find_resonant_components,
@@ -41,10 +39,8 @@ from kgpair.simulator import (
     NonlinearityCoefficients,
     SystemState,
     band_energy,
-    diagonalize,
     expand_quadratic,
     profile_of,
-    reconstruct,
     run_resonant_amplification,
     step,
 )

@@ -31,7 +31,6 @@ and for an expansion the sum of |c_k| over its shifts merged modulo n.
 from __future__ import annotations
 
 import math
-import struct
 import warnings
 from dataclasses import dataclass, field
 
@@ -39,7 +38,6 @@ import numpy as np
 
 from kgpair.cutoffs import bump, edge_down
 from kgpair.dispersion import _require_count, _require_positive
-from kgpair.reporting import curve_csv
 
 MAX_GRID_3D = 64
 MAX_GRID_1D = MAX_GRID_3D**3  # as many points as the largest 3-D grid
@@ -89,9 +87,8 @@ class SpectralField:
 
     The grid axes are the trailing ``dims`` axes of ``coef``. Leading axes,
     if any, index a stack of independent fields on the same grid: the
-    transforms and ``pseudo_product`` act on each of them, ``row_lp_norms``
-    gives the norms of each, and ``lp_norms`` and ``spectral_l2`` treat
-    ``coef`` as one field.
+    transforms and ``pseudo_product`` act on each of them, and
+    ``row_lp_norms`` gives the norms of each.
     """
 
     dims: int
@@ -176,25 +173,15 @@ class SpectralField:
         values *= scale / (2.0 * math.pi) ** (self.dims / 2.0)
         return values
 
-    def lp_norm(self, p: float) -> float:
-        return self.lp_norms(p)[0]
-
-    def lp_norms(self, *ps: float) -> tuple:
-        """The L^p norms for each exponent of ``ps`` from one physical-space
-        transform; every exponent must be >= 1 or +inf."""
-        return self._norms_of_rows((1, -1), ps)[0]  # the whole stack as one row
-
     def row_lp_norms(self, *ps: float) -> list:
-        """``lp_norms(*ps)`` of each field of the stack, with the same bits:
-        one tuple per field, the leading axes taken in C order, from one
-        transform of the whole stack."""
-        return self._norms_of_rows((-1, self.n**self.dims), ps)
-
-    def _norms_of_rows(self, shape: tuple, ps) -> list:
+        """The L^p norms of each field of the stack for each exponent of
+        ``ps``, every one >= 1 or +inf: one tuple per field, the leading axes
+        taken in C order, from one physical-space transform of the whole
+        stack; a field without leading axes gives one tuple."""
         for p in ps:
             if not p >= 1:  # also rejects nan
                 raise ValueError(f"p must be >= 1 or +inf, got {p}")
-        values = np.abs(self.to_physical()).reshape(shape)
+        values = np.abs(self.to_physical()).reshape(-1, self.n**self.dims)
         columns = []
         for p in ps:
             if p == math.inf:
@@ -205,11 +192,6 @@ class SpectralField:
                 # path that rounds some roots differently
                 columns.append([float(total ** (1.0 / p)) for total in sums])
         return [tuple(column[row] for column in columns) for row in range(values.shape[0])]
-
-    def spectral_l2(self) -> float:
-        return float(
-            math.sqrt(np.sum(np.abs(self.coef) ** 2) * self.dxi**self.dims)
-        )
 
     # -- algebra ----------------------------------------------------------------
 
@@ -231,67 +213,9 @@ class SpectralField:
         grids = np.meshgrid(*([axis] * self.dims), indexing="ij")
         return np.stack(grids, axis=-1)
 
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same_grid(other)
-        return self.with_coef(self.coef + other.coef)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same_grid(other)
-        return self.with_coef(self.coef - other.coef)
-
-    def __mul__(self, scalar) -> "SpectralField":
-        return self.with_coef(self.coef * scalar)
-
-    __rmul__ = __mul__
-
     def _check_same_grid(self, other: "SpectralField"):
         if (self.dims, self.n, self.box_length) != (other.dims, other.n, other.box_length):
             raise ValueError("fields live on different grids")
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Flat binary block: dims, per-axis sizes, box_length (little-endian
-        64-bit), then interleaved real/imaginary doubles in C order."""
-        header = struct.pack("<Q", self.dims)
-        header += struct.pack(f"<{self.dims}Q", *((self.n,) * self.dims))
-        header += struct.pack("<d", self.box_length)
-        flat = np.empty(2 * self.coef.size)
-        flat[0::2] = self.coef.real.ravel()
-        flat[1::2] = self.coef.imag.ravel()
-        return header + flat.astype("<f8").tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "SpectralField":
-        """Inverse of ``to_bytes``.  The grid sizes are checked before anything
-        is allocated; a malformed blob raises ValueError."""
-        if len(blob) < 8:
-            raise ValueError("blob is shorter than its header")
-        (dims,) = struct.unpack_from("<Q", blob, 0)
-        if dims not in (1, 3):
-            raise ValueError(f"dims must be 1 or 3, got {dims}")
-        offset = 8 * (dims + 2)
-        if len(blob) < offset:
-            raise ValueError("blob is shorter than its header")
-        sizes = struct.unpack_from(f"<{dims}Q", blob, 8)
-        (box_length,) = struct.unpack_from("<d", blob, offset - 8)
-        if len(set(sizes)) != 1:
-            raise ValueError("per-axis sizes must agree")
-        n = sizes[0]
-        _check_grid(n, dims)
-        if len(blob) != offset + 16 * n**dims:
-            raise ValueError("payload size does not match header")
-        # read as complex, not as re + 1j*im, which turns a -0.0 real part into 0.0
-        coef = np.frombuffer(blob, dtype="<c16", offset=offset).reshape((n,) * dims).astype(complex)
-        return cls(int(dims), int(n), float(box_length), coef)
-
-    def spectrum_csv(self) -> str:
-        """CSV dump of the spectrum: frequency coordinates, re, im."""
-        vecs = self._frequency_vectors().reshape(-1, self.dims)
-        columns = {f"xi_{i}": vecs[:, i] for i in range(self.dims)}
-        columns["re"] = self.coef.real.ravel()
-        columns["im"] = self.coef.imag.ravel()
-        return curve_csv(columns)
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +232,6 @@ def lp_psi(r):
     """Annulus profile: supp in (3/4, 2), identically 1 on [1, 3/2]."""
     r = np.asarray(r, dtype=float)
     return _lp_low_profile(r / 2.0) - _lp_low_profile(r)
-
-
-def lp_project(field: SpectralField, j: int, mode: str = "annulus") -> SpectralField:
-    """Dyadic frequency projection P_j (annulus) or P_{<j} (ball)."""
-    norms = field.frequency_norms()
-    scaled = norms / 2.0**j
-    if mode == "annulus":
-        weights = lp_psi(scaled)
-    elif mode == "ball":
-        weights = _lp_low_profile(scaled)
-    else:
-        raise ValueError("mode must be 'annulus' or 'ball'")
-    return field.with_coef(field.coef * weights)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +282,9 @@ class SymbolGrid:
         return cls(factor_eta=factor_eta, factor_diff=factor_diff)
 
     @classmethod
-    def constant(cls, value: float = 1.0) -> "SymbolGrid":
-        return cls(factor_eta=lambda freqs: value, factor_diff=None)
+    def constant(cls) -> "SymbolGrid":
+        """The symbol m = 1, whose operator is the pointwise product."""
+        return cls(factor_eta=lambda freqs: 1.0, factor_diff=None)
 
     @classmethod
     def cyclic_ridge(cls, profile, lam: float) -> "SymbolGrid":
@@ -877,9 +789,10 @@ def shell_weighted_ratio(R: float, pairs) -> list:
             sums.append(np.sum(r2**s * density))
     f = SpectralField.from_physical(coef, SHELL_BOX, out=coef)
     weighted = {s: float(math.sqrt(_slab_total(sums) * h**3)) for s, sums in moments.items()}
-    # f.apply_multiplier(weights).spectral_l2() for each rho, with the same
-    # operations and bits slab by slab: |xi| as in frequency_norms, |xi| - R
-    # once per slab, and one product buffer for every rho of a slab
+    # the spectral L^2 norm sqrt(sum |coef|^2 dxi^3) of
+    # f.apply_multiplier(weights) for each rho, with the same operations and
+    # bits slab by slab: |xi| as in frequency_norms, |xi| - R once per slab,
+    # and one product buffer for every rho of a slab
     kx, ky, kz = np.meshgrid(*([f.frequency_axis()] * 3), indexing="ij", sparse=True)
     shells = {rho: [] for rho, _ in pairs}  # per distinct rho, its slab sums
     product = np.empty((_SHELL_SLAB, SHELL_N, SHELL_N), dtype=complex)
@@ -955,7 +868,7 @@ def default_probe_symbols(seed: int = 0) -> dict:
     trig = SymbolGrid.lattice_expansion(np.stack([a.ravel(), b.ravel()], axis=1),
                                         (coeffs / (1.0 + a * a + b * b)).ravel())
     return {
-        "constant": SymbolGrid.constant(1.0),
+        "constant": SymbolGrid.constant(),
         "separable_bumps": SymbolGrid.separable(
             lambda eta: bump(np.asarray(eta) / 3.0),
             lambda diff: bump(np.asarray(diff) / 2.0),

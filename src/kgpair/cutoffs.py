@@ -2,8 +2,8 @@
 
 Three layers of localization:
 
-* ``theta``: radial high/low frequency splitter, 1 on B(0, M), 0 outside
-  B(0, M+1).
+* ``theta_radial``: radial high/low frequency splitter, 1 on B(0, M), 0
+  outside B(0, M+1).
 * ``chi_O`` / ``chi_O_tilde``: partition of the output frequency axis into a
   small neighbourhood of the outcome radii and its complement.
 * ``chi_R`` + ``chi_S`` + ``chi_T`` = 1: partition of the (xi, eta) space into
@@ -71,13 +71,8 @@ def edge_down(r, a, b):
     return 1.0 - smooth_step(2.0 * (np.asarray(r, dtype=float) - a) / (b - a) - 1.0)
 
 
-def theta(p, M: float):
-    """High/low splitter on the 6-dimensional frequency: 1 on B(0,M), 0 off B(0,M+1)."""
-    _require_positive("M", M)
-    return theta_radial(np.sqrt(sum_of_squares(p)), M)
-
-
 def theta_radial(r, M: float):
+    """High/low splitter as a function of the modulus r: 1 for r <= M, 0 for r >= M+1."""
     return edge_down(r, M, M + 1.0)
 
 
@@ -272,10 +267,11 @@ class CutoffFamily:
         }
 
 
-def _sample_ball(rng, count: int, radius: float, dim: int = 6):
-    direction = rng.normal(size=(count, dim))
+def _sample_ball(rng, count: int, radius: float):
+    # uniform points in the 6-D ball of the (xi, eta) space
+    direction = rng.normal(size=(count, 6))
     direction /= np.sqrt(sum_of_squares(direction))[:, None]
-    r = radius * rng.uniform(0.0, 1.0, count) ** (1.0 / dim)
+    r = radius * rng.uniform(0.0, 1.0, count) ** (1.0 / 6)
     return direction * r[:, None]
 
 

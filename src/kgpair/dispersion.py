@@ -152,20 +152,6 @@ class SpeedPair:
         ca = self.speed_of(tag)
         return ca * ca * x / np.asarray(bracket)[..., np.newaxis]
 
-    def grad_eta_phase(self, idx: "PhaseIndex", xi, eta) -> np.ndarray:
-        """d(phi)/d(eta) = s1*c_l^2*eta/<eta>_l - s2*c_m^2*(xi-eta)/<xi-eta>_m."""
-        eta = np.asarray(eta, dtype=float)
-        diff = np.asarray(xi, dtype=float) - eta
-        return (idx.s1 * self.momentum_slope(idx.l, eta, self.bracket(idx.l, eta))
-                - idx.s2 * self.momentum_slope(idx.m, diff, self.bracket(idx.m, diff)))
-
-    def grad_xi_phase(self, idx: "PhaseIndex", xi, eta) -> np.ndarray:
-        """d(phi)/d(xi) = s0*c_k^2*xi/<xi>_k + s2*c_m^2*(xi-eta)/<xi-eta>_m."""
-        xi = np.asarray(xi, dtype=float)
-        diff = xi - np.asarray(eta, dtype=float)
-        return (idx.s0 * self.momentum_slope(idx.k, xi, self.bracket(idx.k, xi))
-                + idx.s2 * self.momentum_slope(idx.m, diff, self.bracket(idx.m, diff)))
-
 
 @dataclass(frozen=True, order=False)
 class PhaseIndex:
@@ -219,9 +205,6 @@ class PhaseIndex:
             self.s2 < 0,
         )
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.serialize()
-
 
 @dataclass(frozen=True)
 class IndexTransform:
@@ -234,17 +217,6 @@ class IndexTransform:
 
     sign_flip: bool
     swap: bool
-
-    @property
-    def sigma(self) -> int:
-        return -1 if self.sign_flip else 1
-
-    def apply(self, xi, eta):
-        if self.swap:
-            xi = np.asarray(xi, dtype=float)
-            eta = np.asarray(eta, dtype=float)
-            return xi, xi - eta
-        return xi, eta
 
 
 def orbit(idx: PhaseIndex) -> tuple[PhaseIndex, ...]:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from importlib import resources
 
 import numpy as np
 
@@ -160,8 +159,3 @@ def experiment_csv(record: dict) -> str:
         }
     )
 
-
-def load_schema(name: str) -> dict:
-    """Load one of the JSON schemas shipped with the package."""
-    text = resources.files("kgpair.schemas").joinpath(f"{name}.json").read_text("utf-8")
-    return json.loads(text)

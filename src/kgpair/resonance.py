@@ -191,10 +191,10 @@ def find_resonant_components(
     return [ResonantComponent(idx, R, float(space_resonance_lambda(speeds, idx, R)), 1)]
 
 
-def _merge_radii(values, tol: float = _RADIUS_MERGE_TOL) -> list[float]:
+def _merge_radii(values) -> list[float]:
     out: list[float] = []
     for v in sorted(values):
-        if not out or v - out[-1] > tol:
+        if not out or v - out[-1] > _RADIUS_MERGE_TOL:
             out.append(float(v))
     return out
 
@@ -309,12 +309,6 @@ def _separation(outcomes, sources, tau_sep: float) -> tuple[bool, float, float]:
     separated = min_gap > tau_sep
     delta0 = min_gap / 10.0 if separated else 0.0
     return separated, min_gap, delta0
-
-
-def check_separation(report: ResonanceReport, tau_sep: float) -> tuple[bool, float, float]:
-    """Re-evaluate the separation verdict of a report at a given tolerance."""
-    _require_positive("tau_sep", tau_sep)
-    return _separation(report.outcome_radii, report.source_radii, tau_sep)
 
 
 def scan_all(

@@ -70,10 +70,6 @@ class NonlinearityCoefficients:
             if not math.isfinite(value):
                 raise ValueError(f"coefficient {name} must be finite, got {value!r}")
 
-    @classmethod
-    def zero(cls) -> "NonlinearityCoefficients":
-        return cls()
-
     def is_zero(self) -> bool:
         return not any((self.alpha, self.beta, self.gamma, self.delta, self.eps, self.zeta))
 
@@ -93,10 +89,6 @@ class NonlinearityCoefficients:
         if species == "1":
             return self.alpha, self.beta, self.gamma
         return self.delta, self.eps, self.zeta
-
-    def evaluate(self, u1, uc, species: str):
-        a, b, g = self.species_coefficients(species)
-        return a * u1 * u1 + b * uc * uc + g * u1 * uc
 
 
 @dataclass(frozen=True)
@@ -128,13 +120,10 @@ class SystemState:
         coef = self.coef[_species_row(SPECIES.index(species), self.grid.dims)]
         return self.grid.with_coef(coef if sign == 1 else _reflect(coef, self.grid.dims))
 
-    def energy(self):
-        """Quadratic energy of each run: a float without run axes, else an
-        array of the run shape."""
-        return float(self._energy) if not self.runs else self._energy
-
     @functools.cached_property
     def _energy(self) -> np.ndarray:
+        """Quadratic energy of each run, shaped like the run axes (a numpy
+        scalar for one run)."""
         # once per state: a step's incoming state was the previous step's result.
         # No BLAS call (np.vdot runs a threaded zdotc); u_- has the moduli of u_+.
         # Each run sums its own (species, *grid) block in one pass, after the
@@ -220,34 +209,6 @@ def _step_workspace(grid: SpectralField, speeds: SpeedPair, dt: float,
     return entry[1]
 
 
-def diagonalize(u0: dict, u1: dict, speeds: SpeedPair) -> SystemState:
-    """Form u_+ = u1 + i*<D>_k u0 for both species from real data u0, u1."""
-    first = u0[SPECIES[0]]
-    for fld in (*u0.values(), *u1.values()):
-        first._check_same_grid(fld)
-    for (name, fields), species in product((("u0", u0), ("u1", u1)), SPECIES):
-        coef = fields[species].coef
-        gap = float(np.max(np.abs(coef - _reflect(coef))))
-        if not gap <= REAL_DATA_TOL * float(np.max(np.abs(coef))):
-            raise ValueError(f"{name}[{species!r}] is not real data: its coefficients differ "
-                             f"from their mirror image conj(coef(-xi)) by up to {gap:.3g}")
-    grid = SpectralField.zeros(first.dims, first.n, first.box_length)
-    weights = _bracket_weights(grid, speeds)
-    coef = np.stack([u1[species].coef + 1j * w * u0[species].coef
-                     for species, w in zip(SPECIES, weights)])
-    return SystemState(t=0.0, speeds=speeds, grid=grid, coef=coef)
-
-
-def reconstruct(state: SystemState) -> tuple[dict, dict]:
-    """Invert the diagonalization: u = (u_+ - u_-)/(2i<D>), du/dt = (u_+ + u_-)/2."""
-    weights = _bracket_weights(state.grid, state.speeds)
-    dims = state.grid.dims
-    minus = _reflect(state.coef, dims)
-    pos, vel = (state.coef - minus) / (2j * weights), (state.coef + minus) / 2.0
-    return tuple({sp: state.grid.with_coef(f[_species_row(k, dims)])
-                  for k, sp in enumerate(SPECIES)} for f in (pos, vel))
-
-
 def expand_quadratic(coeffs: NonlinearityCoefficients) -> dict:
     """Interaction coefficients of the diagonalized expansion.
 
@@ -297,7 +258,7 @@ def _sources(work: _StepWorkspace, coef: np.ndarray, inverse: np.ndarray,
         # a contiguous copy: the products below run faster on it, with the same bits
         np.copyto(u, fld.to_physical(out=fld.coef).imag)
     u1, uc = work.positions
-    # coeffs.evaluate's sum, taken left to right in two buffers: the real
+    # a*u1*u1 + b*uc*uc + g*u1*uc, taken left to right in two buffers: the real
     # products and sums round the same way, so the bits are the same
     total, term = work.total, work.term
     for row, species in zip(rows, SPECIES):
@@ -315,9 +276,6 @@ def _sources(work: _StepWorkspace, coef: np.ndarray, inverse: np.ndarray,
 
 
 SCHEME_ORDERS = {"ifrk4": 4, "ifrk2": 2}
-# largest |coef - _reflect(coef)| / max|coef| of a field diagonalize accepts
-# as real data; spectra of real arrays stay within 5.1e-16
-REAL_DATA_TOL = 1e-12
 # largest relative growth of the quadratic energy that one step may show
 ENERGY_GUARD = 0.1
 # largest step count t_final/dt of an amplification run; its resonant and
@@ -406,15 +364,9 @@ def profile_of(state: SystemState) -> SystemState:
     return replace(state, coef=state.coef * np.exp(1j * -state.t * weights))
 
 
-def band_energy(
-    state: SystemState,
-    radius_lo: float,
-    radius_hi: float,
-    species: str | None = None,
-    sign: int | None = None,
-) -> float:
-    """Quadratic spectral mass in the band radius_lo <= |xi| < radius_hi of
-    a state without run axes."""
+def band_energy(state: SystemState, radius_lo: float, radius_hi: float, species: str) -> float:
+    """Quadratic spectral mass of ``species``, its two signs, in the band
+    radius_lo <= |xi| < radius_hi of a state without run axes."""
     if radius_lo >= radius_hi:
         raise ValueError("need radius_lo < radius_hi")
     if state.runs:
@@ -423,9 +375,8 @@ def band_energy(
     mask = (norms >= radius_lo) & (norms < radius_hi)
     cell = state.grid.dxi**state.grid.dims
     total = 0.0
-    for sp, sg in product(SPECIES, SIGNS):
-        if species in (None, sp) and sign in (None, sg):
-            total += float(np.sum(np.abs(state.field(sp, sg).coef[mask]) ** 2) * cell)
+    for sign in SIGNS:
+        total += float(np.sum(np.abs(state.field(species, sign).coef[mask]) ** 2) * cell)
     return total
 
 

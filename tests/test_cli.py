@@ -1,20 +1,24 @@
+import ast
 import csv
 import hashlib
 import inspect
 import json
+import sys
 from dataclasses import fields, replace
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 from conftest import run_cli, run_cli_subprocess
+from oracles import load_schema
 
-from kgpair import bilinear
+from kgpair import bilinear, dispersion, format17g, simulator
 from kgpair.bilinear import SpectralField
 from kgpair.cli import _CONFIG_TYPES, _HANDLERS
 from kgpair.cutoffs import CutoffFamily
-from kgpair.reporting import curve_csv, load_schema, to_canonical_json
+from kgpair.reporting import curve_csv, to_canonical_json
 from kgpair.resonance import ResonanceReport, scan_all
 from kgpair.simulator import NonlinearityCoefficients, run_resonant_amplification
 
@@ -336,6 +340,94 @@ def test_cutoff_export_golden(tmp_path, args, csv_digest, json_digest):
     # sha256 of both outputs, pinning the cut-off arithmetic byte for byte
     prefix = tmp_path / "cutoff"
     result = run_cli("cutoff-export", *args, "--output", str(prefix))
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(prefix.with_suffix(".csv").read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256(prefix.with_suffix(".json").read_bytes()).hexdigest() == json_digest
+
+
+@pytest.mark.parametrize(
+    "code, args, digest",
+    [
+        (0, ["resonances", "--c", "5"],
+         "4d456a31b281567f073018941753d11cfd9c0b0cdef5a4b88a13299250c6f7d3"),
+        (0, ["resonances", "--c", "0.5"],
+         "42806e4fd0a0168b9a286b05d5b5f9accde3493f316c79513e143a82ca9b98bb"),
+        (0, ["resonances", "--c", "95"],
+         "a3681daa49f8938f5105b39e03c3c121c21663ddaa79f4716213bb418ef4eb0d"),
+        (0, ["sweep", "--from", "2", "--to", "10", "--steps", "9"],
+         "697e36a98ecc82c3cb8a3099548b57207b1c74130013d8e6f311eab236c6c36f"),
+        (0, ["constants", "-A", "10", "-n", "1"],
+         "1a91ad0064fc9ee409a3680ab6f606ef8f40e9ab41da671e98b289d95c889906"),
+        # infeasible: the budget is still written, with exit code 2
+        (2, ["constants", "-A", "1e5", "-n", "1"],
+         "19cdb089c1d30c70506fb40632a843ae40388258280999c9daf6c670bc215fba"),
+        (0, ["operator-probe", "--seed", "3", "--trials", "17"],
+         "faaa8c56c75b8df68b5890c09819902aa762f94814f73bb0b4e9f8060b964059"),
+    ],
+    ids=["resonances-c5", "resonances-c0.5", "resonances-c95", "sweep-2-10",
+         "constants-A10", "constants-A1e5", "probe-seed3-trials17"],
+)
+def test_cli_stdout_golden(code, args, digest):
+    # sha256 of the document written to stdout, pinning it byte for byte
+    result = run_cli(*args)
+    assert result.returncode == code, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "cutoff, source, csv_digest, json_digest",
+    [
+        ("theta", "report",
+         "31e227d09b8abf16621570ae249e4a7b97edf135f8bd9bf2df3e4178a81f2ebe",
+         "1ab6faf83922429841a6a9c28e4dacfda3d6af7a50993cff9a92e29bb2546569"),
+        ("chi-o", "report",
+         "a92f7b47d18ce49297b8226d3c40f7bf1eed707c66f36c40554f182e0a524a59",
+         "b8a3ad9cd534fe5701af8662a9a63de97aca9ad7c9e3be3824b0b1ff71bfcb4d"),
+        ("chi-o-tilde", "report",
+         "2fee5a030bb7a47dd424ec40fb36a38d240abe6a47c2ba12476a94eca9995a6a",
+         "6364ed3e45a14e1ab29816f820047f08b52cc53769d43dc9dedd92cdcfa800f9"),
+        ("chi-r", "report",
+         "391f1ce9bdd611643c7c0356a9038002802a89a546e0303b42cf9273243eaef5",
+         "cf115fc3d1f714680abf41bbff5079439dce99193ec5d019935d799ee52af788"),
+        ("chi-s", "report",
+         "9fafa43b0307c2e03a8c5d8c70980e8411783c194816703ad3ad92571fa684bf",
+         "e51c880442807799569a6d31bf01035a5dedcc4c897cd9f70a91e5aa68e589fe"),
+        ("chi-t", "report",
+         "d778871167b9556824ff47a5df10f51b3e281a637b5798bf0d8eefcdafc710a0",
+         "fecf0b3267c4ff455d23458bd2bf132deb4cf41130fb5249f49bac981b02047b"),
+        ("theta", "line",
+         "459b6a706e0adface7c57d2f750901fa801ea18922cc43ee79acc529f0639799",
+         "ccb04e636640d44e50ff4fac67bff6c0a6294e7335a4001fd4e5a58790361928"),
+        ("chi-o", "line",
+         "eb0c7c8047a02584fb215151023e8c59bac62e94bde07891478ce452f6fc25c8",
+         "27df2ea00c63a7722ef796e59ce66a4c5d66b62022518b1d1726f71e5b89ae10"),
+        ("chi-o-tilde", "line",
+         "5605c9f89422873f7f63f7d979d59063de57aeff3ce0dd963d4313b47454bc98",
+         "679674bdcd916ec246e22aceba846869815d9bb86f63027624649e69af61f2a1"),
+        ("chi-r", "line",
+         "d7be5adf5aa542b70132e8fd3531b8d8c9d53984a8b07d2dea05a5cee1adeb62",
+         "9e9b3529ed30fa441f6e442e5d07309c4bbe3e8124da8fd87ee6c79dafb05194"),
+        ("chi-s", "line",
+         "48785e0fc6c9065f87d347af362c5a7045ce1f68332a47573d75d20915b9197a",
+         "2d6052cd5fa3bee76be970570ef1e71ae142750a4f8002819f26989f802ace66"),
+        ("chi-t", "line",
+         "d415fa04255ef9ec72ba747a91e5b6136ea4fbc4c32171428837c66eba827613",
+         "f779d3fc841541f5d3396c29f62b8f21f92d35305a165e61aa8ca8a5e046c7ea"),
+    ],
+    ids=[f"{source}-{cutoff}" for source in ("report", "line")
+         for cutoff in ("theta", "chi-o", "chi-o-tilde", "chi-r", "chi-s", "chi-t")],
+)
+def test_cutoff_export_report_and_line_golden(tmp_path, cutoff, source, csv_digest, json_digest):
+    # sha256 of both outputs of each cut-off, read from a saved c = 5 report
+    # at the c11+-- component or evaluated along one segment
+    if source == "report":
+        report = tmp_path / "report.json"
+        report.write_text(run_cli("resonances", "--c", "5").stdout)
+        args = ["--report", report, "--index", "c11+--"]
+    else:
+        args = ["--c", "5", "--line", "1,0,0,0,0,0:0,0,0,1,0,0", "--points", "1000"]
+    prefix = tmp_path / "cutoff"
+    result = run_cli("cutoff-export", *args, "--cutoff", cutoff, "--output", prefix)
     assert result.returncode == 0, result.stderr
     assert hashlib.sha256(prefix.with_suffix(".csv").read_bytes()).hexdigest() == csv_digest
     assert hashlib.sha256(prefix.with_suffix(".json").read_bytes()).hexdigest() == json_digest
@@ -738,3 +830,86 @@ def test_cutoff_export_tiny_rho_warns_nothing(tmp_path):
     assert result.stderr == ""
     values = [float(row["value"]) for row in csv.DictReader(prefix.with_suffix(".csv").read_text().splitlines())]
     assert all(np.isfinite(values))
+
+
+# functions of src/kgpair that no CLI run enters, each with the reason it stays
+KEPT_UNREACHED = {
+    "resonance.time_resonance_gap":
+        "perfbench/spans.py TARGETS wraps it by name; moving it changes the benchmark",
+    "dispersion.SpeedPair.phase":
+        "perfbench/spans.py TARGETS wraps it by name; moving it changes the benchmark",
+    "dispersion.SpeedPair.bracket": "SpeedPair.phase calls it",
+    "simulator.expand_quadratic":
+        "the space-time resonance split of the simulator (ROADMAP item 14) may run it",
+    "simulator.reassemble_quadratic":
+        "the oracle of expand_quadratic, which stays for ROADMAP item 14",
+    "simulator.NonlinearityCoefficients.pair_coefficient": "expand_quadratic calls it",
+    "simulator.profile_of":
+        "the radial simulation (ROADMAP item 10) and the resonance split (item 14) may run it",
+}
+
+
+def _defs(node, prefix: str = ""):
+    """(qualified name, first line of its code object) of every def under
+    ``node``, nested ones included; a decorated def starts at its first
+    decorator."""
+    for child in ast.iter_child_nodes(node):
+        name = prefix
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}{child.name}."
+            if not isinstance(child, ast.ClassDef):
+                yield name[:-1], min([child.lineno] + [d.lineno for d in child.decorator_list])
+        yield from _defs(child, name)
+
+
+def test_cli_enters_every_function_in_src(tmp_path):
+    report, tampered = tmp_path / "report.json", tmp_path / "tampered.json"
+    hot = tmp_path / "hot.cfg"
+    hot.write_text("c = 5.0\ndelta = 1.0\namplitude = 80.0\nn = 128\nt_final = 40.0\ndt = 0.5\n",
+                   encoding="utf-8")
+    doc = scan_all(5.0).to_dict()
+    doc["tau_sep"] = 10**400  # reaches _brief
+    tampered.write_text(json.dumps(doc))
+    bundled = resources.files("kgpair.configs").joinpath("resonant_c5.cfg")
+    line = "1,0,0,0,0,0:0,0,0,1,0,0"
+    runs = [
+        (0, "resonances", "--c", "5", "--output", report),
+        (0, "resonances", "--c", "0.5"),
+        (0, "sweep", "--from", "2", "--to", "10", "--steps", "9"),
+        (0, "constants", "-A", "10", "-n", "1"),
+        (2, "constants", "-A", "1e5", "-n", "1"),
+        *((0, "cutoff-export", "--report", report, "--index", "c11+--", "--cutoff", cutoff,
+           "--output", tmp_path / cutoff)
+          for cutoff in ("theta", "chi-o", "chi-o-tilde", "chi-r", "chi-s", "chi-t")),
+        (0, "cutoff-export", "--c", "5", "--cutoff", "chi-s", "--line", line,
+         "--output", tmp_path / "line"),
+        (0, "operator-probe", "--seed", "0"),
+        (0, "simulate", "--config", bundled, "--output", tmp_path / "bundled"),
+        (3, "simulate", "--config", hot, "--output", tmp_path / "hot"),
+        (1, "cutoff-export", "--report", tampered, "--cutoff", "chi-t", "--output", tmp_path / "x"),
+        (1, "resonances"),  # a usage error
+    ]
+    # the package's caches start empty, as in a fresh process: a function
+    # that only fills one is entered too
+    dispersion.canonical_phase_indices.cache_clear()
+    format17g._tables.cache_clear()
+    simulator._STEP_TABLES.clear()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for code, *args in runs:
+            result = run_cli(*args)
+            assert result.returncode == code, (args, result.stderr)
+    finally:
+        sys.setprofile(None)
+    src = Path(bilinear.__file__).resolve().parent
+    reached = {(Path(c.co_filename).resolve(), c.co_firstlineno) for c in entered}
+    missed = [f"{path.stem}.{name}" for path in sorted(src.glob("*.py"))
+              for name, first in _defs(ast.parse(path.read_text("utf-8")))
+              if (path, first) not in reached]
+    assert sorted(missed) == sorted(KEPT_UNREACHED)

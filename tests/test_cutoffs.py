@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from oracles import grad_eta_phase, grad_xi_phase, theta
 
 from kgpair import cutoffs, dispersion, resonance
 from kgpair.cutoffs import (
@@ -20,7 +21,6 @@ from kgpair.cutoffs import (
     chi_R_rho,
     sample_interaction_points,
     smooth_step,
-    theta,
     theta_radial,
 )
 from kgpair.dispersion import SpeedPair, all_phase_indices, sum_of_squares
@@ -214,7 +214,7 @@ def test_time_resonant_point_goes_to_chi_t(family):
             lo = mid
     xi = np.array([0.5 * (lo + hi) - a, 0.0, 0.0])
     assert abs(sp.phase(idx, xi, eta)) < 1e-10
-    assert np.linalg.norm(sp.grad_eta_phase(idx, xi, eta)) > 1.0
+    assert np.linalg.norm(grad_eta_phase(sp, idx, xi, eta)) > 1.0
     assert family.dist_to_resonant_set(xi, eta) > 0.3
     for rho in (1.0, 0.1):
         assert family.chi_S(xi, eta, rho) == 0.0
@@ -334,8 +334,7 @@ def test_partition_takes_its_geometry_once(family, monkeypatch):
     for module in (dispersion, cutoffs, resonance):
         monkeypatch.setattr(module, "sum_of_squares", counted_squares)
     monkeypatch.setattr(SpeedPair, "phase_radial", counted_radial)
-    for name in ("phase", "grad_xi_phase", "grad_eta_phase"):
-        monkeypatch.setattr(SpeedPair, name, forbidden)
+    monkeypatch.setattr(SpeedPair, "phase", forbidden)
     xi, eta = sample_interaction_points(family, np.random.default_rng(47), 4096)
     calls.clear()
     family.chi_T(xi, eta, 0.1)
@@ -360,7 +359,7 @@ def test_partition_moduli_are_phase_and_eta_gradient(family):
     for got, want in zip(family._partition_at(xi, eta, 0.1, away), family.partition(xi, eta, 0.1)):
         assert np.array_equal(got, want)
     assert np.array_equal(phi, np.abs(family.speeds.phase(family.idx, xi, eta)))
-    grad = family.speeds.grad_eta_phase(family.idx, xi, eta)
+    grad = grad_eta_phase(family.speeds, family.idx, xi, eta)
     assert np.array_equal(ge, np.linalg.norm(grad, axis=-1))
 
 
@@ -475,8 +474,8 @@ def composed_partition_and_moduli(family, xi, eta, rho):
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     phi = np.abs(sp.phase(idx, xi, eta))
-    gx2 = sum_of_squares(sp.grad_xi_phase(idx, xi, eta))
-    ge2 = sum_of_squares(sp.grad_eta_phase(idx, xi, eta))
+    gx2 = sum_of_squares(grad_xi_phase(sp, idx, xi, eta))
+    ge2 = sum_of_squares(grad_eta_phase(sp, idx, xi, eta))
     d_time = np.minimum(phi / np.maximum(np.sqrt(gx2 + ge2), GRAD_FLOOR), TRUST_RADIUS)
     ge = np.sqrt(ge2)
     hess = (vector_frobenius_term(sp, idx.l, eta)

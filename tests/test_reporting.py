@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from oracles import load_schema
 
 from kgpair import format17g, reporting
-from kgpair.reporting import csv_blocks, curve_csv, load_schema, sweep_csv, to_canonical_json
+from kgpair.reporting import csv_blocks, curve_csv, sweep_csv, to_canonical_json
 from kgpair.resonance import ResonanceReport, SweepEntry, scan_all
 
 
