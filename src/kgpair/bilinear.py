@@ -598,44 +598,61 @@ def _stacks(trials: int):
     return (range(t, min(t + _STACK_TRIALS, trials)) for t in range(0, trials, _STACK_TRIALS))
 
 
-def bernstein_check(j: int, p: float, q: float, trials: int = 100, seed: int = 0) -> float:
-    """Max over random band fields of ||P_j f||_p / (2^{j (1/q - 1/p)} ||P_j f||_q).
+def bernstein_check(js, p: float, q: float, trials: int = 100, seed: int = 0) -> list:
+    """For each j of ``js``, in order, the max over random band fields of
+    ||P_j f||_p / (2^{j (1/q - 1/p)} ||P_j f||_q).
 
     The fields live on the 1-D grid of 2048 points on a box of length 64.
     Trial fields are random superpositions of wave packets at scale 2^j,
     drawn self-similarly so that ratios are comparable across j.  Trial t
-    draws from its own generator, seeded (seed, t); the trials are
-    transformed in stacks of up to _STACK_TRIALS fields.
+    draws from its own generator, seeded (seed, t), once for every j: the
+    draws fix each packet's center and width up to the exact factor 2^j,
+    and its phase, which is the same at every j.  The trials run in stacks
+    of up to _STACK_TRIALS fields, with one transform per stack and j.
     """
+    js = list(js)
     if not (1 <= q <= p):
         raise ValueError("need 1 <= q <= p")
     base = SpectralField.zeros(1, 2048, 64.0)
-    if 2.0 * 2**j > (base.n / 2) * base.dxi:
-        raise ValueError("annulus for this j is not representable on the grid")
-    best = 0.0
-    band = lp_psi(base.frequency_norms() / 2.0**j)  # the P_j weights, the same for every trial
+    for j in js:
+        if 2.0 * 2**j > (base.n / 2) * base.dxi:
+            raise ValueError(f"annulus for j = {j} is not representable on the grid")
+    norms = base.frequency_norms()
+    bands = [lp_psi(norms / 2.0**j) for j in js]  # the P_j weights, the same for every trial
     positive = slice(1, base.n // 2)  # the packets carry positive frequencies only
     axis = base.frequency_axis()[positive]
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
+    best = [0.0] * len(js)
     for stack in _stacks(trials):
-        coef = np.zeros((len(stack), base.n), dtype=complex)
-        for row, t in zip(coef, stack):
+        # per trial and packet: center and width at j = 0, position, amplitude
+        center0, width0, x0 = (np.empty((len(stack), 3)) for _ in range(3))
+        amp = np.empty((len(stack), 3), dtype=complex)
+        for i, t in enumerate(stack):
             rng = np.random.default_rng((seed, t))
-            for _ in range(3):
-                center = 2.0**j * rng.uniform(1.05, 1.45)
-                width = 2.0**j * rng.uniform(0.05, 0.12)
-                x0 = rng.uniform(0.0, base.box_length)
-                amp = rng.uniform(0.3, 1.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-                # the packet on the envelope's live modes only: elsewhere it
-                # is a signed zero, and +0 plus a signed zero is +0
-                arg = -((axis - center) ** 2) / (2.0 * width**2)
-                live = np.flatnonzero(~(arg < _EXP_FLOOR))
-                row[positive][live] += amp * np.exp(arg[live]) * np.exp(-1j * axis[live] * x0)
-        for denom, numer in base.with_coef(coef * band).row_lp_norms(q, p):
-            if denom == 0.0:
-                continue
-            ratio = numer / (2.0 ** (j * (1.0 / q - inv_p)) * denom)
-            best = max(best, ratio)
+            for k in range(3):
+                center0[i, k] = rng.uniform(1.05, 1.45)
+                width0[i, k] = rng.uniform(0.05, 0.12)
+                x0[i, k] = rng.uniform(0.0, base.box_length)
+                amp[i, k] = rng.uniform(0.3, 1.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        phase = np.exp(-1j * axis * x0[..., None])
+        coef = np.empty((len(stack), base.n), dtype=complex)
+        for col, (j, band) in enumerate(zip(js, bands)):
+            center = 2.0**j * center0
+            # each packet's 2 width^2 a float power, as libm rounds it
+            spread = np.reshape([2.0 * width**2 for width in (2.0**j * width0).ravel().tolist()],
+                                center.shape)
+            coef.fill(0.0)
+            # a row never holds -0.0 (it starts at +0), so adding the
+            # signed zeros of the envelope's dead modes leaves it as it is
+            for k in range(3):
+                arg = -((axis - center[:, k, None]) ** 2) / spread[:, k, None]
+                coef[:, positive] += amp[:, k, None] * _exp_above_floor(arg) * phase[:, k]
+            coef *= band
+            for denom, numer in base.with_coef(coef).row_lp_norms(q, p):
+                if denom == 0.0:
+                    continue
+                ratio = numer / (2.0 ** (j * (1.0 / q - inv_p)) * denom)
+                best[col] = max(best[col], ratio)
     return best
 
 

@@ -278,15 +278,9 @@ def cmd_operator_probe(args) -> int:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     holder = holder_bound_probe(pairs=args.trials, seed=args.seed)
     ridge = ridge_bound_probe(trials=max(4, args.trials // 8), seed=args.seed)
-    bernstein = [
-        {
-            "j": j,
-            "p": 6.0,
-            "q": 2.0,
-            "max_ratio": bernstein_check(j, 6.0, 2.0, trials=max(5, args.trials // 2), seed=args.seed),
-        }
-        for j in range(6)
-    ]
+    js = range(6)
+    ratios = bernstein_check(js, 6.0, 2.0, trials=max(5, args.trials // 2), seed=args.seed)
+    bernstein = [{"j": j, "p": 6.0, "q": 2.0, "max_ratio": ratio} for j, ratio in zip(js, ratios)]
     dxi = 2.0 * math.pi / SHELL_BOX  # the shell lattice step
     pairs = [(rho, s) for s in (0.5, 1.0) for rho in (dxi, 10.0 * dxi)]
     shell = [

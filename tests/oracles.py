@@ -5,8 +5,8 @@ method becoming a function of its former ``self``. The tests use them as
 oracles and helpers: the diagonalization and its inverse, the quadratic
 forms and energy of the simulator, the separation verdict at another
 tolerance, the 6-D high/low splitter, the phase gradients, the symmetry
-transform, the bundled JSON schemas, the Littlewood-Paley projections and
-the spectral L^2 norm.
+transform, the bundled JSON schemas, the Littlewood-Paley projections,
+the spectral L^2 norm and the Bernstein check of one j at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from kgpair.bilinear import SpectralField, _lp_low_profile, lp_psi
+from kgpair.bilinear import _EXP_FLOOR, SpectralField, _lp_low_profile, _stacks, lp_psi
 from kgpair.cutoffs import theta_radial
 from kgpair.dispersion import (IndexTransform, PhaseIndex, SpeedPair, _require_positive,
                                sum_of_squares)
@@ -142,3 +142,44 @@ def spectral_l2(field: SpectralField) -> float:
     return float(
         math.sqrt(np.sum(np.abs(field.coef) ** 2) * field.dxi**field.dims)
     )
+
+
+def bernstein_check(j: int, p: float, q: float, trials: int = 100, seed: int = 0) -> float:
+    """Max over random band fields of ||P_j f||_p / (2^{j (1/q - 1/p)} ||P_j f||_q).
+
+    The fields live on the 1-D grid of 2048 points on a box of length 64.
+    Trial fields are random superpositions of wave packets at scale 2^j,
+    drawn self-similarly so that ratios are comparable across j.  Trial t
+    draws from its own generator, seeded (seed, t); the trials are
+    transformed in stacks of up to _STACK_TRIALS fields.
+    """
+    if not (1 <= q <= p):
+        raise ValueError("need 1 <= q <= p")
+    base = SpectralField.zeros(1, 2048, 64.0)
+    if 2.0 * 2**j > (base.n / 2) * base.dxi:
+        raise ValueError("annulus for this j is not representable on the grid")
+    best = 0.0
+    band = lp_psi(base.frequency_norms() / 2.0**j)  # the P_j weights, the same for every trial
+    positive = slice(1, base.n // 2)  # the packets carry positive frequencies only
+    axis = base.frequency_axis()[positive]
+    inv_p = 0.0 if math.isinf(p) else 1.0 / p
+    for stack in _stacks(trials):
+        coef = np.zeros((len(stack), base.n), dtype=complex)
+        for row, t in zip(coef, stack):
+            rng = np.random.default_rng((seed, t))
+            for _ in range(3):
+                center = 2.0**j * rng.uniform(1.05, 1.45)
+                width = 2.0**j * rng.uniform(0.05, 0.12)
+                x0 = rng.uniform(0.0, base.box_length)
+                amp = rng.uniform(0.3, 1.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+                # the packet on the envelope's live modes only: elsewhere it
+                # is a signed zero, and +0 plus a signed zero is +0
+                arg = -((axis - center) ** 2) / (2.0 * width**2)
+                live = np.flatnonzero(~(arg < _EXP_FLOOR))
+                row[positive][live] += amp * np.exp(arg[live]) * np.exp(-1j * axis[live] * x0)
+        for denom, numer in base.with_coef(coef * band).row_lp_norms(q, p):
+            if denom == 0.0:
+                continue
+            ratio = numer / (2.0 ** (j * (1.0 / q - inv_p)) * denom)
+            best = max(best, ratio)
+    return best

@@ -203,7 +203,7 @@ def test_criterion_7_bernstein_littlewood_paley(acceptance_record):
         total = total.with_coef(total.coef + lp_project(band, j).coef)
     if np.abs(total.coef - band.coef).max() >= 1e-12:
         failing.append("telescoped identity")
-    ratios = [bernstein_check(j, 6.0, 2.0, trials=50, seed=2) for j in range(6)]
+    ratios = bernstein_check(range(6), 6.0, 2.0, trials=50, seed=2)
     spread = max(ratios) / min(ratios)
     if spread >= 2.0:
         failing.append(f"Bernstein spread {spread:.2f}")

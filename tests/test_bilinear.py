@@ -5,8 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+import oracles
 from oracles import lp_project, spectral_l2
 
 from kgpair import bilinear
@@ -382,7 +383,7 @@ def test_lp_telescoping_identity(grid):
 
 
 def test_bernstein_equal_exponents_unit_ratio():
-    ratio = bernstein_check(2, 4.0, 4.0, trials=5, seed=0)
+    [ratio] = bernstein_check([2], 4.0, 4.0, trials=5, seed=0)
     assert ratio <= 1.0 + 1e-10
 
 
@@ -399,7 +400,7 @@ def test_bernstein_single_mode_volume_constant():
 
 
 def test_bernstein_ratios_j_independent():
-    ratios = [bernstein_check(j, 6.0, 2.0, trials=30, seed=11) for j in range(6)]
+    ratios = bernstein_check(range(6), 6.0, 2.0, trials=30, seed=11)
     assert max(ratios) / min(ratios) < 2.0
 
 
@@ -436,9 +437,9 @@ def test_bernstein_builds_band_weights_once(monkeypatch, j, p, q):
         return lp_psi(r)
 
     monkeypatch.setattr("kgpair.bilinear.lp_psi", counted)
-    got = bernstein_check(j, p, q, trials=6, seed=j)
+    got = bernstein_check([j], p, q, trials=6, seed=j)
     assert calls == [(2048,)]
-    assert got == _bernstein_projecting_each_trial(j, p, q, trials=6, seed=j)
+    assert got == [_bernstein_projecting_each_trial(j, p, q, trials=6, seed=j)]
 
 
 def _bernstein_full_length_packets(j, p, q, trials, seed):
@@ -471,16 +472,52 @@ def _bernstein_full_length_packets(j, p, q, trials, seed):
 def test_bernstein_positive_packets_match_full_length_packets(p, q, seed):
     # bit for bit, although each packet is built on its envelope's live modes
     # only; one trial, one stack and stacks that end short of _STACK_TRIALS
-    for j in range(6):
-        for trials in (1, 17, 20, 33):
-            got = bernstein_check(j, p, q, trials=trials, seed=seed)
+    for trials in (1, 17, 20, 33):
+        got = bernstein_check(range(6), p, q, trials=trials, seed=seed)
+        for j in range(6):
             want = _bernstein_full_length_packets(j, p, q, trials, seed)
-            assert struct.pack("<d", got) == struct.pack("<d", want), (j, trials)
+            assert struct.pack("<d", got[j]) == struct.pack("<d", want), (j, trials)
+
+
+@pytest.mark.parametrize("js", [range(6), [5, 0, 3]])
+@pytest.mark.parametrize("p, q", [(6.0, 2.0), (4.0, 4.0), (math.inf, 1.0)])
+def test_bernstein_matches_the_per_j_oracle(js, p, q):
+    # one call for all j, bit for bit equal to one oracle call per j; no
+    # trial, one, a full stack, and stacks that end short of _STACK_TRIALS
+    for trials in (0, 1, 16, 17, 33):
+        got = bernstein_check(js, p, q, trials=trials, seed=trials + 4)
+        want = [oracles.bernstein_check(j, p, q, trials=trials, seed=trials + 4) for j in js]
+        assert [struct.pack("<d", r) for r in got] == [struct.pack("<d", r) for r in want], trials
+
+
+def count_generators(monkeypatch):
+    seeds = []
+    original = np.random.default_rng
+
+    def counted(seed=None):
+        seeds.append(seed)
+        return original(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    return seeds
+
+
+def test_bernstein_draws_each_trial_once(monkeypatch):
+    seeds = count_generators(monkeypatch)
+    bernstein_check(range(6), 6.0, 2.0, trials=17, seed=9)
+    assert seeds == [(9, t) for t in range(17)]
 
 
 def test_bernstein_rejects_bad_exponents():
     with pytest.raises(ValueError):
-        bernstein_check(0, 2.0, 4.0)
+        bernstein_check([0], 2.0, 4.0)
+
+
+def test_bernstein_rejects_an_unrepresentable_j_before_drawing(monkeypatch):
+    seeds = count_generators(monkeypatch)
+    with pytest.raises(ValueError, match="j = 6"):
+        bernstein_check([0, 5, 6], 6.0, 2.0, trials=3)
+    assert seeds == []
 
 
 def test_ridge_probe_uniform_in_rho():
@@ -1079,11 +1116,11 @@ def count_to_physical(monkeypatch) -> list:
 
 
 def test_bernstein_check_transforms_each_trial_once(monkeypatch):
-    # every trial field is transformed once, in one call per stack
+    # every trial field is transformed once per j, in one call per stack and j
     cap = bilinear._STACK_TRIALS
     calls = count_to_physical(monkeypatch)
-    bernstein_check(2, 6.0, 2.0, trials=2 * cap + 3, seed=3)
-    assert calls == [cap, cap, 3]
+    bernstein_check(range(6), 6.0, 2.0, trials=2 * cap + 3, seed=3)
+    assert calls == [size for size in (cap, cap, 3) for _ in range(6)]
 
 
 def test_holder_probe_transforms_each_field_and_product_once(monkeypatch):
@@ -1221,7 +1258,7 @@ def test_probes_without_trials_keep_their_empty_results():
     for row in ridge["rows"]:
         assert row["adapted_ratio"] == row["random_ratio"] == 0.0
         assert math.isnan(row["packet_ratio"])
-    assert bernstein_check(2, 6.0, 2.0, trials=0) == 0.0
+    assert bernstein_check([2], 6.0, 2.0, trials=0) == [0.0]
 
 
 # the --trials 1000 counts of operator-probe.  The Bernstein and holder
@@ -1230,7 +1267,7 @@ def test_probes_without_trials_keep_their_empty_results():
 # support (6.4 MB; 11.1 MB with the per-entry differences and values
 # stored), and the shell bound its slabs (7.0 MB; 15.9 MB as whole arrays)
 @pytest.mark.parametrize("stage, run, bound_mb", [
-    ("bernstein", lambda: bernstein_check(3, 6.0, 2.0, trials=500, seed=0), 5.2),
+    ("bernstein", lambda: bernstein_check(range(6), 6.0, 2.0, trials=500, seed=0), 5.2),
     ("holder", lambda: holder_bound_probe(pairs=1000, seed=0), 12.0),
     ("ridge", lambda: ridge_bound_probe(trials=125, seed=0), 7.5),
     ("shell", lambda: shell_weighted_ratio(16 * 2.0 * math.pi / SHELL_BOX,
@@ -1289,6 +1326,7 @@ def expansion_case(draw):
 
 
 @given(expansion_case())
+@example((8, [(0, 0)], [5e-324 + 0j], ((), ()), 2.0, 0))  # a subnormal coefficient
 def test_expansion_product_matches_its_dense_table(case):
     n, shifts, coefs, (f_leading, g_leading), box, seed = case
     grid = SpectralField.zeros(1, n, box)
@@ -1301,13 +1339,16 @@ def test_expansion_product_matches_its_dense_table(case):
     assert out.shape == shape
     oracle_symbol = table_symbol(expansion_table(shifts, coefs, n))
     terms_l1 = sum(abs(c) for c in coefs)
+    # results below the normal range round to a multiple of the smallest
+    # subnormal, a step no relative gate reaches: allow a few per summed term
+    underflow = 4.0 * n * len(coefs) * np.finfo(float).smallest_subnormal
     fc, gc = np.broadcast_to(f.coef, shape), np.broadcast_to(g.coef, shape)
     for index in np.ndindex(*shape[:-1]):
         f_row, g_row = grid.with_coef(fc[index]), grid.with_coef(gc[index])
         oracle = dense_pseudo_product(oracle_symbol, f_row, g_row)
         # |m| <= sum |c| at every entry: the gate scales the unit symbol's size
         scale = terms_l1 * rounding_scale(np.ones((1, 1)), np.abs(f_row.coef), np.abs(g_row.coef), grid.dxi)
-        assert np.abs(out[index] - oracle).max() <= 2.0 * n * np.finfo(float).eps * scale
+        assert np.abs(out[index] - oracle).max() <= 2.0 * n * np.finfo(float).eps * scale + underflow
     assert symbol_l1_norm(symbol, grid) == pytest.approx(merged_l1(shifts, coefs, n), rel=1e-14, abs=0.0)
 
 
